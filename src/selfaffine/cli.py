@@ -4,7 +4,8 @@ Reports are flat ``key = value`` text with CSV side files.  Every report
 embeds the tool version, the IFS content hash, and an echo of the
 mathematically relevant configuration; execution-only knobs (worker count,
 output paths) are excluded so identical computations produce byte-identical
-artifacts no matter how they were scheduled.  Timing goes to stderr.
+artifacts.  ``--workers`` is accepted and must be positive, but the library
+runs serially and the value has no effect.  Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -123,9 +124,7 @@ def _check_positive(args, names) -> None:
 def cmd_dim(args) -> int:
     _check_positive(args, ["nmax", "tol", "workers", "budget"])
     ifs = _load_ifs(args)
-    rep = affinity_dimension(
-        ifs, args.nmax, args.tol, budget=args.budget, workers=args.workers, cache=_cache(args)
-    )
+    rep = affinity_dimension(ifs, args.nmax, args.tol, budget=args.budget, cache=_cache(args))
     out = _out_dir(args)
     _write_csv(out / "roots.csv", "n,t_n", rep.roots)
     config = {"nmax": args.nmax, "tol": args.tol, "budget": args.budget}
@@ -157,9 +156,7 @@ def cmd_pressure(args) -> int:
     out = _out_dir(args)
     start = time.perf_counter()
     if args.t is not None:
-        rep = pressure_sequence(
-            cf, args.t, args.nmax, budget=args.budget, workers=args.workers, cache=_cache(args)
-        )
+        rep = pressure_sequence(cf, args.t, args.nmax, budget=args.budget, cache=_cache(args))
         _write_csv(out / "pressure.csv", "t,n,P_n", [(rep.t, n, p) for n, p in rep.per_level])
         config = {"t": args.t, "nmax": args.nmax, "budget": args.budget}
         body = [
@@ -173,9 +170,7 @@ def cmd_pressure(args) -> int:
         ]
     else:
         grid = parse_t_grid(args.t_grid)
-        curve = pressure_curve(
-            cf, grid, args.nmax, budget=args.budget, workers=args.workers, cache=_cache(args)
-        )
+        curve = pressure_curve(cf, grid, args.nmax, budget=args.budget, cache=_cache(args))
         _write_csv(out / "pressure.csv", "t,n,P_n", [(t, args.nmax, p) for t, p in curve])
         config = {"t_grid": args.t_grid, "nmax": args.nmax, "budget": args.budget}
         body = [
@@ -200,16 +195,12 @@ def cmd_measure(args) -> int:
     cache = _cache(args)
     t = args.t
     if t is None:
-        t = pressure_root(cf, args.nmax, args.tol, budget=args.budget, workers=args.workers, cache=cache)
+        t = pressure_root(cf, args.nmax, args.tol, budget=args.budget, cache=cache)
+    diag = diagnostics(cf, t, args.nmax, args.depth, args.tail_mode, budget=args.budget)
     if args.kind == "nu":
-        measure = nu_weights(cf, t, args.nmax, budget=args.budget, workers=args.workers)
+        measure = nu_weights(cf, t, args.nmax, budget=args.budget)
     else:
-        measure = mu_cesaro(
-            cf, t, args.nmax, args.depth, args.tail_mode, budget=args.budget, workers=args.workers
-        )
-    diag = diagnostics(
-        cf, t, args.nmax, args.depth, args.tail_mode, budget=args.budget, workers=args.workers
-    )
+        measure = diag.measure
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
     config = {
         "t": "auto" if args.t is None else args.t,
@@ -271,10 +262,8 @@ def _make_cloud(args, ifs):
         cf = NaturalCylinderFunction(ifs)
         t_used = args.t
         if t_used is None:
-            t_used = pressure_root(cf, args.nmax, args.tol, budget=args.budget, workers=args.workers)
-        driver = mu_cesaro(
-            cf, t_used, args.nmax, args.depth, budget=args.budget, workers=args.workers
-        )
+            t_used = pressure_root(cf, args.nmax, args.tol, budget=args.budget)
+        driver = mu_cesaro(cf, t_used, args.nmax, args.depth, budget=args.budget)
     cloud = attractor_points(
         ifs, args.count, burn_in=args.burn_in, seed=args.seed, driver=driver, chains=args.chains
     )
@@ -355,7 +344,8 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--ifs", required=True, help="path to the IFS JSON document")
     common.add_argument("--out", default="out", help="output directory (default: ./out)")
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument("--workers", type=int, default=1,
+                        help="accepted for compatibility; must be positive, has no effect")
     common.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                         help="max words enumerated per level")
     common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")

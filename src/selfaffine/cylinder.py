@@ -17,6 +17,15 @@ The value of a word must never exceed the product of the values of its parts:
 equality and K_t = 1 this is the multiplicative chain rule of similarity
 weights).  ``verify_axioms`` spot-checks all three properties on random words
 and reports the worst signed slack per axiom.
+
+The natural potential is ``log value(t, w) = sum_k c_k(t) * log(a_1...a_k)(w)``
+(``svf_compound_terms``), and the features ``log(a_1...a_k)(w)`` do not depend
+on ``t``.  ``NaturalCylinderFunction`` therefore keeps the feature array of
+each ``(k, prefix, depth)`` block it evaluates, so the batched singular values
+of a block are computed once however many parameters are asked for.  The kept
+bytes are capped by ``FEATURE_MEMO_BYTES``; the memo is cleared whenever
+storing a block would pass the cap, and a block larger than the cap is never
+kept.  Single-word ``log_value`` calls do not fill the memo.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NumericallySingularError
 from .linalg import (
     compound_matrix,
     singular_values,
@@ -34,7 +44,10 @@ from .linalg import (
     svf_compound_terms,
     word_matrix,
 )
-from .symbolic import Word, words_of_length
+from .symbolic import Word
+
+#: Cap on the bytes of block features a ``NaturalCylinderFunction`` keeps.
+FEATURE_MEMO_BYTES = 64 << 20
 
 
 class CylinderFunction:
@@ -58,11 +71,8 @@ class CylinderFunction:
 
     def log_value_block(self, t: float, prefix: Word, depth: int) -> np.ndarray:
         """Log-values of all words ``prefix + suffix``, suffixes of the given
-        depth in lexicographic order.  Subclasses override with batched
-        implementations; this fallback enumerates."""
-        return np.array(
-            [self.log_value(t, tuple(prefix) + s) for s in words_of_length(self.n_symbols, depth)]
-        )
+        depth in lexicographic order."""
+        raise NotImplementedError
 
     def _check_word(self, w: Word) -> None:
         if len(w) < 1:
@@ -98,26 +108,49 @@ class NaturalCylinderFunction(CylinderFunction):
             k: np.stack([compound_matrix(A, k) for A in mats])
             for k in range(1, self.dimension + 1)
         }
+        self._features: dict[tuple, np.ndarray] = {}
+        self._feature_bytes = 0
 
-    def _log_partial_products(self, k: int, prefix: Word, depth: int) -> np.ndarray:
+    def _log_partial_products(self, k: int, prefix: Word, depth: int, memo: bool) -> np.ndarray:
         """log(a_1 ... a_k) of the word matrix for every ``prefix + suffix``,
-        via top singular values of k-th compound products."""
+        via top singular values of k-th compound products; kept in the feature
+        memo when ``memo`` is set."""
+        key = (k, tuple(prefix), depth)
+        if key in self._features:
+            return self._features[key]
         comps = self._compounds[k]
         m = comps.shape[1]
         prods = word_matrix(comps, prefix)[None, :, :]
         for _ in range(depth):
             prods = (prods[:, None, :, :] @ comps[None, :, :, :]).reshape(-1, m, m)
-        return np.log(singular_values_batch(prods)[:, 0])
+        with np.errstate(divide="ignore"):
+            feats = np.log(singular_values_batch(prods)[:, 0])
+        if not np.all(np.isfinite(feats)):
+            raise NumericallySingularError(
+                f"level {len(prefix) + depth}: the product of the top {k} singular value(s) "
+                "of some word matrix underflows double precision"
+            )
+        if memo and feats.nbytes <= FEATURE_MEMO_BYTES:
+            if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
+                self._features.clear()
+                self._feature_bytes = 0
+            feats.flags.writeable = False
+            self._features[key] = feats
+            self._feature_bytes += feats.nbytes
+        return feats
+
+    def _log_values(self, t, prefix, depth, memo):
+        out = np.zeros(self.n_symbols**depth)
+        for k, coeff in svf_compound_terms(t, self.dimension):
+            out += coeff * self._log_partial_products(k, prefix, depth, memo)
+        return out
 
     def log_value(self, t, w, tail=None):
         self._check_word(w)
-        return float(self.log_value_block(t, w, 0)[0])
+        return float(self._log_values(t, w, 0, memo=False)[0])
 
     def log_value_block(self, t, prefix, depth):
-        out = np.zeros(self.n_symbols**depth)
-        for k, coeff in svf_compound_terms(t, self.dimension):
-            out += coeff * self._log_partial_products(k, prefix, depth)
-        return out
+        return self._log_values(t, prefix, depth, memo=True)
 
     def constants(self, t):
         return 1.0, float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinder import CylinderFunction
-from .pressure import log_partition_sum, map_blocks_ordered, prefix_blocks, pressure_sequence
+from .pressure import level_blocks, log_partition_sum, pressure_sequence
 from .symbolic import Word, check_budget, pack_word, word_str
 
 
@@ -98,20 +98,17 @@ class CylinderMeasure:
         return cls(len(p), depth, masses, provenance=f"bernoulli({p.tolist()})")
 
 
-def _level_log_values(cf, t, n, budget=None, workers=1) -> np.ndarray:
+def _level_log_values(cf, t, n, budget=None) -> np.ndarray:
     """Log-values of every level-n word in lexicographic order."""
     check_budget(cf.n_symbols, n, budget)
-    p, prefixes = prefix_blocks(cf.n_symbols, n)
-    depth = n - p
-    blocks = map_blocks_ordered(lambda pr: cf.log_value_block(t, pr, depth), prefixes, workers)
-    return np.concatenate(blocks)
+    return np.concatenate([lv for _, lv in level_blocks(cf, t, n)])
 
 
-def nu_weights(cf: CylinderFunction, t: float, n: int, budget=None, workers=1) -> CylinderMeasure:
+def nu_weights(cf: CylinderFunction, t: float, n: int, budget=None) -> CylinderMeasure:
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
-    log_s = log_partition_sum(cf, t, n, budget, workers)
-    masses = np.exp(_level_log_values(cf, t, n, budget, workers) - log_s)
+    log_s = log_partition_sum(cf, t, n, budget)
+    masses = np.exp(_level_log_values(cf, t, n, budget) - log_s)
     return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
 
 
@@ -122,7 +119,6 @@ def mu_cesaro(
     k: int,
     tail_mode: str = "pad",
     budget=None,
-    workers=1,
 ) -> CylinderMeasure:
     """Depth-k table of the Cesaro average of the shifted level-n weights."""
     if not 1 <= k <= n:
@@ -131,17 +127,13 @@ def mu_cesaro(
         raise ValueError(f"tail_mode must be 'pad' or 'drop', got {tail_mode!r}")
     m_sym = cf.n_symbols
     size_k = m_sym**k
-    log_s = log_partition_sum(cf, t, n, budget, workers)
-
-    p, prefixes = prefix_blocks(m_sym, n)
-    depth = n - p
-    block_size = m_sym**depth
+    log_s = log_partition_sum(cf, t, n, budget)
     shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
 
-    def block_table(item):
-        b, prefix = item
-        weights = np.exp(cf.log_value_block(t, prefix, depth) - log_s)
-        packed = np.arange(block_size, dtype=np.int64) + b * block_size
+    table = np.zeros(size_k)
+    for offset, lv in level_blocks(cf, t, n):
+        weights = np.exp(lv - log_s)
+        packed = np.arange(len(lv), dtype=np.int64) + offset
         part = np.zeros(size_k)
         for j in shifts:
             if j <= n - k:
@@ -151,11 +143,6 @@ def mu_cesaro(
                 q = n - j
                 idx = (packed % m_sym**q) * m_sym ** (k - q)
             part += np.bincount(idx, weights=weights, minlength=size_k)
-        return part
-
-    parts = map_blocks_ordered(block_table, list(enumerate(prefixes)), workers)
-    table = np.zeros(size_k)
-    for part in parts:  # lexicographic block order, independent of scheduling
         table += part
     table /= n if tail_mode == "pad" else (n - k + 1)
     return CylinderMeasure(
@@ -175,21 +162,21 @@ def entropy_depth(m: CylinderMeasure) -> float:
     return entropy_table(m.masses) / m.depth
 
 
-def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure, budget=None, workers=1) -> float:
+def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure, budget=None) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
-    lv = _level_log_values(cf, t, m.depth, budget, workers)
+    lv = _level_log_values(cf, t, m.depth, budget)
     return float(m.masses @ lv) / m.depth
 
 
 def jensen_residual(
-    cf: CylinderFunction, t: float, n: int, m: CylinderMeasure, budget=None, workers=1
+    cf: CylinderFunction, t: float, n: int, m: CylinderMeasure, budget=None
 ) -> float:
     """P_n(t) - entropy - energy at depth n; >= 0 for every probability
     assignment, = 0 at the nu weights."""
     if m.depth != n:
         raise ValueError(f"measure depth {m.depth} != level {n}")
-    p_n = log_partition_sum(cf, t, n, budget, workers) / n
-    return p_n - entropy_depth(m) - energy_depth(cf, t, m, budget, workers)
+    p_n = log_partition_sum(cf, t, n, budget) / n
+    return p_n - entropy_depth(m) - energy_depth(cf, t, m, budget)
 
 
 def invariance_defect(
@@ -199,14 +186,13 @@ def invariance_defect(
     k: int,
     tail_mode: str = "pad",
     budget=None,
-    workers=1,
 ) -> float:
     """max over level-k words of |mu_n([i]) - mu_n(shift^-1 [i])|, both sides
     read from one depth-(k+1) table.  Under the default tail convention the
     value is at most 1/n."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    deep = mu_cesaro(cf, t, n, k + 1, tail_mode, budget, workers).masses
+    deep = mu_cesaro(cf, t, n, k + 1, tail_mode, budget).masses
     m_sym = cf.n_symbols
     direct = deep.reshape(m_sym**k, m_sym).sum(axis=1)
     preimage = deep.reshape(m_sym, m_sym**k).sum(axis=0)
@@ -223,7 +209,7 @@ class LocalDimensionSamples:
 
 
 def local_dimension_samples(
-    cf: CylinderFunction, t_star: float, n: int, count: int, seed: int, budget=None, workers=1
+    cf: CylinderFunction, t_star: float, n: int, count: int, seed: int, budget=None
 ) -> LocalDimensionSamples:
     """Monte Carlo check of the local-dimension ratio at a pressure root.
 
@@ -233,7 +219,7 @@ def local_dimension_samples(
     if count < 1:
         raise ValueError("count must be >= 1")
     m_sym = cf.n_symbols
-    lv = _level_log_values(cf, t_star, n, budget, workers)
+    lv = _level_log_values(cf, t_star, n, budget)
 
     # tables[k][u] = log sum of values over all continuations of prefix u
     tables = [np.empty(0)] * (n + 1)
@@ -260,7 +246,7 @@ def local_dimension_samples(
 
 
 def bernoulli_lower_estimate(
-    cf: CylinderFunction, t: float, k: int, iterations: int = 50, budget=None, workers=1
+    cf: CylinderFunction, t: float, k: int, iterations: int = 50, budget=None
 ) -> tuple[np.ndarray, float]:
     """Best product (Bernoulli) measure for the depth-k score h(p) + E_k(p).
 
@@ -273,7 +259,7 @@ def bernoulli_lower_estimate(
         raise ValueError("depth must be >= 1")
     m_sym = cf.n_symbols
     check_budget(m_sym, k, budget)
-    lv = _level_log_values(cf, t, k, budget, workers)
+    lv = _level_log_values(cf, t, k, budget)
     counts = np.zeros((1, m_sym))
     eye = np.eye(m_sym)
     for _ in range(k):
@@ -301,7 +287,8 @@ def bernoulli_lower_estimate(
 
 @dataclass
 class EquilibriumDiagnostics:
-    """Finite-level snapshot of the variational quantities at one (t, n, k)."""
+    """Finite-level snapshot of the variational quantities at one (t, n, k);
+    ``measure`` is the depth-k Cesaro table the snapshot was computed from."""
 
     t: float
     level: int
@@ -311,6 +298,7 @@ class EquilibriumDiagnostics:
     pressure_upper: float
     gap: float
     invariance_defect_max: float
+    measure: CylinderMeasure
 
 
 def diagnostics(
@@ -320,15 +308,12 @@ def diagnostics(
     k: int,
     tail_mode: str = "pad",
     budget=None,
-    workers=1,
 ) -> EquilibriumDiagnostics:
-    mu = mu_cesaro(cf, t, n, k, tail_mode, budget, workers)
+    mu = mu_cesaro(cf, t, n, k, tail_mode, budget)
     h = entropy_depth(mu)
-    e = energy_depth(cf, t, mu, budget, workers)
-    upper = pressure_sequence(cf, t, n, budget, workers).fekete_upper
-    defect = (
-        invariance_defect(cf, t, n, k, tail_mode, budget, workers) if k <= n - 1 else math.nan
-    )
+    e = energy_depth(cf, t, mu, budget)
+    upper = pressure_sequence(cf, t, n, budget).fekete_upper
+    defect = invariance_defect(cf, t, n, k, tail_mode, budget) if k <= n - 1 else math.nan
     return EquilibriumDiagnostics(
         t=float(t),
         level=n,
@@ -338,4 +323,5 @@ def diagnostics(
         pressure_upper=upper,
         gap=upper - h - e,
         invariance_defect_max=defect,
+        measure=mu,
     )

@@ -11,20 +11,19 @@ running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
 estimate, never a bound.
 
-Enumeration is a deterministic parallel reduction: the word space of level n
-splits at prefix depth p = min(n, 4) into #I^p blocks; each block is reduced
-by a streaming log-sum-exp around its own maximum, and block results are
-combined in lexicographic block order no matter which worker finished first.
-Results are therefore bit-for-bit reproducible across runs and worker counts.
+Enumeration is a serial, fixed-order reduction: the word space of level n
+splits at prefix depth p = min(n, 4) into #I^p blocks, visited in lexicographic
+order (``level_blocks``); each block is reduced by a log-sum-exp around its own
+maximum, and block results are folded left to right.  Results are therefore
+bit-for-bit reproducible across runs.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -32,23 +31,19 @@ from .cylinder import CylinderFunction, NaturalCylinderFunction
 from .errors import BudgetExceededError
 from .symbolic import check_budget, words_of_length
 
-#: Prefix depth at which the word space is split into parallel blocks.
+#: Prefix depth at which the word space is split into blocks.
 PREFIX_SPLIT_DEPTH = 4
 
 
-def map_blocks_ordered(fn: Callable, blocks: Sequence, workers: int = 1) -> list:
-    """Apply fn to every block, returning results in block order regardless of
-    scheduling."""
-    if workers <= 1:
-        return [fn(b) for b in blocks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
-
-
-def prefix_blocks(n_symbols: int, n: int) -> tuple[int, list]:
-    """Split depth p and the list of prefix words of length p, in lex order."""
+def level_blocks(cf: CylinderFunction, t: float, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """(offset, log-values) of each prefix block of the level-n words, in
+    lexicographic order; ``offset`` is the packed index of the block's first
+    word."""
     p = min(n, PREFIX_SPLIT_DEPTH)
-    return p, list(words_of_length(n_symbols, p))
+    depth = n - p
+    size = cf.n_symbols**depth
+    for b, prefix in enumerate(words_of_length(cf.n_symbols, p)):
+        yield b * size, cf.log_value_block(t, prefix, depth)
 
 
 def combine_max_sumexp(stats: Sequence[tuple[float, float]]) -> float:
@@ -71,10 +66,9 @@ def log_partition_sum(
     t: float,
     n: int,
     budget: int | None = None,
-    workers: int = 1,
     cache=None,
 ) -> float:
-    """log of the level-n partition sum, deterministic across worker counts."""
+    """log of the level-n partition sum."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     check_budget(cf.n_symbols, n, budget)
@@ -84,24 +78,19 @@ def log_partition_sum(
         if hit is not None:
             return hit
 
-    p, prefixes = prefix_blocks(cf.n_symbols, n)
-    depth = n - p
-
-    def block_stats(prefix):
-        lv = cf.log_value_block(t, prefix, depth)
+    stats = []
+    for _, lv in level_blocks(cf, t, n):
         m = float(lv.max())
-        return m, float(np.exp(lv - m).sum())
-
-    stats = map_blocks_ordered(block_stats, prefixes, workers)
+        stats.append((m, float(np.exp(lv - m).sum())))
     out = combine_max_sumexp(stats)
     if cache is not None:
         cache.put(key, out)
     return out
 
 
-def pressure_level(cf, t, n, budget=None, workers=1, cache=None) -> float:
+def pressure_level(cf, t, n, budget=None, cache=None) -> float:
     """P_n(t) = (1/n) log S_n(t)."""
-    return log_partition_sum(cf, t, n, budget, workers, cache) / n
+    return log_partition_sum(cf, t, n, budget, cache) / n
 
 
 def _extrapolate(ns: Sequence[int], values: Sequence[float]) -> tuple[float, str]:
@@ -138,16 +127,14 @@ class PressureReport:
         return [n for n, _ in self.per_level]
 
 
-def pressure_sequence(
-    cf, t, n_max, budget=None, workers=1, cache=None
-) -> PressureReport:
+def pressure_sequence(cf, t, n_max, budget=None, cache=None) -> PressureReport:
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     per_level: list[tuple[int, float]] = []
     truncated = False
     for n in range(1, n_max + 1):
         try:
-            per_level.append((n, pressure_level(cf, t, n, budget, workers, cache)))
+            per_level.append((n, pressure_level(cf, t, n, budget, cache)))
         except BudgetExceededError:
             truncated = True
             break
@@ -166,7 +153,7 @@ def pressure_sequence(
     )
 
 
-def pressure_root(cf, n, t_tol, budget=None, workers=1, cache=None) -> float:
+def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
     """The zero of t -> P_n(t), located by bisection to bracket width t_tol.
 
     P_n is strictly decreasing with P_n(0) = log #I > 0, and the parameter
@@ -179,7 +166,7 @@ def pressure_root(cf, n, t_tol, budget=None, workers=1, cache=None) -> float:
         raise ValueError("pressure root needs at least two symbols")
 
     def P(t):
-        return pressure_level(cf, t, n, budget, workers, cache)
+        return pressure_level(cf, t, n, budget, cache)
 
     lo, hi = 0.0, 1.0
     p_hi = P(hi)
@@ -227,7 +214,7 @@ class DimensionReport:
         return [n for n, _ in self.roots]
 
 
-def affinity_dimension(ifs, n_max, t_tol, budget=None, workers=1, cache=None) -> DimensionReport:
+def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionReport:
     """Roots of the level pressures for the natural (singular-value) potential."""
     start = time.perf_counter()
     cf = NaturalCylinderFunction(ifs)
@@ -239,7 +226,7 @@ def affinity_dimension(ifs, n_max, t_tol, budget=None, workers=1, cache=None) ->
         except BudgetExceededError:
             truncated = True
             break
-        roots.append((n, pressure_root(cf, n, t_tol, budget, workers, cache)))
+        roots.append((n, pressure_root(cf, n, t_tol, budget, cache)))
     if not roots:
         raise BudgetExceededError(cf.n_symbols, 1, budget or 0)
     values = [r for _, r in roots]
@@ -262,9 +249,9 @@ def affinity_dimension(ifs, n_max, t_tol, budget=None, workers=1, cache=None) ->
     )
 
 
-def pressure_curve(cf, t_grid, n, budget=None, workers=1, cache=None) -> list[tuple[float, float]]:
+def pressure_curve(cf, t_grid, n, budget=None, cache=None) -> list[tuple[float, float]]:
     """P_n sampled on an ascending parameter grid."""
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly ascending")
-    return [(t, pressure_level(cf, t, n, budget, workers, cache)) for t in t_grid]
+    return [(t, pressure_level(cf, t, n, budget, cache)) for t in t_grid]

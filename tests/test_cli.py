@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, triple_diag_ifs
 
-from selfaffine import AxiomReport
+from selfaffine import AffineIFS, AxiomReport
 from selfaffine.cli import main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
@@ -183,6 +183,18 @@ def test_invalid_flag_values(triple_path, tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
     assert main(["dim", "--ifs", str(triple_path), "--tol", "-1",
                  "--out", str(tmp_path / "o")]) == 1
+    assert main(["dim", "--ifs", str(triple_path), "--workers", "0",
+                 "--out", str(tmp_path / "o")]) == 1
+
+
+def test_dim_underflow_is_named_error(tmp_path, capsys):
+    path = tmp_path / "tiny.json"
+    write_ifs_file(AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny"), path)
+    out = tmp_path / "out"
+    assert main(["dim", "--ifs", str(path), "--nmax", "3", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "level 3" in err
+    assert not (out / "roots.csv").exists()
 
 
 def test_budget_truncates_dim(triple_path, tmp_path):

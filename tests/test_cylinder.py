@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from systems import random_affine_ifs, swap_pair_cf, triple_diag_ifs
 
+from selfaffine import cylinder
+
 from selfaffine import (
     NaturalCylinderFunction,
     ProductCylinderFunction,
@@ -142,3 +144,50 @@ def test_content_hash_distinguishes_content():
     n1 = NaturalCylinderFunction(triple_diag_ifs())
     assert n1.content_hash() == NaturalCylinderFunction(triple_diag_ifs()).content_hash()
     assert n1.content_hash() != a.content_hash()
+
+
+#: (t, prefix, depth) block calls that cover every compound order of a d=3
+#: potential and several block sizes.
+MEMO_CALLS = [
+    (t, prefix, depth)
+    for t in (0.7, 1.6, 2.5, 3.4, 1.25)
+    for prefix, depth in [((0,), 3), ((1, 2), 4), ((2,), 0), ((0, 1), 2), ((2, 2, 1), 5), ((0,), 5)]
+]
+
+
+def _stored_bytes(cf):
+    return sum(a.nbytes for a in cf._features.values())
+
+
+def test_feature_memo_warm_matches_fresh():
+    ifs = random_affine_ifs(np.random.default_rng(12), 3, 3)
+    warm = NaturalCylinderFunction(ifs)
+    for t, prefix, depth in MEMO_CALLS[::-1]:
+        warm.log_value_block(t, prefix, depth)
+    for t, prefix, depth in MEMO_CALLS:
+        fresh = NaturalCylinderFunction(ifs).log_value_block(t, prefix, depth)
+        assert warm.log_value_block(t, prefix, depth).tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("blocks", [0, 1, 4])
+def test_feature_memo_cap(monkeypatch, blocks):
+    """Values do not depend on the cap, and the kept bytes never pass it."""
+    ifs = random_affine_ifs(np.random.default_rng(13), 3, 3)
+    expected = [NaturalCylinderFunction(ifs).log_value_block(*c).tobytes() for c in MEMO_CALLS]
+    cap = blocks * 3**4 * 8  # a few depth-4 feature arrays
+    monkeypatch.setattr(cylinder, "FEATURE_MEMO_BYTES", cap)
+    cf = NaturalCylinderFunction(ifs)
+    peak = 0
+    for _ in range(2):
+        for call, want in zip(MEMO_CALLS, expected):
+            assert cf.log_value_block(*call).tobytes() == want
+            assert cf._feature_bytes == _stored_bytes(cf) <= cap
+            peak = max(peak, _stored_bytes(cf))
+    assert (peak > 0) == (blocks > 0)
+
+
+def test_single_word_values_do_not_fill_memo():
+    cf = swap_pair_cf()
+    verify_axioms(cf, [0.5, 1.0, 1.5], n_max=6, samples=50)
+    assert cf.log_value(1.3, (0, 1, 1)) == cf.log_value_block(1.3, (0, 1, 1), 0)[0]
+    assert len(cf._features) == 2  # only the block call above, for k = 1 and 2

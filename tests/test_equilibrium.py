@@ -344,5 +344,6 @@ def test_diagnostics_snapshot():
     assert diag.energy_k < 0
     assert diag.invariance_defect_max <= 1 / 8 + 1e-12
     assert math.isfinite(diag.gap)
+    assert diag.measure.masses.tobytes() == mu_cesaro(cf, 1.4, 8, 2).masses.tobytes()
     diag_full = diagnostics(cf, 1.4, 4, 4)
     assert math.isnan(diag_full.invariance_defect_max)

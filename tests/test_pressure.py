@@ -12,8 +12,10 @@ from systems import (
 )
 
 from selfaffine import (
+    AffineIFS,
     BudgetExceededError,
     NaturalCylinderFunction,
+    NumericallySingularError,
     PartitionSumCache,
     ProductCylinderFunction,
     affinity_dimension,
@@ -22,6 +24,7 @@ from selfaffine import (
     pressure_level,
     pressure_root,
     pressure_sequence,
+    validate_ifs,
     words_of_length,
 )
 
@@ -205,13 +208,35 @@ def test_budget_exceeded_flags_partial_report():
     assert dim.truncated and dim.levels() == [1, 2, 3]
 
 
-def test_deterministic_across_workers_and_runs():
+def test_deterministic_cold_and_warm():
+    """A potential whose feature memo is warm from other parameters and levels
+    gives the same bits as a fresh one, on repeated runs."""
     rng = np.random.default_rng(28)
-    cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 3))
-    reference = log_partition_sum(cf, 1.37, 7, workers=1)
-    for workers in (1, 2, 8):
-        assert log_partition_sum(cf, 1.37, 7, workers=workers) == reference
-    assert log_partition_sum(cf, 1.37, 7, workers=1) == reference
+    ifs = random_affine_ifs(rng, 2, 3)
+    reference = log_partition_sum(NaturalCylinderFunction(ifs), 1.37, 7)
+    root = pressure_root(NaturalCylinderFunction(ifs), 6, 1e-10)
+    warm = NaturalCylinderFunction(ifs)
+    for t in (0.4, 1.9, 1.37, 2.6):
+        for n in (3, 6, 7):
+            log_partition_sum(warm, t, n)
+    assert warm._features
+    for _ in range(2):
+        assert log_partition_sum(warm, 1.37, 7) == reference
+        assert pressure_root(warm, 6, 1e-10) == root
+    assert log_partition_sum(NaturalCylinderFunction(ifs), 1.37, 7) == reference
+
+
+def test_underflowing_word_products_raise_named_error():
+    """Ratio 1e-150 passes validation, but level-3 products underflow to 0; the
+    partition sum must fail with a named error instead of returning nan."""
+    ifs = AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny")
+    assert not validate_ifs(ifs).errors
+    cf = NaturalCylinderFunction(ifs)
+    assert math.isfinite(log_partition_sum(cf, 1.0, 2))
+    with pytest.raises(NumericallySingularError, match="level 3"):
+        log_partition_sum(cf, 1.0, 3)
+    with pytest.raises(NumericallySingularError, match="level 3"):
+        affinity_dimension(ifs, 3, 1e-6)
 
 
 def test_cache_round_trip_and_reuse():
