@@ -82,6 +82,8 @@ def parse_t_grid(spec: str) -> list[float]:
         a, b, step = (float(p) for p in parts)
     except ValueError:
         raise CLIUsageError(f"bad t-grid {spec!r}; entries must be numbers") from None
+    if not all(map(math.isfinite, (a, b, step))):
+        raise CLIUsageError(f"bad t-grid {spec!r}; entries must be finite")
     if step <= 0:
         raise CLIUsageError("t-grid step must be positive")
     if b < a:
@@ -92,9 +94,12 @@ def parse_t_grid(spec: str) -> list[float]:
 
 def parse_scales(spec: str) -> list[float]:
     try:
-        return [float(p) for p in spec.split(",") if p.strip()]
+        scales = [float(p) for p in spec.split(",") if p.strip()]
     except ValueError:
         raise CLIUsageError(f"bad scales {spec!r}; expected comma-separated numbers") from None
+    if not all(map(math.isfinite, scales)):
+        raise CLIUsageError(f"bad scales {spec!r}; entries must be finite")
+    return scales
 
 
 def _load_ifs(args):
@@ -114,15 +119,20 @@ def _cache(args):
     return PartitionSumCache(args.cache) if getattr(args, "cache", None) else None
 
 
-def _check_positive(args, names) -> None:
-    for name in names:
+def _check_flags(args) -> None:
+    """Each positive flag the subcommand has must be positive and finite, and
+    ``--t`` finite."""
+    for name in ("nmax", "tol", "workers", "budget", "depth", "samples", "count", "resolution",
+                 "chains"):
         value = getattr(args, name, None)
-        if value is not None and value <= 0:
-            raise CLIUsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
+        if value is not None and not 0 < value < math.inf:
+            raise CLIUsageError(f"--{name} must be positive and finite, got {value}")
+    t = getattr(args, "t", None)
+    if t is not None and not math.isfinite(t):
+        raise CLIUsageError(f"--t must be finite, got {t}")
 
 
 def cmd_dim(args) -> int:
-    _check_positive(args, ["nmax", "tol", "workers", "budget"])
     ifs = _load_ifs(args)
     rep = affinity_dimension(ifs, args.nmax, args.tol, budget=args.budget, cache=_cache(args))
     out = _out_dir(args)
@@ -143,18 +153,15 @@ def cmd_dim(args) -> int:
     print(f"affinity dimension upper bound = {_fmt(rep.upper_bound)}")
     print(f"hausdorff dimension prediction = {_fmt(rep.prediction)}")
     print(f"wrote {out / 'dimension_report.txt'}")
-    print(f"[dim] wall time {rep.wall_time_s:.3f}s", file=sys.stderr)
     return 0
 
 
 def cmd_pressure(args) -> int:
-    _check_positive(args, ["nmax", "workers", "budget"])
     if (args.t is None) == (args.t_grid is None):
         raise CLIUsageError("pass exactly one of --t and --t-grid")
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
     out = _out_dir(args)
-    start = time.perf_counter()
     if args.t is not None:
         rep = pressure_sequence(cf, args.t, args.nmax, budget=args.budget, cache=_cache(args))
         _write_csv(out / "pressure.csv", "t,n,P_n", [(rep.t, n, p) for n, p in rep.per_level])
@@ -180,18 +187,15 @@ def cmd_pressure(args) -> int:
         ]
     _write_report(out / "pressure_report.txt", "pressure", ifs, config, body)
     print(f"wrote {out / 'pressure.csv'}")
-    print(f"[pressure] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 
 def cmd_measure(args) -> int:
-    _check_positive(args, ["nmax", "depth", "tol", "workers", "budget"])
     if args.depth > args.nmax:
         raise CLIUsageError(f"--depth must be <= --nmax, got {args.depth} > {args.nmax}")
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
     out = _out_dir(args)
-    start = time.perf_counter()
     cache = _cache(args)
     t = args.t
     if t is None:
@@ -222,17 +226,14 @@ def cmd_measure(args) -> int:
     ]
     _write_report(out / "measure_report.txt", "measure", ifs, config, body)
     print(f"wrote {out / 'measure.csv'}")
-    print(f"[measure] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 
 def cmd_verify(args) -> int:
-    _check_positive(args, ["nmax", "samples", "workers", "budget"])
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
     grid = parse_t_grid(args.t_grid)
     out = _out_dir(args)
-    start = time.perf_counter()
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
     ok = rep.passed(VERIFY_SLACK_THRESHOLD)
     config = {
@@ -251,7 +252,6 @@ def cmd_verify(args) -> int:
     ]
     _write_report(out / "verify_report.txt", "verify", ifs, config, body)
     print(f"axiom verification: {'pass' if ok else 'FAIL'} (max slack {_fmt(rep.max_slack())})")
-    print(f"[verify] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0 if ok else 2
 
 
@@ -291,10 +291,8 @@ def _cloud_config(args) -> dict:
 
 
 def cmd_render(args) -> int:
-    _check_positive(args, ["count", "resolution", "nmax", "depth", "tol", "workers", "budget", "chains"])
     ifs = _load_ifs(args)
     out = _out_dir(args)
-    start = time.perf_counter()
     cloud, t_used = _make_cloud(args, ifs)
     pgm = render_pgm(cloud, args.resolution)
     (out / "attractor.pgm").write_bytes(pgm)
@@ -308,16 +306,13 @@ def cmd_render(args) -> int:
     ]
     _write_report(out / "render_report.txt", "render", ifs, config, body)
     print(f"wrote {out / 'attractor.pgm'}")
-    print(f"[render] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 
 def cmd_boxdim(args) -> int:
-    _check_positive(args, ["count", "nmax", "depth", "tol", "workers", "budget", "chains"])
     ifs = _load_ifs(args)
     scales = parse_scales(args.scales)
     out = _out_dir(args)
-    start = time.perf_counter()
     cloud, t_used = _make_cloud(args, ifs)
     result = box_dimension(cloud, scales)
     if args.save_points:
@@ -332,7 +327,6 @@ def cmd_boxdim(args) -> int:
     ]
     _write_report(out / "boxdim_report.txt", "boxdim", ifs, config, body)
     print(f"box-counting dimension estimate = {_fmt(result.estimate)}")
-    print(f"[boxdim] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return 0
 
 
@@ -411,7 +405,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise CLIUsageError("no subcommand given (try --help)")
-        return HANDLERS[args.command](args)
+        _check_flags(args)
+        start = time.perf_counter()
+        code = HANDLERS[args.command](args)
+        print(f"[{args.command}] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
+        return code
     except CLIUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

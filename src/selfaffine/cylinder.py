@@ -23,9 +23,11 @@ The natural potential is ``log value(t, w) = sum_k c_k(t) * log(a_1...a_k)(w)``
 on ``t``.  ``NaturalCylinderFunction`` therefore keeps the feature array of
 each ``(k, prefix, depth)`` block it evaluates, so the batched singular values
 of a block are computed once however many parameters are asked for.  The kept
-bytes are capped by ``FEATURE_MEMO_BYTES``; the memo is cleared whenever
-storing a block would pass the cap, and a block larger than the cap is never
-kept.  Single-word ``log_value`` calls do not fill the memo.
+bytes are capped by ``FEATURE_MEMO_BYTES``.  When storing a block would pass
+the cap, the blocks of other levels are evicted; the level in progress is never
+cleared, and a block that still does not fit is not kept, so a level larger
+than the cap keeps its first blocks and recomputes only the rest.  Single-word
+``log_value`` calls do not fill the memo.
 """
 
 from __future__ import annotations
@@ -130,10 +132,11 @@ class NaturalCylinderFunction(CylinderFunction):
                 f"level {len(prefix) + depth}: the product of the top {k} singular value(s) "
                 "of some word matrix underflows double precision"
             )
-        if memo and feats.nbytes <= FEATURE_MEMO_BYTES:
-            if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
-                self._features.clear()
-                self._feature_bytes = 0
+        if memo and self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
+            level = len(prefix) + depth
+            for old in [o for o in self._features if len(o[1]) + o[2] != level]:
+                self._feature_bytes -= self._features.pop(old).nbytes
+        if memo and self._feature_bytes + feats.nbytes <= FEATURE_MEMO_BYTES:
             feats.flags.writeable = False
             self._features[key] = feats
             self._feature_bytes += feats.nbytes

@@ -22,6 +22,8 @@ level, and this module exposes exactly those finite objects:
 Entropy and energy are the finite-depth quotients (natural log throughout);
 ``jensen_residual`` is the finite-level slack P_n - h - E, nonnegative for
 every probability assignment and zero exactly at the nu weights.
+Each consumer of level-n word values reads them, and ``log S_n``, from one
+``pressure.level_log_values`` sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinder import CylinderFunction
-from .pressure import level_blocks, log_partition_sum, pressure_sequence
-from .symbolic import Word, check_budget, pack_word, word_str
+from .pressure import level_log_values, pressure_sequence
+from .symbolic import Word, pack_word, word_str
 
 
 @dataclass
@@ -98,17 +100,11 @@ class CylinderMeasure:
         return cls(len(p), depth, masses, provenance=f"bernoulli({p.tolist()})")
 
 
-def _level_log_values(cf, t, n, budget=None) -> np.ndarray:
-    """Log-values of every level-n word in lexicographic order."""
-    check_budget(cf.n_symbols, n, budget)
-    return np.concatenate([lv for _, lv in level_blocks(cf, t, n)])
-
-
 def nu_weights(cf: CylinderFunction, t: float, n: int, budget=None) -> CylinderMeasure:
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
-    log_s = log_partition_sum(cf, t, n, budget)
-    masses = np.exp(_level_log_values(cf, t, n, budget) - log_s)
+    log_s, lv = level_log_values(cf, t, n, budget)
+    masses = np.exp(lv.reshape(-1) - log_s)
     return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
 
 
@@ -127,13 +123,13 @@ def mu_cesaro(
         raise ValueError(f"tail_mode must be 'pad' or 'drop', got {tail_mode!r}")
     m_sym = cf.n_symbols
     size_k = m_sym**k
-    log_s = log_partition_sum(cf, t, n, budget)
+    log_s, lv = level_log_values(cf, t, n, budget)
     shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
 
     table = np.zeros(size_k)
-    for offset, lv in level_blocks(cf, t, n):
-        weights = np.exp(lv - log_s)
-        packed = np.arange(len(lv), dtype=np.int64) + offset
+    for b, row in enumerate(lv):
+        weights = np.exp(row - log_s)
+        packed = np.arange(row.size, dtype=np.int64) + b * row.size
         part = np.zeros(size_k)
         for j in shifts:
             if j <= n - k:
@@ -164,8 +160,8 @@ def entropy_depth(m: CylinderMeasure) -> float:
 
 def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure, budget=None) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
-    lv = _level_log_values(cf, t, m.depth, budget)
-    return float(m.masses @ lv) / m.depth
+    _, lv = level_log_values(cf, t, m.depth, budget)
+    return float(m.masses @ lv.reshape(-1)) / m.depth
 
 
 def jensen_residual(
@@ -175,8 +171,8 @@ def jensen_residual(
     assignment, = 0 at the nu weights."""
     if m.depth != n:
         raise ValueError(f"measure depth {m.depth} != level {n}")
-    p_n = log_partition_sum(cf, t, n, budget) / n
-    return p_n - entropy_depth(m) - energy_depth(cf, t, m, budget)
+    log_s, lv = level_log_values(cf, t, n, budget)
+    return log_s / n - entropy_depth(m) - float(m.masses @ lv.reshape(-1)) / n
 
 
 def invariance_defect(
@@ -219,7 +215,7 @@ def local_dimension_samples(
     if count < 1:
         raise ValueError("count must be >= 1")
     m_sym = cf.n_symbols
-    lv = _level_log_values(cf, t_star, n, budget)
+    lv = level_log_values(cf, t_star, n, budget)[1].reshape(-1)
 
     # tables[k][u] = log sum of values over all continuations of prefix u
     tables = [np.empty(0)] * (n + 1)
@@ -258,8 +254,7 @@ def bernoulli_lower_estimate(
     if k < 1:
         raise ValueError("depth must be >= 1")
     m_sym = cf.n_symbols
-    check_budget(m_sym, k, budget)
-    lv = _level_log_values(cf, t, k, budget)
+    lv = level_log_values(cf, t, k, budget)[1].reshape(-1)
     counts = np.zeros((1, m_sym))
     eye = np.eye(m_sym)
     for _ in range(k):

@@ -11,19 +11,18 @@ running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
 estimate, never a bound.
 
-Enumeration is a serial, fixed-order reduction: the word space of level n
-splits at prefix depth p = min(n, 4) into #I^p blocks, visited in lexicographic
-order (``level_blocks``); each block is reduced by a log-sum-exp around its own
-maximum, and block results are folded left to right.  Results are therefore
-bit-for-bit reproducible across runs.
+Enumeration is a serial, fixed-order reduction over the #I^p prefix blocks of
+level n, p = min(n, 4), in lexicographic order (``level_blocks``), folded by
+``log_sum_exp``, so results are bit-for-bit reproducible.  ``log_partition_sum``
+streams the blocks through the fold; ``level_log_values`` keeps them as the
+rows of one level table, for consumers that need every word's value as well.
 """
 
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,24 +34,24 @@ from .symbolic import check_budget, words_of_length
 PREFIX_SPLIT_DEPTH = 4
 
 
-def level_blocks(cf: CylinderFunction, t: float, n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """(offset, log-values) of each prefix block of the level-n words, in
-    lexicographic order; ``offset`` is the packed index of the block's first
-    word."""
+def level_blocks(cf: CylinderFunction, t: float, n: int) -> Iterator[np.ndarray]:
+    """Log-values of the level-n prefix blocks, in lexicographic (packed-index) order."""
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    if not math.isfinite(t):
+        raise ValueError(f"parameter t must be finite, got {t}")
     p = min(n, PREFIX_SPLIT_DEPTH)
-    depth = n - p
-    size = cf.n_symbols**depth
-    for b, prefix in enumerate(words_of_length(cf.n_symbols, p)):
-        yield b * size, cf.log_value_block(t, prefix, depth)
+    return (cf.log_value_block(t, prefix, n - p) for prefix in words_of_length(cf.n_symbols, p))
 
 
-def combine_max_sumexp(stats: Sequence[tuple[float, float]]) -> float:
-    """Combine per-block (max, sum of exp(x - max)) pairs into log-sum-exp.
-
-    The fold runs left to right over the given order; callers pass blocks in
+def log_sum_exp(blocks: Iterable[np.ndarray]) -> float:
+    """log-sum-exp of all entries: each block is reduced around its own maximum
+    and the (max, sum) pairs are folded left to right; callers pass blocks in
     lexicographic order to pin the float rounding sequence."""
-    m_acc, s_acc = stats[0]
-    for m, s in stats[1:]:
+    m_acc, s_acc = -math.inf, 0.0
+    for lv in blocks:
+        m = float(lv.max())
+        s = float(np.exp(lv - m).sum())
         if m <= m_acc:
             s_acc += s * math.exp(m - m_acc)
         else:
@@ -68,24 +67,27 @@ def log_partition_sum(
     budget: int | None = None,
     cache=None,
 ) -> float:
-    """log of the level-n partition sum."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
+    """log of the level-n partition sum, streamed block by block."""
     check_budget(cf.n_symbols, n, budget)
     key = (cf.content_hash(), float(t), int(n))
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-
-    stats = []
-    for _, lv in level_blocks(cf, t, n):
-        m = float(lv.max())
-        stats.append((m, float(np.exp(lv - m).sum())))
-    out = combine_max_sumexp(stats)
+    out = log_sum_exp(level_blocks(cf, t, n))
     if cache is not None:
         cache.put(key, out)
     return out
+
+
+def level_log_values(cf, t, n, budget=None) -> tuple[float, np.ndarray]:
+    """``(log S_n, table)`` from one sweep of level n: one table row per block
+    of ``level_blocks``, and ``log S_n`` bit-equal to ``log_partition_sum``."""
+    rows = cf.n_symbols ** min(n, PREFIX_SPLIT_DEPTH)
+    table = np.empty((rows, check_budget(cf.n_symbols, n, budget) // rows))
+    for row, lv in zip(table, level_blocks(cf, t, n)):
+        row[:] = lv
+    return log_sum_exp(table), table
 
 
 def pressure_level(cf, t, n, budget=None, cache=None) -> float:
@@ -160,8 +162,8 @@ def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
     bound s_hi < 1 forces P_n(t) -> -inf, so a sign change always exists.  The
     initial bracket [0, 1] is grown by doubling until the upper end is
     negative."""
-    if t_tol <= 0:
-        raise ValueError(f"t_tol must be positive, got {t_tol}")
+    if not 0 < t_tol < math.inf:
+        raise ValueError(f"t_tol must be positive and finite, got {t_tol}")
     if cf.n_symbols < 2:
         raise ValueError("pressure root needs at least two symbols")
 
@@ -208,7 +210,6 @@ class DimensionReport:
     t_tol: float
     n_max: int
     truncated: bool = False
-    wall_time_s: float = field(default=0.0, compare=False)
 
     def levels(self) -> list[int]:
         return [n for n, _ in self.roots]
@@ -216,7 +217,6 @@ class DimensionReport:
 
 def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionReport:
     """Roots of the level pressures for the natural (singular-value) potential."""
-    start = time.perf_counter()
     cf = NaturalCylinderFunction(ifs)
     roots: list[tuple[int, float]] = []
     truncated = False
@@ -245,7 +245,6 @@ def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionR
         t_tol=t_tol,
         n_max=n_max,
         truncated=truncated,
-        wall_time_s=time.perf_counter() - start,
     )
 
 

@@ -38,6 +38,9 @@ def test_parse_t_grid():
         parse_t_grid("0:1:-0.5")
     with pytest.raises(CLIUsageError):
         parse_t_grid("0:1")
+    for spec in ("0:inf:1", "nan:1:0.5", "0:1:nan"):
+        with pytest.raises(CLIUsageError, match="finite"):
+            parse_t_grid(spec)
 
 
 def test_dim_conformal_reports_dimension_one(conformal_path, tmp_path, capsys):
@@ -52,7 +55,9 @@ def test_dim_conformal_reports_dimension_one(conformal_path, tmp_path, capsys):
     roots = (out / "roots.csv").read_text().splitlines()
     assert roots[0] == "n,t_n"
     assert len(roots) == 7
-    assert "hausdorff dimension prediction = 1" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "hausdorff dimension prediction = 1" in captured.out
+    assert captured.err.count("wall time") == 1
 
 
 def test_verify_natural_exits_zero(triple_path, tmp_path):
@@ -185,6 +190,23 @@ def test_invalid_flag_values(triple_path, tmp_path):
                  "--out", str(tmp_path / "o")]) == 1
     assert main(["dim", "--ifs", str(triple_path), "--workers", "0",
                  "--out", str(tmp_path / "o")]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["dim", "--nmax", "3", "--tol", "nan"],
+        ["dim", "--nmax", "3", "--tol", "inf"],
+        ["measure", "--nmax", "3", "--t", "inf"],
+        ["measure", "--nmax", "3", "--t", "nan"],
+        ["pressure", "--nmax", "3", "--t-grid", "0:inf:1"],
+        ["boxdim", "--count", "100", "--scales", "0.5,inf"],
+    ],
+    ids=["tol-nan", "tol-inf", "t-inf", "t-nan", "grid-inf", "scales-inf"],
+)
+def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
+    assert main(argv + ["--ifs", str(triple_path), "--out", str(tmp_path / "out")]) == 1
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_dim_underflow_is_named_error(tmp_path, capsys):

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from systems import random_affine_ifs, swap_pair_cf, triple_diag_ifs
+from systems import generic_pair_ifs, random_affine_ifs, swap_pair_cf, triple_diag_ifs
 
 from selfaffine import cylinder
 
 from selfaffine import (
     NaturalCylinderFunction,
     ProductCylinderFunction,
+    log_partition_sum,
     verify_axioms,
     words_of_length,
 )
@@ -184,6 +185,22 @@ def test_feature_memo_cap(monkeypatch, blocks):
             assert cf._feature_bytes == _stored_bytes(cf) <= cap
             peak = max(peak, _stored_bytes(cf))
     assert (peak > 0) == (blocks > 0)
+
+
+def test_feature_memo_keeps_level_in_progress(monkeypatch):
+    """A level larger than the cap keeps the blocks stored at the first t for
+    every later t, so they are never recomputed; other levels are evicted."""
+    monkeypatch.setattr(cylinder, "FEATURE_MEMO_BYTES", 4096)
+    cf = NaturalCylinderFunction(generic_pair_ifs())
+    log_partition_sum(cf, 1.5, 10)
+    kept = dict(cf._features)
+    assert 0 < cf._feature_bytes <= 4096
+    for t in (0.6, 1.2, 1.9, 1.5):
+        log_partition_sum(cf, t, 10)
+        assert all(cf._features.get(key) is feats for key, feats in kept.items())
+    log_partition_sum(cf, 1.5, 9)
+    assert not kept.keys() & cf._features.keys()
+    assert cf._feature_bytes == _stored_bytes(cf) <= 4096
 
 
 def test_single_word_values_do_not_fill_memo():

@@ -28,6 +28,7 @@ from selfaffine import (
     pressure_level,
     pressure_root,
 )
+from selfaffine import pressure
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
 SWAP_MASS_INNER = 0.20710678118654754
@@ -347,3 +348,68 @@ def test_diagnostics_snapshot():
     assert diag.measure.masses.tobytes() == mu_cesaro(cf, 1.4, 8, 2).masses.tobytes()
     diag_full = diagnostics(cf, 1.4, 4, 4)
     assert math.isnan(diag_full.invariance_defect_max)
+
+
+class TestOnePassMatchesTwoPass:
+    """The one-sweep consumers give the bits of the two-pass formulas: log S_n
+    from ``log_partition_sum`` and the word values from a second sweep."""
+
+    CF = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(37), 2, 3))
+    T, N = 1.21, 6
+
+    def two_pass(self):
+        cf, t, n = self.CF, self.T, self.N
+        return log_partition_sum(cf, t, n), list(pressure.level_blocks(cf, t, n))
+
+    def test_nu_weights(self):
+        log_s, blocks = self.two_pass()
+        expected = np.exp(np.concatenate(blocks) - log_s)
+        assert nu_weights(self.CF, self.T, self.N).masses.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("tail_mode", ["pad", "drop"])
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_mu_cesaro(self, tail_mode, k):
+        log_s, blocks = self.two_pass()
+        m_sym, n = self.CF.n_symbols, self.N
+        size_k = m_sym**k
+        shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
+        table, offset = np.zeros(size_k), 0
+        for lv in blocks:
+            weights = np.exp(lv - log_s)
+            packed = np.arange(len(lv), dtype=np.int64) + offset
+            part = np.zeros(size_k)
+            for j in shifts:
+                if j <= n - k:
+                    idx = (packed // m_sym ** (n - j - k)) % size_k
+                else:
+                    q = n - j
+                    idx = (packed % m_sym**q) * m_sym ** (k - q)
+                part += np.bincount(idx, weights=weights, minlength=size_k)
+            table += part
+            offset += len(lv)
+        table /= n if tail_mode == "pad" else (n - k + 1)
+        mu = mu_cesaro(self.CF, self.T, n, k, tail_mode)
+        assert mu.masses.tobytes() == table.tobytes()
+
+    def test_jensen_residual(self):
+        log_s, blocks = self.two_pass()
+        m = CylinderMeasure(3, self.N, np.random.default_rng(38).dirichlet(np.ones(3**self.N)))
+        energy = float(m.masses @ np.concatenate(blocks)) / self.N
+        expected = log_s / self.N - entropy_depth(m) - energy
+        assert jensen_residual(self.CF, self.T, self.N, m) == expected
+
+
+def test_diagnostics_sweeps_top_level_at_most_three_times():
+    """mu_cesaro, the level-n pressure and the depth-(k+1) defect table each
+    walk the 2^4 prefix blocks of level n once."""
+    cf = swap_pair_cf()
+    levels = []
+    block = cf.log_value_block
+
+    def counting(t, prefix, depth):
+        levels.append(len(prefix) + depth)
+        return block(t, prefix, depth)
+
+    cf.log_value_block = counting
+    diagnostics(cf, 1.4, 8, 2)
+    assert levels.count(8) <= 3 * 2**4

@@ -27,6 +27,7 @@ from selfaffine import (
     validate_ifs,
     words_of_length,
 )
+from selfaffine.pressure import level_blocks, level_log_values
 
 
 def brute_force_log_sum(cf, t, n):
@@ -237,6 +238,34 @@ def test_underflowing_word_products_raise_named_error():
         log_partition_sum(cf, 1.0, 3)
     with pytest.raises(NumericallySingularError, match="level 3"):
         affinity_dimension(ifs, 3, 1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+@pytest.mark.parametrize(
+    "cf",
+    [
+        NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(29), 2, 3)),
+        ProductCylinderFunction([0.3, 0.5, 0.15]),
+    ],
+    ids=["natural", "product"],
+)
+def test_level_table_matches_streamed_sum(cf, n):
+    """One sweep gives log S_n bit-equal to the streamed sum, and the table
+    rows are the level's blocks in packed-index order."""
+    log_s, table = level_log_values(cf, 1.37, n)
+    assert log_s == log_partition_sum(cf, 1.37, n)
+    assert table.reshape(-1).tobytes() == np.concatenate(list(level_blocks(cf, 1.37, n))).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_parameters_rejected(bad):
+    cf = swap_pair_cf()
+    with pytest.raises(ValueError, match="finite"):
+        log_partition_sum(cf, bad, 3)
+    with pytest.raises(ValueError, match="finite"):
+        level_log_values(cf, bad, 3)
+    with pytest.raises(ValueError):
+        pressure_root(cf, 3, bad)
 
 
 def test_cache_round_trip_and_reuse():
