@@ -17,6 +17,7 @@ the chains are scheduled.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,6 +180,8 @@ def attractor_points(
     ``count`` points.  All points stay inside the invariant ball."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
     ifs.bounding_radius()  # raises if not contractive
     m = ifs.n_maps
     n_chains = max(1, min(chains, count))
@@ -224,15 +227,24 @@ class BoxDimensionResult:
     residual: float
 
 
+def check_scales(scales) -> list[float]:
+    """The box-counting scales as floats: at least 3, finite, positive and
+    strictly decreasing, else ValueError."""
+    scales = [float(s) for s in scales]
+    if len(scales) < 3:
+        raise ValueError("need at least 3 scales")
+    if not all(0 < s < math.inf for s in scales) or any(
+        b >= a for a, b in zip(scales, scales[1:])
+    ):
+        raise ValueError("scales must be finite, positive and strictly decreasing")
+    return scales
+
+
 def box_dimension(cloud, scales) -> BoxDimensionResult:
     """Least-squares slope of log N(delta) against log(1/delta) over
     corner-anchored grid covers."""
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
-    scales = [float(s) for s in scales]
-    if len(scales) < 3:
-        raise ValueError("need at least 3 scales")
-    if any(s <= 0 for s in scales) or any(b >= a for a, b in zip(scales, scales[1:])):
-        raise ValueError("scales must be positive and strictly decreasing")
+    scales = check_scales(scales)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"expected a nonempty (N, d) point array, got shape {points.shape}")
     mins = points.min(axis=0)

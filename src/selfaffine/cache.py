@@ -52,6 +52,8 @@ class PartitionSumCache:
         self._mem[key] = value
         if self.path is not None:
             is_new = not self.path.exists()
+            if is_new:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
             with self.path.open("a", encoding="utf-8") as fh:
                 if is_new:
                     fh.write(_HEADER + "\n")

@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .affine import attractor_points, box_dimension, render_pgm, validate_ifs
+from .affine import attractor_points, box_dimension, check_scales, render_pgm, validate_ifs
 from .cache import PartitionSumCache
 from .cylinder import NaturalCylinderFunction, verify_axioms
 from .equilibrium import diagnostics, mu_cesaro, nu_weights
@@ -94,12 +94,9 @@ def parse_t_grid(spec: str) -> list[float]:
 
 def parse_scales(spec: str) -> list[float]:
     try:
-        scales = [float(p) for p in spec.split(",") if p.strip()]
-    except ValueError:
-        raise CLIUsageError(f"bad scales {spec!r}; expected comma-separated numbers") from None
-    if not all(map(math.isfinite, scales)):
-        raise CLIUsageError(f"bad scales {spec!r}; entries must be finite")
-    return scales
+        return check_scales(p for p in spec.split(",") if p.strip())
+    except ValueError as exc:
+        raise CLIUsageError(f"bad scales {spec!r}: {exc}") from None
 
 
 def _load_ifs(args):
@@ -110,6 +107,8 @@ def _load_ifs(args):
 
 
 def _out_dir(args) -> Path:
+    """The output directory, created: handlers call this only once every
+    input is checked and the results are computed."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -120,16 +119,24 @@ def _cache(args):
 
 
 def _check_flags(args) -> None:
-    """Each positive flag the subcommand has must be positive and finite, and
-    ``--t`` finite."""
+    """Each positive flag the subcommand has must be positive and finite,
+    ``--burn-in`` nonnegative, ``--t`` finite, and ``--depth`` at most
+    ``--nmax`` wherever an equilibrium table is built."""
     for name in ("nmax", "tol", "workers", "budget", "depth", "samples", "count", "resolution",
                  "chains"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise CLIUsageError(f"--{name} must be positive and finite, got {value}")
+    if getattr(args, "burn_in", 0) < 0:
+        raise CLIUsageError(f"--burn-in must be >= 0, got {args.burn_in}")
     t = getattr(args, "t", None)
     if t is not None and not math.isfinite(t):
         raise CLIUsageError(f"--t must be finite, got {t}")
+    # measure always builds one; render and boxdim only with --driver equilibrium
+    depth = getattr(args, "depth", None)
+    if depth is not None and getattr(args, "driver", "equilibrium") == "equilibrium":
+        if depth > args.nmax:
+            raise CLIUsageError(f"--depth must be <= --nmax, got {depth} > {args.nmax}")
 
 
 def cmd_dim(args) -> int:
@@ -159,12 +166,12 @@ def cmd_dim(args) -> int:
 def cmd_pressure(args) -> int:
     if (args.t is None) == (args.t_grid is None):
         raise CLIUsageError("pass exactly one of --t and --t-grid")
+    grid = None if args.t_grid is None else parse_t_grid(args.t_grid)
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
-    out = _out_dir(args)
-    if args.t is not None:
+    if grid is None:
         rep = pressure_sequence(cf, args.t, args.nmax, budget=args.budget, cache=_cache(args))
-        _write_csv(out / "pressure.csv", "t,n,P_n", [(rep.t, n, p) for n, p in rep.per_level])
+        rows = [(rep.t, n, p) for n, p in rep.per_level]
         config = {"t": args.t, "nmax": args.nmax, "budget": args.budget}
         body = [
             ("levels_computed", len(rep.per_level)),
@@ -176,26 +183,24 @@ def cmd_pressure(args) -> int:
             ("extrapolation_method", rep.extrapolation_method),
         ]
     else:
-        grid = parse_t_grid(args.t_grid)
         curve = pressure_curve(cf, grid, args.nmax, budget=args.budget, cache=_cache(args))
-        _write_csv(out / "pressure.csv", "t,n,P_n", [(t, args.nmax, p) for t, p in curve])
+        rows = [(t, args.nmax, p) for t, p in curve]
         config = {"t_grid": args.t_grid, "nmax": args.nmax, "budget": args.budget}
         body = [
             ("grid_points", len(curve)),
             ("P_first", curve[0][1]),
             ("P_last", curve[-1][1]),
         ]
+    out = _out_dir(args)
+    _write_csv(out / "pressure.csv", "t,n,P_n", rows)
     _write_report(out / "pressure_report.txt", "pressure", ifs, config, body)
     print(f"wrote {out / 'pressure.csv'}")
     return 0
 
 
 def cmd_measure(args) -> int:
-    if args.depth > args.nmax:
-        raise CLIUsageError(f"--depth must be <= --nmax, got {args.depth} > {args.nmax}")
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
-    out = _out_dir(args)
     cache = _cache(args)
     t = args.t
     if t is None:
@@ -205,6 +210,7 @@ def cmd_measure(args) -> int:
         measure = nu_weights(cf, t, args.nmax, budget=args.budget)
     else:
         measure = diag.measure
+    out = _out_dir(args)
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
     config = {
         "t": "auto" if args.t is None else args.t,
@@ -233,7 +239,6 @@ def cmd_verify(args) -> int:
     ifs = _load_ifs(args)
     cf = NaturalCylinderFunction(ifs)
     grid = parse_t_grid(args.t_grid)
-    out = _out_dir(args)
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
     ok = rep.passed(VERIFY_SLACK_THRESHOLD)
     config = {
@@ -250,6 +255,7 @@ def cmd_verify(args) -> int:
         ("slack_threshold", VERIFY_SLACK_THRESHOLD),
         ("verdict", "pass" if ok else "fail"),
     ]
+    out = _out_dir(args)
     _write_report(out / "verify_report.txt", "verify", ifs, config, body)
     print(f"axiom verification: {'pass' if ok else 'FAIL'} (max slack {_fmt(rep.max_slack())})")
     return 0 if ok else 2
@@ -292,9 +298,9 @@ def _cloud_config(args) -> dict:
 
 def cmd_render(args) -> int:
     ifs = _load_ifs(args)
-    out = _out_dir(args)
     cloud, t_used = _make_cloud(args, ifs)
     pgm = render_pgm(cloud, args.resolution)
+    out = _out_dir(args)
     (out / "attractor.pgm").write_bytes(pgm)
     if args.save_points:
         _save_points(out, cloud)
@@ -312,9 +318,9 @@ def cmd_render(args) -> int:
 def cmd_boxdim(args) -> int:
     ifs = _load_ifs(args)
     scales = parse_scales(args.scales)
-    out = _out_dir(args)
     cloud, t_used = _make_cloud(args, ifs)
     result = box_dimension(cloud, scales)
+    out = _out_dir(args)
     if args.save_points:
         _save_points(out, cloud)
     _write_csv(out / "boxdim_counts.csv", "scale,count", zip(result.scales, result.counts))

@@ -9,7 +9,8 @@ level, and this module exposes exactly those finite objects:
 * ``mu_cesaro``: the Cesaro average of the shifted weights,
   (1/n) * sum_{j=0..n-1} nu_n o shift^-j, materialized as a depth-k cylinder
   table.  Shifts whose window extends past the end of a word are completed by
-  the designated constant tail (symbol 0 repeated); passing
+  the designated constant tail (symbol 0 repeated): every word is padded with
+  k zeros once, and each shift reads one base-m window of it; passing
   ``tail_mode="drop"`` instead discards those shifts and renormalizes over the
   n-k+1 full windows.  The drop variant is exactly shift-invariant for
   symmetric inputs but carries no defect guarantee and its tables at different
@@ -18,6 +19,8 @@ level, and this module exposes exactly those finite objects:
 * ``invariance_defect``: max over level-k cylinders of
   |mu_n([i]) - mu_n(shift^-1 [i])|; under the default tail convention this
   telescopes to (1/n)|nu_n([i]) - [i == 0^k]| and is therefore <= 1/n.
+* ``local_dimension_samples``: words drawn from nu_n by inverse CDF on the
+  level table (one uniform per word).
 
 Entropy and energy are the finite-depth quotients (natural log throughout);
 ``jensen_residual`` is the finite-level slack P_n - h - E, nonnegative for
@@ -28,6 +31,7 @@ Each consumer of level-n word values reads them, and ``log S_n``, from one
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -78,12 +82,10 @@ class CylinderMeasure:
         )
 
     def rows(self):
-        """(word string, mass) pairs in lexicographic order, for CSV output."""
-        from .symbolic import unpack_word
-
-        for idx in range(len(self.masses)):
-            w = unpack_word(idx, self.n_symbols, self.depth)
-            yield word_str(w, self.n_symbols), float(self.masses[idx])
+        """(word string, mass) pairs in lexicographic (packed) order, for CSV output."""
+        words = itertools.product(range(self.n_symbols), repeat=self.depth)
+        for w, mass in zip(words, self.masses.tolist()):
+            yield word_str(w, self.n_symbols), mass
 
     @classmethod
     def point_mass(cls, n_symbols: int, w: Word) -> "CylinderMeasure":
@@ -129,15 +131,11 @@ def mu_cesaro(
     table = np.zeros(size_k)
     for b, row in enumerate(lv):
         weights = np.exp(row - log_s)
-        packed = np.arange(row.size, dtype=np.int64) + b * row.size
+        # each word followed by k tail symbols 0; padded < m^(n+k), below 2^48 at the default budget
+        padded = (np.arange(row.size, dtype=np.int64) + b * row.size) * size_k
         part = np.zeros(size_k)
         for j in shifts:
-            if j <= n - k:
-                idx = (packed // m_sym ** (n - j - k)) % size_k
-            else:
-                # window runs past the end; complete with tail symbol 0
-                q = n - j
-                idx = (packed % m_sym**q) * m_sym ** (k - q)
+            idx = padded // m_sym ** (n - j) % size_k
             part += np.bincount(idx, weights=weights, minlength=size_k)
         table += part
     table /= n if tail_mode == "pad" else (n - k + 1)
@@ -209,35 +207,16 @@ def local_dimension_samples(
 ) -> LocalDimensionSamples:
     """Monte Carlo check of the local-dimension ratio at a pressure root.
 
-    Words are drawn from the level-n weights by sequential conditional
-    sampling over the prefix tree: the children of each prefix are weighted by
-    their total log-sum over continuations, built once by a backward sweep."""
+    Words are drawn from the level-n weights by inverse CDF on the level
+    table, one uniform per word."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    m_sym = cf.n_symbols
-    lv = level_log_values(cf, t_star, n, budget)[1].reshape(-1)
-
-    # tables[k][u] = log sum of values over all continuations of prefix u
-    tables = [np.empty(0)] * (n + 1)
-    tables[n] = lv
-    for k in range(n - 1, -1, -1):
-        child = tables[k + 1].reshape(-1, m_sym)
-        mx = child.max(axis=1)
-        tables[k] = mx + np.log(np.exp(child - mx[:, None]).sum(axis=1))
-    log_s = float(tables[0][0])
-
+    log_s, lv = level_log_values(cf, t_star, n, budget)
+    lv = lv.reshape(-1)
+    cum = np.cumsum(np.exp(lv - log_s))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    ratios = np.empty(count)
-    for i in range(count):
-        u = 0
-        for k in range(n):
-            children = tables[k + 1][u * m_sym : (u + 1) * m_sym]
-            probs = np.exp(children - tables[k][u])
-            cum = np.cumsum(probs)
-            cum[-1] = max(cum[-1], 1.0)
-            u = u * m_sym + int(np.searchsorted(cum, rng.random(), side="right"))
-        log_mass = lv[u] - log_s
-        ratios[i] = log_mass / lv[u]
+    u = np.minimum(np.searchsorted(cum, rng.random(count) * cum[-1], side="right"), lv.size - 1)
+    ratios = (lv[u] - log_s) / lv[u]
     return LocalDimensionSamples(ratios=ratios, mean=float(ratios.mean()), std=float(ratios.std()))
 
 
@@ -266,15 +245,15 @@ def bernoulli_lower_estimate(
         return float(-(p * log_p).sum() + (weights @ lv) / k), weights
 
     p = np.full(m_sym, 1.0 / m_sym)
-    best_p, (best_score, _) = p, score_of(p)
+    best_score, weights = score_of(p)
+    best_p = p
     for _ in range(iterations):
-        _, weights = score_of(p)
         grad = ((weights * lv) @ counts) / (k * p)
         grad -= grad.max()
         p = np.exp(grad)
         p /= p.sum()
         p = np.clip(p, 1e-300, None)
-        score, _ = score_of(p)
+        score, weights = score_of(p)
         if score > best_score:
             best_score, best_p = score, p.copy()
     return best_p, best_score

@@ -21,9 +21,6 @@ Word = tuple[int, ...]
 #: Default cap on the number of words enumerated per level.
 DEFAULT_WORD_BUDGET = 1 << 24
 
-#: The designated symbol whose infinite repetition stands in for word tails.
-TAIL_SYMBOL = 0
-
 
 @dataclass(frozen=True)
 class Alphabet:

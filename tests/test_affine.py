@@ -153,6 +153,11 @@ class TestAttractorPoints:
         again = attractor_points(ifs, 2000, burn_in=100, seed=2, driver=measure)
         assert np.array_equal(cloud.points, again.points)
 
+    def test_negative_burn_in_rejected(self):
+        with pytest.raises(ValueError, match="burn_in"):
+            attractor_points(cantor_ifs(), 100, burn_in=-3)
+        assert len(attractor_points(cantor_ifs(), 100, burn_in=0).points) == 100
+
     def test_weight_driver_and_mismatch(self):
         ifs = cantor_ifs()
         cloud = attractor_points(ifs, 500, burn_in=50, seed=1, driver=[0.9, 0.1])
@@ -185,6 +190,12 @@ class TestBoxDimension:
             box_dimension(points, [0.5, 0.25])  # too few
         with pytest.raises(ValueError):
             box_dimension(points, [0.25, 0.5, 0.125])  # not decreasing
+
+    def test_non_finite_scales_rejected(self):
+        points = np.random.default_rng(0).random((100, 2))
+        for scales in ([math.inf, 0.5, 0.25], [0.5, math.nan, 0.25]):
+            with pytest.raises(ValueError, match="finite"):
+                box_dimension(points, scales)
 
     def test_counts_monotone(self):
         rng = np.random.default_rng(7)

@@ -52,3 +52,9 @@ def test_duplicate_put_is_idempotent(tmp_path):
         cache.put(("aaaa", 0.5, 2), -1.25)
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert len(lines) == 1
+
+
+def test_file_in_new_directory(tmp_path):
+    path = tmp_path / "new" / "cache.txt"
+    PartitionSumCache(path).put(("aaaa", 0.5, 2), -1.25)
+    assert PartitionSumCache(path).get(("aaaa", 0.5, 2)) == -1.25

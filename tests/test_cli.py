@@ -209,6 +209,34 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
     assert "usage error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pressure", "--t-grid", "2:1:0.5"],
+        ["boxdim", "--count", "100", "--scales", "0.5,0.25"],
+        ["boxdim", "--count", "100", "--scales", "0.25,0.5,0.125"],
+        ["render", "--count", "100", "--driver", "equilibrium", "--depth", "9", "--nmax", "4"],
+        ["boxdim", "--count", "100", "--driver", "equilibrium", "--depth", "9", "--nmax", "4"],
+        ["boxdim", "--count", "100", "--burn-in", "-300"],
+        ["render", "--count", "100", "--burn-in", "-1"],
+    ],
+    ids=["grid-descending", "two-scales", "scales-unsorted", "render-depth", "boxdim-depth",
+         "boxdim-burn-in", "render-burn-in"],
+)
+def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    assert main(argv + ["--ifs", str(triple_path), "--out", str(out)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_uniform_driver_ignores_depth_and_zero_burn_in_is_valid(cantor_path, tmp_path):
+    out = tmp_path / "out"
+    assert main(["render", "--ifs", str(cantor_path), "--count", "1000", "--depth", "9",
+                 "--nmax", "4", "--burn-in", "0", "--resolution", "16", "--out", str(out)]) == 0
+    assert (out / "attractor.pgm").exists()
+
+
 def test_dim_underflow_is_named_error(tmp_path, capsys):
     path = tmp_path / "tiny.json"
     write_ifs_file(AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny"), path)

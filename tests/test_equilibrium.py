@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from systems import (
+    generic_pair_ifs,
     half_product_cf,
     random_affine_ifs,
     swap_pair_cf,
@@ -29,6 +30,7 @@ from selfaffine import (
     pressure_root,
 )
 from selfaffine import pressure
+from selfaffine.symbolic import unpack_word, word_str
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
 SWAP_MASS_INNER = 0.20710678118654754
@@ -52,6 +54,16 @@ class TestCylinderMeasure:
         assert np.allclose(marg.masses, [0.5, 0.5])
         with pytest.raises(ValueError):
             m.mass((0,))
+
+    @pytest.mark.parametrize("m_sym,depth", [(3, 3), (11, 2)])
+    def test_rows_in_packed_order(self, m_sym, depth):
+        masses = np.arange(1.0, m_sym**depth + 1)
+        m = CylinderMeasure(m_sym, depth, masses / masses.sum())
+        expected = [
+            (word_str(unpack_word(idx, m_sym, depth), m_sym), float(m.masses[idx]))
+            for idx in range(m_sym**depth)
+        ]
+        assert list(m.rows()) == expected
 
     def test_bernoulli_builder(self):
         m = CylinderMeasure.bernoulli([0.25, 0.75], 3)
@@ -308,6 +320,26 @@ class TestLocalDimension:
         ld = local_dimension_samples(cf, t12, 12, 200, seed=5)
         assert abs(ld.mean - 1.0) <= 0.1
         assert len(ld.ratios) == 200
+
+    @pytest.mark.parametrize(
+        "cf,n,classes",
+        [(swap_pair_cf(), 6, 4), (NaturalCylinderFunction(generic_pair_ifs()), 4, 16)],
+        ids=["swap-pair", "generic-pair"],
+    )
+    def test_draws_follow_nu(self, cf, n, classes):
+        # a ratio identifies its word's value, so compare the ratio frequencies
+        # with nu summed over the words of equal value (every word on generic-pair)
+        t = 1.2
+        log_s, lv = pressure.level_log_values(cf, t, n)
+        lv = lv.reshape(-1)
+        keys, inverse = np.unique((lv - log_s) / lv, return_inverse=True)
+        assert keys.size == classes
+        expected = np.bincount(inverse, weights=nu_weights(cf, t, n).masses)
+        ratios = local_dimension_samples(cf, t, n, 200_000, seed=3).ratios
+        pos = np.searchsorted(keys, ratios)
+        assert np.array_equal(keys[pos], ratios)
+        freq = np.bincount(pos, minlength=keys.size) / ratios.size
+        assert 0.5 * np.abs(freq - expected).sum() <= 0.01
 
     def test_deterministic(self):
         cf = swap_pair_cf()
