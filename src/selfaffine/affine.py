@@ -29,6 +29,9 @@ from .linalg import singular_values
 #: it changes the sampled cloud, so it is fixed by default).
 DEFAULT_CHAINS = 512
 
+#: Smallest raster side ``render_pgm`` accepts.
+MIN_RESOLUTION = 16
+
 
 @dataclass
 class AffineIFS:
@@ -276,8 +279,8 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
 
     Byte-exact for fixed inputs: header ``P5\\n<w> <h>\\n255\\n`` followed by
     row-major bytes, top row = largest y."""
-    if resolution < 16:
-        raise ValueError(f"resolution must be >= 16, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     header = b"P5\n%d %d\n255\n" % (resolution, resolution)
     if len(points) == 0:

@@ -20,7 +20,14 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .affine import attractor_points, box_dimension, check_scales, render_pgm, validate_ifs
+from .affine import (
+    MIN_RESOLUTION,
+    attractor_points,
+    box_dimension,
+    check_scales,
+    render_pgm,
+    validate_ifs,
+)
 from .cache import PartitionSumCache
 from .cylinder import NaturalCylinderFunction, verify_axioms
 from .equilibrium import diagnostics, mu_cesaro, nu_weights
@@ -120,15 +127,20 @@ def _cache(args):
 
 def _check_flags(args) -> None:
     """Each positive flag the subcommand has must be positive and finite,
-    ``--burn-in`` nonnegative, ``--t`` finite, and ``--depth`` at most
-    ``--nmax`` wherever an equilibrium table is built."""
+    ``--burn-in`` and ``--seed`` nonnegative, ``--resolution`` at least
+    ``MIN_RESOLUTION``, ``--t`` finite, and ``--depth`` at most ``--nmax``
+    wherever an equilibrium table is built."""
     for name in ("nmax", "tol", "workers", "budget", "depth", "samples", "count", "resolution",
                  "chains"):
         value = getattr(args, name, None)
         if value is not None and not 0 < value < math.inf:
             raise CLIUsageError(f"--{name} must be positive and finite, got {value}")
-    if getattr(args, "burn_in", 0) < 0:
-        raise CLIUsageError(f"--burn-in must be >= 0, got {args.burn_in}")
+    for name in ("burn_in", "seed"):
+        value = getattr(args, name, 0)
+        if value < 0:
+            raise CLIUsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+    if getattr(args, "resolution", MIN_RESOLUTION) < MIN_RESOLUTION:
+        raise CLIUsageError(f"--resolution must be >= {MIN_RESOLUTION}, got {args.resolution}")
     t = getattr(args, "t", None)
     if t is not None and not math.isfinite(t):
         raise CLIUsageError(f"--t must be finite, got {t}")
@@ -228,7 +240,8 @@ def cmd_measure(args) -> int:
         ("energy_k", diag.energy_k),
         ("pressure_upper", diag.pressure_upper),
         ("gap", diag.gap),
-        ("invariance_defect_max", diag.invariance_defect_max),
+        # the defect needs a depth-(k+1) table, so there is none at k = n
+        ("invariance_defect_max", diag.invariance_defect_max if args.depth < args.nmax else "none"),
     ]
     _write_report(out / "measure_report.txt", "measure", ifs, config, body)
     print(f"wrote {out / 'measure.csv'}")

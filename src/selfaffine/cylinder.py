@@ -21,13 +21,14 @@ and reports the worst signed slack per axiom.
 The natural potential is ``log value(t, w) = sum_k c_k(t) * log(a_1...a_k)(w)``
 (``svf_compound_terms``), and the features ``log(a_1...a_k)(w)`` do not depend
 on ``t``.  ``NaturalCylinderFunction`` therefore keeps the feature array of
-each ``(k, prefix, depth)`` block it evaluates, so the batched singular values
-of a block are computed once however many parameters are asked for.  The kept
-bytes are capped by ``FEATURE_MEMO_BYTES``.  When storing a block would pass
-the cap, the blocks of other levels are evicted; the level in progress is never
-cleared, and a block that still does not fit is not kept, so a level larger
-than the cap keeps its first blocks and recomputes only the rest.  Single-word
-``log_value`` calls do not fill the memo.
+each ``(k, prefix, depth)`` block it evaluates (a whole level is the block
+``((), n)``), so the batched singular values of a block are computed once
+however many parameters are asked for.  The kept bytes are capped by
+``FEATURE_MEMO_BYTES``: the memo is cleared when storing a block would pass
+the cap, and a block larger than the cap is never kept, so such a block is
+recomputed at every parameter.  Single-word ``log_value`` calls do not fill
+the memo.  The compound products behind a block take ``C(d, k)^2`` floats
+per word, so they are formed at most ``PRODUCT_CHUNK_WORDS`` words at a time.
 """
 
 from __future__ import annotations
@@ -50,6 +51,9 @@ from .symbolic import Word
 
 #: Cap on the bytes of block features a ``NaturalCylinderFunction`` keeps.
 FEATURE_MEMO_BYTES = 64 << 20
+
+#: Most suffix words whose compound products are formed at once.
+PRODUCT_CHUNK_WORDS = 1 << 12
 
 
 class CylinderFunction:
@@ -116,27 +120,38 @@ class NaturalCylinderFunction(CylinderFunction):
     def _log_partial_products(self, k: int, prefix: Word, depth: int, memo: bool) -> np.ndarray:
         """log(a_1 ... a_k) of the word matrix for every ``prefix + suffix``,
         via top singular values of k-th compound products; kept in the feature
-        memo when ``memo`` is set."""
+        memo when ``memo`` is set.  Each product of the prefix and the first
+        ``depth - inner`` suffix symbols is extended by all ``inner``-symbol
+        tails at once, at most ``PRODUCT_CHUNK_WORDS`` words."""
         key = (k, tuple(prefix), depth)
         if key in self._features:
             return self._features[key]
         comps = self._compounds[k]
         m = comps.shape[1]
-        prods = word_matrix(comps, prefix)[None, :, :]
-        for _ in range(depth):
-            prods = (prods[:, None, :, :] @ comps[None, :, :, :]).reshape(-1, m, m)
+
+        def extend(prods, levels):
+            for _ in range(levels):
+                prods = (prods[:, None, :, :] @ comps[None, :, :, :]).reshape(-1, m, m)
+            return prods
+
+        inner = 0
+        while inner < depth and self.n_symbols ** (inner + 1) <= PRODUCT_CHUNK_WORDS:
+            inner += 1
+        heads = extend(word_matrix(comps, prefix)[None, :, :], depth - inner)
+        feats = np.empty((len(heads), self.n_symbols**inner))
         with np.errstate(divide="ignore"):
-            feats = np.log(singular_values_batch(prods)[:, 0])
+            for head, row in zip(heads, feats):
+                row[:] = np.log(singular_values_batch(extend(head[None, :, :], inner))[:, 0])
+        feats = feats.reshape(-1)
         if not np.all(np.isfinite(feats)):
             raise NumericallySingularError(
                 f"level {len(prefix) + depth}: the product of the top {k} singular value(s) "
                 "of some word matrix underflows double precision"
             )
-        if memo and self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
-            level = len(prefix) + depth
-            for old in [o for o in self._features if len(o[1]) + o[2] != level]:
-                self._feature_bytes -= self._features.pop(old).nbytes
-        if memo and self._feature_bytes + feats.nbytes <= FEATURE_MEMO_BYTES:
+        if memo and feats.nbytes <= FEATURE_MEMO_BYTES:
+            if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
+                self._features.clear()
+                self._feature_bytes = 0
             feats.flags.writeable = False
             self._features[key] = feats
             self._feature_bytes += feats.nbytes

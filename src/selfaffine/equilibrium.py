@@ -9,8 +9,9 @@ level, and this module exposes exactly those finite objects:
 * ``mu_cesaro``: the Cesaro average of the shifted weights,
   (1/n) * sum_{j=0..n-1} nu_n o shift^-j, materialized as a depth-k cylinder
   table.  Shifts whose window extends past the end of a word are completed by
-  the designated constant tail (symbol 0 repeated): every word is padded with
-  k zeros once, and each shift reads one base-m window of it; passing
+  the designated constant tail (symbol 0 repeated): the window at shift j is
+  the q = min(k, n - j) symbols from position j followed by k - q zeros, and
+  its masses are nu summed over the other positions; passing
   ``tail_mode="drop"`` instead discards those shifts and renormalizes over the
   n-k+1 full windows.  The drop variant is exactly shift-invariant for
   symmetric inputs but carries no defect guarantee and its tables at different
@@ -106,7 +107,7 @@ def nu_weights(cf: CylinderFunction, t: float, n: int, budget=None) -> CylinderM
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
     log_s, lv = level_log_values(cf, t, n, budget)
-    masses = np.exp(lv.reshape(-1) - log_s)
+    masses = np.exp(lv - log_s)
     return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
 
 
@@ -124,20 +125,15 @@ def mu_cesaro(
     if tail_mode not in ("pad", "drop"):
         raise ValueError(f"tail_mode must be 'pad' or 'drop', got {tail_mode!r}")
     m_sym = cf.n_symbols
-    size_k = m_sym**k
     log_s, lv = level_log_values(cf, t, n, budget)
     shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
 
-    table = np.zeros(size_k)
-    for b, row in enumerate(lv):
-        weights = np.exp(row - log_s)
-        # each word followed by k tail symbols 0; padded < m^(n+k), below 2^48 at the default budget
-        padded = (np.arange(row.size, dtype=np.int64) + b * row.size) * size_k
-        part = np.zeros(size_k)
-        for j in shifts:
-            idx = padded // m_sym ** (n - j) % size_k
-            part += np.bincount(idx, weights=weights, minlength=size_k)
-        table += part
+    nu = np.exp(lv - log_s)
+    table = np.zeros(m_sym**k)
+    for j in shifts:
+        # the window at shift j: q word symbols, then k - q tail symbols 0
+        q = min(k, n - j)
+        table[:: m_sym ** (k - q)] += nu.reshape(m_sym**j, m_sym**q, -1).sum(axis=(0, 2))
     table /= n if tail_mode == "pad" else (n - k + 1)
     return CylinderMeasure(
         m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k},tail={tail_mode})"
@@ -159,7 +155,7 @@ def entropy_depth(m: CylinderMeasure) -> float:
 def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure, budget=None) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
     _, lv = level_log_values(cf, t, m.depth, budget)
-    return float(m.masses @ lv.reshape(-1)) / m.depth
+    return float(m.masses @ lv) / m.depth
 
 
 def jensen_residual(
@@ -170,7 +166,7 @@ def jensen_residual(
     if m.depth != n:
         raise ValueError(f"measure depth {m.depth} != level {n}")
     log_s, lv = level_log_values(cf, t, n, budget)
-    return log_s / n - entropy_depth(m) - float(m.masses @ lv.reshape(-1)) / n
+    return log_s / n - entropy_depth(m) - float(m.masses @ lv) / n
 
 
 def invariance_defect(
@@ -212,7 +208,6 @@ def local_dimension_samples(
     if count < 1:
         raise ValueError("count must be >= 1")
     log_s, lv = level_log_values(cf, t_star, n, budget)
-    lv = lv.reshape(-1)
     cum = np.cumsum(np.exp(lv - log_s))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = np.minimum(np.searchsorted(cum, rng.random(count) * cum[-1], side="right"), lv.size - 1)
@@ -233,7 +228,7 @@ def bernoulli_lower_estimate(
     if k < 1:
         raise ValueError("depth must be >= 1")
     m_sym = cf.n_symbols
-    lv = level_log_values(cf, t, k, budget)[1].reshape(-1)
+    lv = level_log_values(cf, t, k, budget)[1]
     counts = np.zeros((1, m_sym))
     eye = np.eye(m_sym)
     for _ in range(k):

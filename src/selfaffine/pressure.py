@@ -11,53 +11,32 @@ running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
 estimate, never a bound.
 
-Enumeration is a serial, fixed-order reduction over the #I^p prefix blocks of
-level n, p = min(n, 4), in lexicographic order (``level_blocks``), folded by
-``log_sum_exp``, so results are bit-for-bit reproducible.  ``log_partition_sum``
-streams the blocks through the fold; ``level_log_values`` keeps them as the
-rows of one level table, for consumers that need every word's value as well.
+A level is one flat array of word log-values in lexicographic (packed-index)
+order, from one ``log_value_block(t, (), n)`` call; ``log_sum_exp`` reduces
+it around its maximum in a fixed order, so results are bit-for-bit
+reproducible.  ``level_log_values`` returns the array with ``log S_n``, for
+consumers that need every word's value as well.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cylinder import CylinderFunction, NaturalCylinderFunction
 from .errors import BudgetExceededError
-from .symbolic import check_budget, words_of_length
-
-#: Prefix depth at which the word space is split into blocks.
-PREFIX_SPLIT_DEPTH = 4
+from .symbolic import check_budget
 
 
-def level_blocks(cf: CylinderFunction, t: float, n: int) -> Iterator[np.ndarray]:
-    """Log-values of the level-n prefix blocks, in lexicographic (packed-index) order."""
-    if n < 1:
-        raise ValueError(f"level must be >= 1, got {n}")
-    if not math.isfinite(t):
-        raise ValueError(f"parameter t must be finite, got {t}")
-    p = min(n, PREFIX_SPLIT_DEPTH)
-    return (cf.log_value_block(t, prefix, n - p) for prefix in words_of_length(cf.n_symbols, p))
-
-
-def log_sum_exp(blocks: Iterable[np.ndarray]) -> float:
-    """log-sum-exp of all entries: each block is reduced around its own maximum
-    and the (max, sum) pairs are folded left to right; callers pass blocks in
-    lexicographic order to pin the float rounding sequence."""
-    m_acc, s_acc = -math.inf, 0.0
-    for lv in blocks:
-        m = float(lv.max())
-        s = float(np.exp(lv - m).sum())
-        if m <= m_acc:
-            s_acc += s * math.exp(m - m_acc)
-        else:
-            s_acc = s_acc * math.exp(m_acc - m) + s
-            m_acc = m
-    return m_acc + math.log(s_acc)
+def log_sum_exp(values: np.ndarray) -> float:
+    """log of the sum of exp over all entries, reduced around their maximum
+    (exponentiated in place: a level can hold 2^24 entries)."""
+    m = float(values.max())
+    terms = values - m
+    return m + math.log(float(np.exp(terms, out=terms).sum()))
 
 
 def log_partition_sum(
@@ -67,27 +46,29 @@ def log_partition_sum(
     budget: int | None = None,
     cache=None,
 ) -> float:
-    """log of the level-n partition sum, streamed block by block."""
-    check_budget(cf.n_symbols, n, budget)
+    """log of the level-n partition sum."""
+    check_budget(cf.n_symbols, n, budget)  # also on a cache hit
     key = (cf.content_hash(), float(t), int(n))
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    out = log_sum_exp(level_blocks(cf, t, n))
+    out = level_log_values(cf, t, n, budget)[0]
     if cache is not None:
         cache.put(key, out)
     return out
 
 
 def level_log_values(cf, t, n, budget=None) -> tuple[float, np.ndarray]:
-    """``(log S_n, table)`` from one sweep of level n: one table row per block
-    of ``level_blocks``, and ``log S_n`` bit-equal to ``log_partition_sum``."""
-    rows = cf.n_symbols ** min(n, PREFIX_SPLIT_DEPTH)
-    table = np.empty((rows, check_budget(cf.n_symbols, n, budget) // rows))
-    for row, lv in zip(table, level_blocks(cf, t, n)):
-        row[:] = lv
-    return log_sum_exp(table), table
+    """``(log S_n, values)``: the log-value of every level-n word in
+    lexicographic (packed-index) order, and their log-sum-exp."""
+    if n < 1:
+        raise ValueError(f"level must be >= 1, got {n}")
+    if not math.isfinite(t):
+        raise ValueError(f"parameter t must be finite, got {t}")
+    check_budget(cf.n_symbols, n, budget)
+    values = cf.log_value_block(t, (), n)
+    return log_sum_exp(values), values
 
 
 def pressure_level(cf, t, n, budget=None, cache=None) -> float:
@@ -161,7 +142,9 @@ def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
     P_n is strictly decreasing with P_n(0) = log #I > 0, and the parameter
     bound s_hi < 1 forces P_n(t) -> -inf, so a sign change always exists.  The
     initial bracket [0, 1] is grown by doubling until the upper end is
-    negative."""
+    negative.  The upper end of the final bracket is returned (or a point
+    where P_n is exactly 0): P_n <= 0 there, so it is an upper bound on the
+    level root, at most t_tol above it."""
     if not 0 < t_tol < math.inf:
         raise ValueError(f"t_tol must be positive and finite, got {t_tol}")
     if cf.n_symbols < 2:
@@ -188,7 +171,7 @@ def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
             hi = mid
         else:
             return mid
-    return 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass

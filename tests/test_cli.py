@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, triple_diag_ifs
@@ -131,6 +133,24 @@ def test_measure_outputs(triple_path, tmp_path):
         assert f"{key} = " in report
 
 
+@pytest.mark.parametrize("depth", ["2", "3"])
+def test_measure_report_values_are_finite_or_none(triple_path, tmp_path, depth):
+    """At --depth = --nmax there is no depth-(k+1) table for the defect: the
+    report says none instead of nan."""
+    out = tmp_path / "out"
+    assert main(["measure", "--ifs", str(triple_path), "--nmax", "3", "--depth", depth,
+                 "--out", str(out)]) == 0
+    lines = (out / "measure_report.txt").read_text().splitlines()
+    report = dict(line.split(" = ", 1) for line in lines)
+    for key, value in report.items():
+        try:
+            number = float(value)
+        except ValueError:
+            continue
+        assert math.isfinite(number), key
+    assert (report["invariance_defect_max"] == "none") == (depth == "3")
+
+
 def test_measure_explicit_t_and_nu(triple_path, tmp_path):
     out = tmp_path / "out"
     assert main(["measure", "--ifs", str(triple_path), "--t", "1.0", "--nmax", "3",
@@ -219,9 +239,11 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["boxdim", "--count", "100", "--driver", "equilibrium", "--depth", "9", "--nmax", "4"],
         ["boxdim", "--count", "100", "--burn-in", "-300"],
         ["render", "--count", "100", "--burn-in", "-1"],
+        ["render", "--count", "100", "--driver", "equilibrium", "--resolution", "8"],
+        ["boxdim", "--count", "100", "--seed", "-1"],
     ],
     ids=["grid-descending", "two-scales", "scales-unsorted", "render-depth", "boxdim-depth",
-         "boxdim-burn-in", "render-burn-in"],
+         "boxdim-burn-in", "render-burn-in", "render-resolution", "boxdim-seed"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"

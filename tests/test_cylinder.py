@@ -187,20 +187,37 @@ def test_feature_memo_cap(monkeypatch, blocks):
     assert (peak > 0) == (blocks > 0)
 
 
-def test_feature_memo_keeps_level_in_progress(monkeypatch):
-    """A level larger than the cap keeps the blocks stored at the first t for
-    every later t, so they are never recomputed; other levels are evicted."""
-    monkeypatch.setattr(cylinder, "FEATURE_MEMO_BYTES", 4096)
-    cf = NaturalCylinderFunction(generic_pair_ifs())
-    log_partition_sum(cf, 1.5, 10)
+def test_feature_memo_skips_level_over_cap(monkeypatch):
+    """A level whose features pass the cap gives the same bits at every t and
+    is never stored, so it does not evict what the memo holds."""
+    ifs = generic_pair_ifs()
+    ts = (1.5, 0.6, 1.2, 1.9, 1.5)
+    expected = [log_partition_sum(NaturalCylinderFunction(ifs), t, 10) for t in ts]
+    monkeypatch.setattr(cylinder, "FEATURE_MEMO_BYTES", 4096)  # level 10: 8192 B per k
+    cf = NaturalCylinderFunction(ifs)
+    log_partition_sum(cf, 1.5, 6)
     kept = dict(cf._features)
-    assert 0 < cf._feature_bytes <= 4096
-    for t in (0.6, 1.2, 1.9, 1.5):
-        log_partition_sum(cf, t, 10)
-        assert all(cf._features.get(key) is feats for key, feats in kept.items())
-    log_partition_sum(cf, 1.5, 9)
-    assert not kept.keys() & cf._features.keys()
+    assert kept
+    for t, want in zip(ts, expected):
+        assert log_partition_sum(cf, t, 10) == want
+        assert cf._features.keys() == kept.keys()
+        assert all(cf._features[key] is feats for key, feats in kept.items())
     assert cf._feature_bytes == _stored_bytes(cf) <= 4096
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 5, 1 << 12])
+def test_product_chunks_do_not_change_values(monkeypatch, chunk):
+    """Products formed a few words at a time give the bits of one batch, and a
+    level is its prefix blocks laid end to end."""
+    ifs = random_affine_ifs(np.random.default_rng(14), 3, 3)
+    fresh = NaturalCylinderFunction(ifs)
+    blocks = {t: np.concatenate([fresh.log_value_block(t, w, 4) for w in words_of_length(3, 2)])
+              for t in (1.6, 2.5)}
+    monkeypatch.setattr(cylinder, "PRODUCT_CHUNK_WORDS", chunk)
+    cf = NaturalCylinderFunction(ifs)
+    for t, want in blocks.items():
+        assert cf.log_value_block(t, (), 6).tobytes() == want.tobytes()
+        assert cf.log_value_block(t, (2,), 5).tobytes() == want[-(3**5):].tobytes()
 
 
 def test_single_word_values_do_not_fill_memo():

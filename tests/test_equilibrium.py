@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from systems import (
     generic_pair_ifs,
     half_product_cf,
@@ -30,7 +32,7 @@ from selfaffine import (
     pressure_root,
 )
 from selfaffine import pressure
-from selfaffine.symbolic import unpack_word, word_str
+from selfaffine.symbolic import pack_word, unpack_word, word_str
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
 SWAP_MASS_INNER = 0.20710678118654754
@@ -227,6 +229,19 @@ class TestInvarianceDefect:
         cf2 = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
         assert invariance_defect(cf2, 1.1, n, k) <= 1 / n + 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        t=st.floats(0.0, 3.5),
+        n=st.integers(2, 6),
+        data=st.data(),
+    )
+    def test_bound_one_over_n_random_systems(self, seed, d, t, n, data):
+        k = data.draw(st.integers(1, n - 1))
+        cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(seed), d, 2))
+        assert invariance_defect(cf, t, n, k) <= 1 / n + 1e-12
+
     def test_depth_precondition(self):
         with pytest.raises(ValueError):
             invariance_defect(half_product_cf(), 1.0, 4, 4)
@@ -391,49 +406,57 @@ class TestOnePassMatchesTwoPass:
 
     def two_pass(self):
         cf, t, n = self.CF, self.T, self.N
-        return log_partition_sum(cf, t, n), list(pressure.level_blocks(cf, t, n))
+        return log_partition_sum(cf, t, n), cf.log_value_block(t, (), n)
 
     def test_nu_weights(self):
-        log_s, blocks = self.two_pass()
-        expected = np.exp(np.concatenate(blocks) - log_s)
+        log_s, values = self.two_pass()
+        expected = np.exp(values - log_s)
         assert nu_weights(self.CF, self.T, self.N).masses.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("tail_mode", ["pad", "drop"])
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_mu_cesaro(self, tail_mode, k):
-        log_s, blocks = self.two_pass()
+        log_s, values = self.two_pass()
         m_sym, n = self.CF.n_symbols, self.N
-        size_k = m_sym**k
+        nu = np.exp(values - log_s)
         shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
-        table, offset = np.zeros(size_k), 0
-        for lv in blocks:
-            weights = np.exp(lv - log_s)
-            packed = np.arange(len(lv), dtype=np.int64) + offset
-            part = np.zeros(size_k)
-            for j in shifts:
-                if j <= n - k:
-                    idx = (packed // m_sym ** (n - j - k)) % size_k
-                else:
-                    q = n - j
-                    idx = (packed % m_sym**q) * m_sym ** (k - q)
-                part += np.bincount(idx, weights=weights, minlength=size_k)
-            table += part
-            offset += len(lv)
+        table = np.zeros(m_sym**k)
+        for j in shifts:
+            q = min(k, n - j)
+            table[:: m_sym ** (k - q)] += nu.reshape(m_sym**j, m_sym**q, -1).sum(axis=(0, 2))
         table /= n if tail_mode == "pad" else (n - k + 1)
         mu = mu_cesaro(self.CF, self.T, n, k, tail_mode)
         assert mu.masses.tobytes() == table.tobytes()
 
     def test_jensen_residual(self):
-        log_s, blocks = self.two_pass()
+        log_s, values = self.two_pass()
         m = CylinderMeasure(3, self.N, np.random.default_rng(38).dirichlet(np.ones(3**self.N)))
-        energy = float(m.masses @ np.concatenate(blocks)) / self.N
+        energy = float(m.masses @ values) / self.N
         expected = log_s / self.N - entropy_depth(m) - energy
         assert jensen_residual(self.CF, self.T, self.N, m) == expected
 
 
+@pytest.mark.parametrize("tail_mode", ["pad", "drop"])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_mu_cesaro_matches_per_word_windows(tail_mode, k):
+    """Per-word oracle: pad each word with k symbols 0 and add its nu mass to
+    the cylinder of every window it is averaged over."""
+    cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(39), 2, 3))
+    t, n = 1.05, 5
+    nu = nu_weights(cf, t, n).masses
+    shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
+    table = np.zeros(3**k)
+    for index, mass in enumerate(nu):
+        padded = unpack_word(index, 3, n) + (0,) * k
+        for j in shifts:
+            table[pack_word(padded[j : j + k], 3)] += mass / len(shifts)
+    mu = mu_cesaro(cf, t, n, k, tail_mode)
+    np.testing.assert_allclose(mu.masses, table, rtol=1e-13, atol=1e-16)
+
+
 def test_diagnostics_sweeps_top_level_at_most_three_times():
     """mu_cesaro, the level-n pressure and the depth-(k+1) defect table each
-    walk the 2^4 prefix blocks of level n once."""
+    read level n once."""
     cf = swap_pair_cf()
     levels = []
     block = cf.log_value_block
@@ -444,4 +467,4 @@ def test_diagnostics_sweeps_top_level_at_most_three_times():
 
     cf.log_value_block = counting
     diagnostics(cf, 1.4, 8, 2)
-    assert levels.count(8) <= 3 * 2**4
+    assert levels.count(8) == 3

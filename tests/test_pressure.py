@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from systems import (
     conformal_pair_ifs,
+    generic_pair_ifs,
     half_product_cf,
     random_affine_ifs,
     similar_ifs_06,
     swap_pair_cf,
+    swap_pair_ifs,
     triple_diag_ifs,
 )
 
@@ -27,7 +31,7 @@ from selfaffine import (
     validate_ifs,
     words_of_length,
 )
-from selfaffine.pressure import level_blocks, level_log_values
+from selfaffine.pressure import level_log_values
 
 
 def brute_force_log_sum(cf, t, n):
@@ -137,6 +141,33 @@ def test_root_brackets_sign_change():
         n = int(rng.integers(1, 6))
         root = pressure_root(cf, n, t_tol)
         assert pressure_level(cf, root - t_tol, n) > 0 > pressure_level(cf, root + t_tol, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.sampled_from([2, 3]),
+    t=st.floats(0.0, 3.5),
+    a=st.integers(1, 3),
+    b=st.integers(1, 3),
+)
+def test_fekete_subadditivity_random_systems(seed, d, t, a, b):
+    """log S_{a+b} <= log S_a + log S_b for the natural potential (K_t = 1)."""
+    cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(seed), d, 3))
+    lhs = log_partition_sum(cf, t, a + b)
+    assert lhs <= log_partition_sum(cf, t, a) + log_partition_sum(cf, t, b) + 1e-12
+
+
+@pytest.mark.parametrize("system", ["generic-pair", "swap-pair"])
+def test_root_is_upper_end_of_bracket(system):
+    """The reported level root is where P_n <= 0, within t_tol of the sign change."""
+    ifs = generic_pair_ifs() if system == "generic-pair" else swap_pair_ifs()
+    cf = NaturalCylinderFunction(ifs)
+    for n in range(1, 9):
+        for t_tol in (1e-2, 1e-3, 1e-4, 1e-9):
+            root = pressure_root(cf, n, t_tol)
+            assert pressure_level(cf, root, n) <= 0.0, (n, t_tol)
+            assert pressure_level(cf, root - t_tol, n) > 0.0, (n, t_tol)
 
 
 def test_affinity_dimension_conformal():
@@ -250,11 +281,11 @@ def test_underflowing_word_products_raise_named_error():
     ids=["natural", "product"],
 )
 def test_level_table_matches_streamed_sum(cf, n):
-    """One sweep gives log S_n bit-equal to the streamed sum, and the table
-    rows are the level's blocks in packed-index order."""
-    log_s, table = level_log_values(cf, 1.37, n)
+    """One sweep gives log S_n bit-equal to the partition sum, and the values
+    are the level's block in packed-index order."""
+    log_s, values = level_log_values(cf, 1.37, n)
     assert log_s == log_partition_sum(cf, 1.37, n)
-    assert table.reshape(-1).tobytes() == np.concatenate(list(level_blocks(cf, 1.37, n))).tobytes()
+    assert values.tobytes() == cf.log_value_block(1.37, (), n).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
