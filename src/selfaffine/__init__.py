@@ -43,6 +43,7 @@ from .errors import (
     DegenerateCloudError,
     IFSFormatError,
     IFSValidationError,
+    LevelOverflowError,
     NumericallySingularError,
 )
 from .ifsfile import parse_ifs_file, parse_ifs_text, serialize_ifs, write_ifs_file

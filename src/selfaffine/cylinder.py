@@ -8,6 +8,9 @@ a positive value and certifies three constants: a distortion bound ``K_t``
     value(t, w) * s_lo^(delta * |w|)  <=  value(t + delta, w)
                                       <=  value(t, w) * s_hi^(delta * |w|)
 
+A cylinder function also holds the word budget ``budget``, the most words a
+level may have; it limits work, not values, so ``content_hash`` ignores it.
+
 Both implementations here are constant in the tail (``K_t = 1`` exactly); the
 ``tail`` argument is accepted and ignored so that a future tail-dependent
 potential with ``K_t > 1`` can slot into the same interface.
@@ -47,7 +50,7 @@ from .linalg import (
     svf_compound_terms,
     word_matrix,
 )
-from .symbolic import Word
+from .symbolic import DEFAULT_WORD_BUDGET, Word
 
 #: Cap on the bytes of block features a ``NaturalCylinderFunction`` keeps.
 FEATURE_MEMO_BYTES = 64 << 20
@@ -61,6 +64,11 @@ class CylinderFunction:
 
     #: number of symbols in the underlying alphabet
     n_symbols: int
+
+    def __init__(self, budget: int | None = None):
+        self.budget = DEFAULT_WORD_BUDGET if budget is None else budget
+        if self.budget < 1:
+            raise ValueError(f"word budget must be >= 1, got {budget}")
 
     def log_value(self, t: float, w: Word, tail: Word | None = None) -> float:
         raise NotImplementedError
@@ -98,7 +106,8 @@ class NaturalCylinderFunction(CylinderFunction):
     with the product's condition number, which grows exponentially with word
     length."""
 
-    def __init__(self, maps):
+    def __init__(self, maps, budget: int | None = None):
+        super().__init__(budget)
         mats = np.asarray(getattr(maps, "matrices", maps), dtype=float)
         if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
             raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
@@ -187,7 +196,8 @@ class ProductCylinderFunction(CylinderFunction):
     Satisfies the chain rule with equality, so it doubles as the additive
     reference case (classical similarity pressure)."""
 
-    def __init__(self, weights):
+    def __init__(self, weights, budget: int | None = None):
+        super().__init__(budget)
         weights = np.asarray(weights, dtype=float)
         if weights.ndim != 1 or len(weights) < 1:
             raise ValueError("weights must be a nonempty 1-D sequence")

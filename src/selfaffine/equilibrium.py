@@ -27,13 +27,13 @@ Entropy and energy are the finite-depth quotients (natural log throughout);
 ``jensen_residual`` is the finite-level slack P_n - h - E, nonnegative for
 every probability assignment and zero exactly at the nu weights.
 Each consumer of level-n word values reads them, and ``log S_n``, from one
-``pressure.level_log_values`` sweep.
+``pressure.level_log_values`` sweep; ``diagnostics`` builds its depth-k and
+depth-(k+1) tables from one ``nu``.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -103,41 +103,42 @@ class CylinderMeasure:
         return cls(len(p), depth, masses, provenance=f"bernoulli({p.tolist()})")
 
 
-def nu_weights(cf: CylinderFunction, t: float, n: int, budget=None) -> CylinderMeasure:
+def nu_weights(cf: CylinderFunction, t: float, n: int) -> CylinderMeasure:
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
-    log_s, lv = level_log_values(cf, t, n, budget)
+    log_s, lv = level_log_values(cf, t, n)
     masses = np.exp(lv - log_s)
     return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
 
 
-def mu_cesaro(
-    cf: CylinderFunction,
-    t: float,
-    n: int,
-    k: int,
-    tail_mode: str = "pad",
-    budget=None,
-) -> CylinderMeasure:
-    """Depth-k table of the Cesaro average of the shifted level-n weights."""
+def _check_depth(n: int, k: int, tail_mode: str) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     if tail_mode not in ("pad", "drop"):
         raise ValueError(f"tail_mode must be 'pad' or 'drop', got {tail_mode!r}")
-    m_sym = cf.n_symbols
-    log_s, lv = level_log_values(cf, t, n, budget)
-    shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
 
-    nu = np.exp(lv - log_s)
+
+def _cesaro(nu: CylinderMeasure, t: float, k: int, tail_mode: str) -> CylinderMeasure:
+    """The depth-k Cesaro table of the level-n weights ``nu``."""
+    m_sym, n = nu.n_symbols, nu.depth
+    shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
     table = np.zeros(m_sym**k)
     for j in shifts:
         # the window at shift j: q word symbols, then k - q tail symbols 0
         q = min(k, n - j)
-        table[:: m_sym ** (k - q)] += nu.reshape(m_sym**j, m_sym**q, -1).sum(axis=(0, 2))
+        table[:: m_sym ** (k - q)] += nu.masses.reshape(m_sym**j, m_sym**q, -1).sum(axis=(0, 2))
     table /= n if tail_mode == "pad" else (n - k + 1)
     return CylinderMeasure(
         m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k},tail={tail_mode})"
     )
+
+
+def mu_cesaro(
+    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
+) -> CylinderMeasure:
+    """Depth-k table of the Cesaro average of the shifted level-n weights."""
+    _check_depth(n, k, tail_mode)
+    return _cesaro(nu_weights(cf, t, n), t, k, tail_mode)
 
 
 def entropy_table(masses: np.ndarray) -> float:
@@ -152,41 +153,38 @@ def entropy_depth(m: CylinderMeasure) -> float:
     return entropy_table(m.masses) / m.depth
 
 
-def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure, budget=None) -> float:
+def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
-    _, lv = level_log_values(cf, t, m.depth, budget)
+    _, lv = level_log_values(cf, t, m.depth)
     return float(m.masses @ lv) / m.depth
 
 
-def jensen_residual(
-    cf: CylinderFunction, t: float, n: int, m: CylinderMeasure, budget=None
-) -> float:
+def jensen_residual(cf: CylinderFunction, t: float, n: int, m: CylinderMeasure) -> float:
     """P_n(t) - entropy - energy at depth n; >= 0 for every probability
     assignment, = 0 at the nu weights."""
     if m.depth != n:
         raise ValueError(f"measure depth {m.depth} != level {n}")
-    log_s, lv = level_log_values(cf, t, n, budget)
+    log_s, lv = level_log_values(cf, t, n)
     return log_s / n - entropy_depth(m) - float(m.masses @ lv) / n
 
 
+def _defect(deep: CylinderMeasure) -> float:
+    """max over words i one shorter than the table of |m([i]) - m(shift^-1 [i])|."""
+    m_sym, k = deep.n_symbols, deep.depth - 1
+    direct = deep.masses.reshape(m_sym**k, m_sym).sum(axis=1)
+    preimage = deep.masses.reshape(m_sym, m_sym**k).sum(axis=0)
+    return float(np.abs(direct - preimage).max())
+
+
 def invariance_defect(
-    cf: CylinderFunction,
-    t: float,
-    n: int,
-    k: int,
-    tail_mode: str = "pad",
-    budget=None,
+    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
 ) -> float:
     """max over level-k words of |mu_n([i]) - mu_n(shift^-1 [i])|, both sides
     read from one depth-(k+1) table.  Under the default tail convention the
     value is at most 1/n."""
     if not 1 <= k <= n - 1:
         raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    deep = mu_cesaro(cf, t, n, k + 1, tail_mode, budget).masses
-    m_sym = cf.n_symbols
-    direct = deep.reshape(m_sym**k, m_sym).sum(axis=1)
-    preimage = deep.reshape(m_sym, m_sym**k).sum(axis=0)
-    return float(np.abs(direct - preimage).max())
+    return _defect(mu_cesaro(cf, t, n, k + 1, tail_mode))
 
 
 @dataclass
@@ -199,7 +197,7 @@ class LocalDimensionSamples:
 
 
 def local_dimension_samples(
-    cf: CylinderFunction, t_star: float, n: int, count: int, seed: int, budget=None
+    cf: CylinderFunction, t_star: float, n: int, count: int, seed: int
 ) -> LocalDimensionSamples:
     """Monte Carlo check of the local-dimension ratio at a pressure root.
 
@@ -207,7 +205,7 @@ def local_dimension_samples(
     table, one uniform per word."""
     if count < 1:
         raise ValueError("count must be >= 1")
-    log_s, lv = level_log_values(cf, t_star, n, budget)
+    log_s, lv = level_log_values(cf, t_star, n)
     cum = np.cumsum(np.exp(lv - log_s))
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     u = np.minimum(np.searchsorted(cum, rng.random(count) * cum[-1], side="right"), lv.size - 1)
@@ -216,7 +214,7 @@ def local_dimension_samples(
 
 
 def bernoulli_lower_estimate(
-    cf: CylinderFunction, t: float, k: int, iterations: int = 50, budget=None
+    cf: CylinderFunction, t: float, k: int, iterations: int = 50
 ) -> tuple[np.ndarray, float]:
     """Best product (Bernoulli) measure for the depth-k score h(p) + E_k(p).
 
@@ -228,7 +226,7 @@ def bernoulli_lower_estimate(
     if k < 1:
         raise ValueError("depth must be >= 1")
     m_sym = cf.n_symbols
-    lv = level_log_values(cf, t, k, budget)[1]
+    lv = level_log_values(cf, t, k)[1]
     counts = np.zeros((1, m_sym))
     eye = np.eye(m_sym)
     for _ in range(k):
@@ -257,7 +255,8 @@ def bernoulli_lower_estimate(
 @dataclass
 class EquilibriumDiagnostics:
     """Finite-level snapshot of the variational quantities at one (t, n, k);
-    ``measure`` is the depth-k Cesaro table the snapshot was computed from."""
+    ``measure`` is the depth-k Cesaro table the snapshot was computed from;
+    ``invariance_defect_max`` is ``None`` at k = n (it needs depth k + 1)."""
 
     t: float
     level: int
@@ -266,23 +265,20 @@ class EquilibriumDiagnostics:
     energy_k: float
     pressure_upper: float
     gap: float
-    invariance_defect_max: float
+    invariance_defect_max: float | None
     measure: CylinderMeasure
 
 
 def diagnostics(
-    cf: CylinderFunction,
-    t: float,
-    n: int,
-    k: int,
-    tail_mode: str = "pad",
-    budget=None,
+    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
 ) -> EquilibriumDiagnostics:
-    mu = mu_cesaro(cf, t, n, k, tail_mode, budget)
+    _check_depth(n, k, tail_mode)
+    nu = nu_weights(cf, t, n)
+    mu = _cesaro(nu, t, k, tail_mode)
+    defect = _defect(_cesaro(nu, t, k + 1, tail_mode)) if k < n else None
     h = entropy_depth(mu)
-    e = energy_depth(cf, t, mu, budget)
-    upper = pressure_sequence(cf, t, n, budget).fekete_upper
-    defect = invariance_defect(cf, t, n, k, tail_mode, budget) if k <= n - 1 else math.nan
+    e = energy_depth(cf, t, mu)
+    upper = pressure_sequence(cf, t, n).fekete_upper
     return EquilibriumDiagnostics(
         t=float(t),
         level=n,

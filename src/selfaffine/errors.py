@@ -18,6 +18,10 @@ class NumericallySingularError(ValueError):
     """Matrix is numerically singular (smallest singular value ~ 0)."""
 
 
+class LevelOverflowError(ValueError):
+    """The word log-values of a level overflow double precision."""
+
+
 class IFSFormatError(ValueError):
     """Malformed IFS document; message is anchored to the offending part."""
 

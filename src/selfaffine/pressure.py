@@ -15,7 +15,9 @@ A level is one flat array of word log-values in lexicographic (packed-index)
 order, from one ``log_value_block(t, (), n)`` call; ``log_sum_exp`` reduces
 it around its maximum in a fixed order, so results are bit-for-bit
 reproducible.  ``level_log_values`` returns the array with ``log S_n``, for
-consumers that need every word's value as well.
+consumers that need every word's value as well.  A level of more than
+``cf.budget`` words raises ``BudgetExceededError``, and one whose log-values
+overflow double precision raises ``LevelOverflowError``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .cylinder import CylinderFunction, NaturalCylinderFunction
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, LevelOverflowError
 from .symbolic import check_budget
 
 
@@ -39,41 +41,52 @@ def log_sum_exp(values: np.ndarray) -> float:
     return m + math.log(float(np.exp(terms, out=terms).sum()))
 
 
-def log_partition_sum(
-    cf: CylinderFunction,
-    t: float,
-    n: int,
-    budget: int | None = None,
-    cache=None,
-) -> float:
+def log_partition_sum(cf: CylinderFunction, t: float, n: int, cache=None) -> float:
     """log of the level-n partition sum."""
-    check_budget(cf.n_symbols, n, budget)  # also on a cache hit
+    check_budget(cf.n_symbols, n, cf.budget)  # also on a cache hit
     key = (cf.content_hash(), float(t), int(n))
     if cache is not None:
         hit = cache.get(key)
         if hit is not None:
             return hit
-    out = level_log_values(cf, t, n, budget)[0]
+    out = level_log_values(cf, t, n)[0]
     if cache is not None:
         cache.put(key, out)
     return out
 
 
-def level_log_values(cf, t, n, budget=None) -> tuple[float, np.ndarray]:
+def level_log_values(cf, t, n) -> tuple[float, np.ndarray]:
     """``(log S_n, values)``: the log-value of every level-n word in
     lexicographic (packed-index) order, and their log-sum-exp."""
     if n < 1:
         raise ValueError(f"level must be >= 1, got {n}")
     if not math.isfinite(t):
         raise ValueError(f"parameter t must be finite, got {t}")
-    check_budget(cf.n_symbols, n, budget)
-    values = cf.log_value_block(t, (), n)
-    return log_sum_exp(values), values
+    check_budget(cf.n_symbols, n, cf.budget)
+    # a finite least value rules out nan and -inf; a +inf value makes log S_n nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = cf.log_value_block(t, (), n)
+        log_s = log_sum_exp(values)
+    if not (math.isfinite(log_s) and math.isfinite(values.min())):
+        raise LevelOverflowError(f"level {n} at t = {t!r}: word log-values overflow")
+    return log_s, values
 
 
-def pressure_level(cf, t, n, budget=None, cache=None) -> float:
+def pressure_level(cf, t, n, cache=None) -> float:
     """P_n(t) = (1/n) log S_n(t)."""
-    return log_partition_sum(cf, t, n, budget, cache) / n
+    return log_partition_sum(cf, t, n, cache) / n
+
+
+def _budget_levels(cf, n_max) -> tuple[range, bool]:
+    """The levels 1..n_max within ``cf.budget`` (a prefix), and whether any is cut."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    top = 0
+    while top < n_max and cf.n_symbols ** (top + 1) <= cf.budget:
+        top += 1
+    if top == 0:
+        raise BudgetExceededError(cf.n_symbols, 1, cf.budget)
+    return range(1, top + 1), top < n_max
 
 
 def _extrapolate(ns: Sequence[int], values: Sequence[float]) -> tuple[float, str]:
@@ -110,19 +123,9 @@ class PressureReport:
         return [n for n, _ in self.per_level]
 
 
-def pressure_sequence(cf, t, n_max, budget=None, cache=None) -> PressureReport:
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    per_level: list[tuple[int, float]] = []
-    truncated = False
-    for n in range(1, n_max + 1):
-        try:
-            per_level.append((n, pressure_level(cf, t, n, budget, cache)))
-        except BudgetExceededError:
-            truncated = True
-            break
-    if not per_level:
-        raise BudgetExceededError(cf.n_symbols, 1, budget or 0)
+def pressure_sequence(cf, t, n_max, cache=None) -> PressureReport:
+    levels, truncated = _budget_levels(cf, n_max)
+    per_level = [(n, pressure_level(cf, t, n, cache)) for n in levels]
     values = [v for _, v in per_level]
     extrapolated, method = _extrapolate([n for n, _ in per_level], values)
     return PressureReport(
@@ -136,7 +139,7 @@ def pressure_sequence(cf, t, n_max, budget=None, cache=None) -> PressureReport:
     )
 
 
-def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
+def pressure_root(cf, n, t_tol, cache=None) -> float:
     """The zero of t -> P_n(t), located by bisection to bracket width t_tol.
 
     P_n is strictly decreasing with P_n(0) = log #I > 0, and the parameter
@@ -144,26 +147,26 @@ def pressure_root(cf, n, t_tol, budget=None, cache=None) -> float:
     initial bracket [0, 1] is grown by doubling until the upper end is
     negative.  The upper end of the final bracket is returned (or a point
     where P_n is exactly 0): P_n <= 0 there, so it is an upper bound on the
-    level root, at most t_tol above it."""
+    level root, at most max(t_tol, one float spacing) above it."""
     if not 0 < t_tol < math.inf:
         raise ValueError(f"t_tol must be positive and finite, got {t_tol}")
     if cf.n_symbols < 2:
         raise ValueError("pressure root needs at least two symbols")
 
     def P(t):
-        return pressure_level(cf, t, n, budget, cache)
+        return pressure_level(cf, t, n, cache)
 
     lo, hi = 0.0, 1.0
     p_hi = P(hi)
     while p_hi > 0.0:
         lo, hi = hi, 2.0 * hi
-        if hi > 1e6:
-            raise RuntimeError("pressure failed to become negative; potential not contractive?")
         p_hi = P(hi)
     if p_hi == 0.0:
         return hi
     while hi - lo > t_tol:
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:  # the bracket is one float spacing wide
+            break
         p_mid = P(mid)
         if p_mid > 0.0:
             lo = mid
@@ -199,19 +202,10 @@ class DimensionReport:
 
 
 def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionReport:
-    """Roots of the level pressures for the natural (singular-value) potential."""
-    cf = NaturalCylinderFunction(ifs)
-    roots: list[tuple[int, float]] = []
-    truncated = False
-    for n in range(1, n_max + 1):
-        try:
-            check_budget(cf.n_symbols, n, budget)
-        except BudgetExceededError:
-            truncated = True
-            break
-        roots.append((n, pressure_root(cf, n, t_tol, budget, cache)))
-    if not roots:
-        raise BudgetExceededError(cf.n_symbols, 1, budget or 0)
+    """Roots of the level pressures of the natural potential with word budget ``budget``."""
+    cf = NaturalCylinderFunction(ifs, budget)
+    levels, truncated = _budget_levels(cf, n_max)
+    roots = [(n, pressure_root(cf, n, t_tol, cache)) for n in levels]
     values = [r for _, r in roots]
     extrapolated, method = _extrapolate([n for n, _ in roots], values)
     upper = min(values)
@@ -231,9 +225,9 @@ def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionR
     )
 
 
-def pressure_curve(cf, t_grid, n, budget=None, cache=None) -> list[tuple[float, float]]:
+def pressure_curve(cf, t_grid, n, cache=None) -> list[tuple[float, float]]:
     """P_n sampled on an ascending parameter grid."""
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly ascending")
-    return [(t, pressure_level(cf, t, n, budget, cache)) for t in t_grid]
+    return [(t, pressure_level(cf, t, n, cache)) for t in t_grid]

@@ -269,6 +269,38 @@ def test_dim_underflow_is_named_error(tmp_path, capsys):
     assert not (out / "roots.csv").exists()
 
 
+def test_dim_root_search_ends_at_float_spacing(triple_path, tmp_path, level_call_limit):
+    out = tmp_path / "out"
+    assert main(["dim", "--ifs", str(triple_path), "--nmax", "1", "--tol", "1e-300",
+                 "--out", str(out)]) == 0
+    root = float((out / "roots.csv").read_text().splitlines()[1].split(",")[1])
+    assert root == pytest.approx(1 + math.log(1.5) / math.log(4), rel=1e-15)
+
+
+def test_dim_root_far_above_one(tmp_path, capsys, level_call_limit):
+    """Norms 0.9999999 are accepted with a warning; the level-1 root is
+    ln 2 / -ln 0.9999999, about 6.93e6."""
+    a = 0.9999999
+    path = tmp_path / "slow.json"
+    write_ifs_file(AffineIFS(1, [[[a]], [[a]]], [[0.0], [0.5]], name="slow"), path)
+    out = tmp_path / "out"
+    assert main(["dim", "--ifs", str(path), "--nmax", "1", "--out", str(out)]) == 0
+    assert "warning:" in capsys.readouterr().err
+    root = float((out / "roots.csv").read_text().splitlines()[1].split(",")[1])
+    assert root == pytest.approx(math.log(2) / -math.log(a), rel=1e-9)
+
+
+def test_pressure_overflow_is_named_error(tmp_path, capsys):
+    path = tmp_path / "generic.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    out = tmp_path / "out"
+    assert main(["pressure", "--ifs", str(path), "--t", "1e308", "--nmax", "3",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "level 3" in err and "1e+308" in err
+    assert not out.exists()
+
+
 def test_budget_truncates_dim(triple_path, tmp_path):
     out = tmp_path / "out"
     assert main(["dim", "--ifs", str(triple_path), "--nmax", "6", "--budget", "80",

@@ -7,6 +7,7 @@ from systems import generic_pair_ifs, random_affine_ifs, swap_pair_cf, triple_di
 from selfaffine import cylinder
 
 from selfaffine import (
+    DEFAULT_WORD_BUDGET,
     NaturalCylinderFunction,
     ProductCylinderFunction,
     log_partition_sum,
@@ -225,3 +226,20 @@ def test_single_word_values_do_not_fill_memo():
     verify_axioms(cf, [0.5, 1.0, 1.5], n_max=6, samples=50)
     assert cf.log_value(1.3, (0, 1, 1)) == cf.log_value_block(1.3, (0, 1, 1), 0)[0]
     assert len(cf._features) == 2  # only the block call above, for k = 1 and 2
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda budget: NaturalCylinderFunction(triple_diag_ifs(), budget=budget),
+        lambda budget: ProductCylinderFunction([0.5, 0.25], budget=budget),
+    ],
+    ids=["natural", "product"],
+)
+def test_potential_holds_its_word_budget(make):
+    assert make(None).budget == DEFAULT_WORD_BUDGET
+    assert make(80).budget == 80
+    assert make(80).content_hash() == make(None).content_hash()
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="budget"):
+            make(bad)

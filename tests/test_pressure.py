@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,12 +19,22 @@ from systems import (
 from selfaffine import (
     AffineIFS,
     BudgetExceededError,
+    CylinderMeasure,
+    LevelOverflowError,
     NaturalCylinderFunction,
     NumericallySingularError,
     PartitionSumCache,
     ProductCylinderFunction,
     affinity_dimension,
+    bernoulli_lower_estimate,
+    diagnostics,
+    energy_depth,
+    invariance_defect,
+    jensen_residual,
+    local_dimension_samples,
     log_partition_sum,
+    mu_cesaro,
+    nu_weights,
     pressure_curve,
     pressure_level,
     pressure_root,
@@ -230,14 +241,116 @@ def test_pressure_curve_rejects_unsorted_grid():
 
 
 def test_budget_exceeded_flags_partial_report():
-    cf = NaturalCylinderFunction(triple_diag_ifs())
+    cf = NaturalCylinderFunction(triple_diag_ifs(), budget=80)
     with pytest.raises(BudgetExceededError):
-        log_partition_sum(cf, 1.0, 4, budget=80)
-    rep = pressure_sequence(cf, 1.0, 6, budget=80)  # 3^4 = 81 > 80
+        log_partition_sum(cf, 1.0, 4)
+    rep = pressure_sequence(cf, 1.0, 6)  # 3^4 = 81 > 80
     assert rep.truncated
     assert rep.levels() == [1, 2, 3]
     dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=80)
     assert dim.truncated and dim.levels() == [1, 2, 3]
+
+
+def _uniform(depth):
+    return CylinderMeasure(3, depth, np.full(3**depth, 1.0 / 3**depth))
+
+
+#: Every library function that reads a level of a given potential, asked
+#: for level 4 of triple-diag (3^4 = 81 words).
+LEVEL_CONSUMERS = {
+    "log_partition_sum": lambda cf: log_partition_sum(cf, 1.0, 4),
+    "level_log_values": lambda cf: level_log_values(cf, 1.0, 4),
+    "pressure_level": lambda cf: pressure_level(cf, 1.0, 4),
+    "pressure_root": lambda cf: pressure_root(cf, 4, 1e-6),
+    "pressure_curve": lambda cf: pressure_curve(cf, [0.5, 1.0], 4),
+    "nu_weights": lambda cf: nu_weights(cf, 1.0, 4),
+    "mu_cesaro": lambda cf: mu_cesaro(cf, 1.0, 4, 2),
+    "energy_depth": lambda cf: energy_depth(cf, 1.0, _uniform(4)),
+    "jensen_residual": lambda cf: jensen_residual(cf, 1.0, 4, _uniform(4)),
+    "invariance_defect": lambda cf: invariance_defect(cf, 1.0, 4, 2),
+    "local_dimension_samples": lambda cf: local_dimension_samples(cf, 1.3, 4, 10, 0),
+    "bernoulli_lower_estimate": lambda cf: bernoulli_lower_estimate(cf, 1.0, 4),
+    "diagnostics": lambda cf: diagnostics(cf, 1.0, 4, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LEVEL_CONSUMERS))
+def test_level_consumers_hold_the_potential_budget(name):
+    consume = LEVEL_CONSUMERS[name]
+    consume(NaturalCylinderFunction(triple_diag_ifs(), budget=81))
+    with pytest.raises(BudgetExceededError) as info:
+        consume(NaturalCylinderFunction(triple_diag_ifs(), budget=80))
+    assert (info.value.length, info.value.budget) == (4, 80)
+
+
+def test_budget_holds_on_a_cache_hit():
+    cache = PartitionSumCache()
+    full = NaturalCylinderFunction(triple_diag_ifs())
+    small = NaturalCylinderFunction(triple_diag_ifs(), budget=80)
+    assert small.content_hash() == full.content_hash()
+    log_partition_sum(full, 1.0, 4, cache=cache)
+    with pytest.raises(BudgetExceededError):
+        log_partition_sum(small, 1.0, 4, cache=cache)
+    assert log_partition_sum(small, 1.0, 3, cache=cache) == log_partition_sum(full, 1.0, 3)
+
+
+@pytest.mark.parametrize(
+    "budget,top", [(3, 1), (8, 1), (9, 2), (26, 2), (27, 3), (80, 3), (81, 4), (729, 6), (None, 6)]
+)
+def test_sequence_and_dimension_share_one_truncation(budget, top):
+    """Both sweep the levels whose 3^n words fit the budget."""
+    cf = NaturalCylinderFunction(triple_diag_ifs(), budget=budget)
+    rep = pressure_sequence(cf, 1.0, 6)
+    dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=budget)
+    assert rep.levels() == dim.levels() == list(range(1, top + 1))
+    assert rep.truncated == dim.truncated == (top < 6)
+
+
+def test_no_level_within_budget_raises():
+    cf = NaturalCylinderFunction(triple_diag_ifs(), budget=2)
+    with pytest.raises(BudgetExceededError):
+        pressure_sequence(cf, 1.0, 3)
+    with pytest.raises(BudgetExceededError):
+        affinity_dimension(triple_diag_ifs(), 3, 1e-6, budget=2)
+
+
+def test_root_search_ends_at_float_spacing(level_call_limit):
+    """A bracket width below the float spacing at the root ends the
+    bisection once the midpoint equals an end."""
+    cf = NaturalCylinderFunction(triple_diag_ifs())
+    root = pressure_root(cf, 1, 1e-300)
+    assert pressure_level(cf, root, 1) <= 0
+    assert root == pytest.approx(1 + math.log(1.5) / math.log(4), rel=1e-15)
+    assert len(level_call_limit) < 100
+
+
+def test_root_search_has_no_parameter_cap(level_call_limit):
+    """Norms just below 1 put the root far above any fixed cap: here at
+    ln 2 / -ln 0.9999999, about 6.93e6."""
+    a = 0.9999999
+    ifs = AffineIFS(1, [[[a]], [[a]]], [[0.0], [0.5]], name="slow")
+    assert not validate_ifs(ifs).errors
+    root = pressure_root(NaturalCylinderFunction(ifs), 1, 1e-3)
+    assert root == pytest.approx(math.log(2) / -math.log(a), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "cf,t,n",
+    [
+        (NaturalCylinderFunction(generic_pair_ifs()), 1e308, 3),
+        (ProductCylinderFunction([0.3, 0.5]), 1e308, 2),
+        (ProductCylinderFunction([0.3, 0.5]), -1e308, 4),
+    ],
+    ids=["natural", "product", "product-negative-t"],
+)
+def test_overflowing_level_raises_named_error(cf, t, n):
+    """Log-values past double precision raise an error naming the level and
+    t, not a nan partition sum (and no RuntimeWarning: the suite makes those
+    errors)."""
+    with pytest.raises(LevelOverflowError, match=re.escape(f"level {n} at t = {t!r}")):
+        level_log_values(cf, t, n)
+    with pytest.raises(LevelOverflowError):
+        pressure_sequence(cf, t, n)
 
 
 def test_deterministic_cold_and_warm():
