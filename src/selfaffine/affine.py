@@ -243,28 +243,51 @@ def check_scales(scales) -> list[float]:
     return scales
 
 
+def _occupied_cells(idx: np.ndarray, radices: list[int]) -> np.ndarray:
+    """The distinct rows of the (N, d) cell-index array ``idx``, whose axis-j
+    entries lie in [0, radices[j]), as a (K, d) integer array."""
+    if math.prod(radices) >= 2**62:  # mixed-radix key would overflow int64
+        return np.unique(idx, axis=0)
+    key = idx[:, 0]
+    for axis in range(1, idx.shape[1]):
+        key = key * radices[axis] + idx[:, axis]
+    return np.stack(np.unravel_index(np.unique(key), radices), axis=1)
+
+
 def box_dimension(cloud, scales) -> BoxDimensionResult:
     """Least-squares slope of log N(delta) against log(1/delta) over
-    corner-anchored grid covers."""
+    corner-anchored grid covers.
+
+    The scales are counted from finest to coarsest.  A scale with the same
+    float mantissa as the next finer one is that scale times 2^s, and its
+    occupied cells are the finer grid's cells shifted right by s bits, so only
+    the finer grid's few occupied cells are read.  The count is the one a pass
+    over the points would give: dividing by 2^s is exact in floating point
+    (barring subnormal quotients, whose floors are 0 either way), so
+    floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
+    offset u >= 0 from the cloud's lower corner.  Any other scale costs one
+    pass over the points."""
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     scales = check_scales(scales)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"expected a nonempty (N, d) point array, got shape {points.shape}")
     mins = points.min(axis=0)
-    if not np.any(points.max(axis=0) - mins > 0):
+    extent = points.max(axis=0) - mins
+    if not np.any(extent > 0):
         raise DegenerateCloudError("degenerate cloud: all points coincide")
 
     counts = []
-    for delta in scales:
-        idx = np.floor((points - mins) / delta).astype(np.int64)
-        radices = [int(idx[:, axis].max()) + 1 for axis in range(points.shape[1])]
-        if np.prod(radices, dtype=object) < 2**62:
-            key = idx[:, 0].copy()
-            for axis in range(1, points.shape[1]):
-                key = key * radices[axis] + idx[:, axis]
-            counts.append(len(np.unique(key)))
-        else:  # mixed-radix key would overflow int64
-            counts.append(len(np.unique(idx, axis=0)))
+    cells, finer = None, (None, None)  # occupied cells and frexp of the finer scale
+    for delta in reversed(scales):
+        radices = [int(r) + 1 for r in np.floor(extent / delta)]
+        mantissa, exponent = math.frexp(delta)
+        if mantissa == finer[0]:
+            cells = _occupied_cells(cells >> (exponent - finer[1]), radices)
+        else:
+            cells = _occupied_cells(np.floor((points - mins) / delta).astype(np.int64), radices)
+        counts.append(len(cells))
+        finer = mantissa, exponent
+    counts.reverse()
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))
     slope, intercept = np.polyfit(x, y, 1)

@@ -30,7 +30,7 @@ from .affine import (
 )
 from .cache import PartitionSumCache
 from .cylinder import NaturalCylinderFunction, verify_axioms
-from .equilibrium import diagnostics, mu_cesaro, nu_weights
+from .equilibrium import diagnostics, mu_cesaro
 from .errors import BudgetExceededError, CLIUsageError
 from .ifsfile import parse_ifs_file
 from .pressure import affinity_dimension, pressure_curve, pressure_root, pressure_sequence
@@ -214,10 +214,7 @@ def cmd_measure(args) -> int:
     if t is None:
         t = pressure_root(cf, args.nmax, args.tol, cache=cache)
     diag = diagnostics(cf, t, args.nmax, args.depth, args.tail_mode)
-    if args.kind == "nu":
-        measure = nu_weights(cf, t, args.nmax)
-    else:
-        measure = diag.measure
+    measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
     config = {

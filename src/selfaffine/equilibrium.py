@@ -28,7 +28,8 @@ Entropy and energy are the finite-depth quotients (natural log throughout);
 every probability assignment and zero exactly at the nu weights.
 Each consumer of level-n word values reads them, and ``log S_n``, from one
 ``pressure.level_log_values`` sweep; ``diagnostics`` builds its depth-k and
-depth-(k+1) tables from one ``nu``.
+depth-(k+1) tables from one ``nu``, and at k = n takes the energy from that
+sweep too.
 """
 
 from __future__ import annotations
@@ -103,12 +104,15 @@ class CylinderMeasure:
         return cls(len(p), depth, masses, provenance=f"bernoulli({p.tolist()})")
 
 
+def _nu(cf: CylinderFunction, t: float, n: int, log_s: float, lv: np.ndarray) -> CylinderMeasure:
+    """The level-n weights from ``level_log_values(cf, t, n)``."""
+    return CylinderMeasure(cf.n_symbols, n, np.exp(lv - log_s), provenance=f"nu(n={n},t={t:g})")
+
+
 def nu_weights(cf: CylinderFunction, t: float, n: int) -> CylinderMeasure:
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
-    log_s, lv = level_log_values(cf, t, n)
-    masses = np.exp(lv - log_s)
-    return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
+    return _nu(cf, t, n, *level_log_values(cf, t, n))
 
 
 def _check_depth(n: int, k: int, tail_mode: str) -> None:
@@ -153,10 +157,14 @@ def entropy_depth(m: CylinderMeasure) -> float:
     return entropy_table(m.masses) / m.depth
 
 
+def _energy(m: CylinderMeasure, lv: np.ndarray) -> float:
+    """The energy quotient of ``m`` from the log values of its level."""
+    return float(m.masses @ lv) / m.depth
+
+
 def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
-    _, lv = level_log_values(cf, t, m.depth)
-    return float(m.masses @ lv) / m.depth
+    return _energy(m, level_log_values(cf, t, m.depth)[1])
 
 
 def jensen_residual(cf: CylinderFunction, t: float, n: int, m: CylinderMeasure) -> float:
@@ -165,7 +173,7 @@ def jensen_residual(cf: CylinderFunction, t: float, n: int, m: CylinderMeasure) 
     if m.depth != n:
         raise ValueError(f"measure depth {m.depth} != level {n}")
     log_s, lv = level_log_values(cf, t, n)
-    return log_s / n - entropy_depth(m) - float(m.masses @ lv) / n
+    return log_s / n - entropy_depth(m) - _energy(m, lv)
 
 
 def _defect(deep: CylinderMeasure) -> float:
@@ -255,7 +263,8 @@ def bernoulli_lower_estimate(
 @dataclass
 class EquilibriumDiagnostics:
     """Finite-level snapshot of the variational quantities at one (t, n, k);
-    ``measure`` is the depth-k Cesaro table the snapshot was computed from;
+    ``measure`` is the depth-k Cesaro table the snapshot was computed from
+    and ``nu`` the level-n weights it averages;
     ``invariance_defect_max`` is ``None`` at k = n (it needs depth k + 1)."""
 
     t: float
@@ -267,17 +276,20 @@ class EquilibriumDiagnostics:
     gap: float
     invariance_defect_max: float | None
     measure: CylinderMeasure
+    nu: CylinderMeasure
 
 
 def diagnostics(
     cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
 ) -> EquilibriumDiagnostics:
     _check_depth(n, k, tail_mode)
-    nu = nu_weights(cf, t, n)
+    log_s, lv = level_log_values(cf, t, n)
+    nu = _nu(cf, t, n, log_s, lv)
     mu = _cesaro(nu, t, k, tail_mode)
     defect = _defect(_cesaro(nu, t, k + 1, tail_mode)) if k < n else None
     h = entropy_depth(mu)
-    e = energy_depth(cf, t, mu)
+    e = _energy(mu, lv) if k == n else energy_depth(cf, t, mu)
+    del lv  # not held while the pressure sequence builds its own level-n values
     upper = pressure_sequence(cf, t, n).fekete_upper
     return EquilibriumDiagnostics(
         t=float(t),
@@ -289,4 +301,5 @@ def diagnostics(
         gap=upper - h - e,
         invariance_defect_max=defect,
         measure=mu,
+        nu=nu,
     )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from systems import cantor_ifs, generic_pair_ifs, random_affine_ifs, swap_pair_ifs
 
 from selfaffine import (
@@ -208,6 +210,64 @@ class TestBoxDimension:
         points = rng.random((2000, 4)) * 1e6
         result = box_dimension(points, [1e5, 1.0, 1e-4])
         assert result.counts[-1] == 2000
+
+
+def per_scale_counts(points, scales):
+    """Box counts with one pass over the points per scale (the reference)."""
+    mins = points.min(axis=0)
+    counts = []
+    for delta in scales:
+        idx = np.floor((points - mins) / delta).astype(np.int64)
+        radices = [int(idx[:, axis].max()) + 1 for axis in range(points.shape[1])]
+        if np.prod(radices, dtype=object) < 2**62:
+            key = idx[:, 0].copy()
+            for axis in range(1, points.shape[1]):
+                key = key * radices[axis] + idx[:, axis]
+            counts.append(len(np.unique(key)))
+        else:
+            counts.append(len(np.unique(idx, axis=0)))
+    return tuple(counts)
+
+
+SCALE_LISTS = {
+    "dyadic": [2.0**-k for k in range(-2, 9)],
+    "non-dyadic": [3.0**-k for k in range(-1, 7)],
+    "mixed": sorted({2.0**-k for k in range(0, 8)} | {3.0**-k for k in range(0, 5)}
+                    | {0.3 * 2.0**-k for k in range(0, 6)}, reverse=True),
+    # the finest grids need an unpacked key in d = 3 (radices near 2^25 per axis)
+    "dyadic-overflow": [2.0**-k for k in range(18, 26)],
+}
+
+
+class TestBoxCountNesting:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 3),
+        size=st.integers(2, 400),
+        scales=st.sampled_from(sorted(SCALE_LISTS)),
+        offset=st.sampled_from([0.0, -7.25, 1e6, -3.0e8]),
+        lattice=st.sampled_from([None, 2.0**-6, 2.0**-10]),
+    )
+    def test_counts_match_per_scale_passes(self, seed, d, size, scales, offset, lattice):
+        rng = np.random.default_rng(seed)
+        points = rng.random((size, d)) * rng.uniform(0.5, 4.0, size=d)
+        if lattice is not None:  # points on grid lines: floors at exact integers
+            points = np.round(points / lattice) * lattice
+        points = points + offset
+        if not np.any(points.max(axis=0) - points.min(axis=0) > 0):
+            points[0] += 1.0
+        scales = SCALE_LISTS[scales]
+        assert box_dimension(points, scales).counts == per_scale_counts(points, scales)
+
+    def test_equilibrium_cloud_counts_pinned(self):
+        # counts recorded with one pass over the points per scale
+        bundle = sample_translations(2, 2, 1, radius=0.6, seed=7)[0]
+        ifs = generic_pair_ifs().with_translations(bundle)
+        driver = mu_cesaro(NaturalCylinderFunction(ifs), 1.3, 8, 3)
+        cloud = attractor_points(ifs, 200000, burn_in=300, seed=7, driver=driver)
+        result = box_dimension(cloud, [2.0**-k for k in range(3, 11)])
+        assert result.counts == (12, 20, 35, 61, 113, 190, 343, 606)
 
 
 class TestCloudInvariance:

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, triple_diag_ifs
+from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, swap_pair_ifs, triple_diag_ifs
 
-from selfaffine import AffineIFS, AxiomReport
-from selfaffine.cli import main, parse_t_grid
+from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, nu_weights
+from selfaffine.cli import _write_csv, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
 
@@ -157,6 +157,29 @@ def test_measure_explicit_t_and_nu(triple_path, tmp_path):
                  "--depth", "2", "--kind", "nu", "--out", str(out)]) == 0
     csv_lines = (out / "measure.csv").read_text().splitlines()
     assert len(csv_lines) == 1 + 27  # nu lives at depth nmax
+
+
+def test_measure_nu_reads_top_level_twice(tmp_path, monkeypatch):
+    """``--kind nu`` writes the weights ``diagnostics`` built: level n is read
+    once for them and once for the level-n pressure."""
+    path = tmp_path / "swap.json"
+    write_ifs_file(swap_pair_ifs(), path)
+    expected = tmp_path / "expected.csv"
+    nu = nu_weights(NaturalCylinderFunction(swap_pair_ifs()), 1.4, 6)
+    _write_csv(expected, "word,mass", nu.rows())
+    levels = []
+    block = NaturalCylinderFunction.log_value_block
+
+    def counting(self, t, prefix, depth):
+        levels.append(len(prefix) + depth)
+        return block(self, t, prefix, depth)
+
+    monkeypatch.setattr(NaturalCylinderFunction, "log_value_block", counting)
+    out = tmp_path / "out"
+    assert main(["measure", "--ifs", str(path), "--t", "1.4", "--nmax", "6", "--depth", "2",
+                 "--kind", "nu", "--out", str(out)]) == 0
+    assert levels.count(6) == 2
+    assert (out / "measure.csv").read_bytes() == expected.read_bytes()
 
 
 def test_render_writes_pgm(cantor_path, tmp_path):

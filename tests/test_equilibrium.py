@@ -485,3 +485,21 @@ def test_diagnostics_sweeps_top_level_at_most_three_times():
     cf.log_value_block = counting
     diagnostics(cf, 1.4, 8, 2)
     assert levels.count(8) == 2
+
+
+def test_diagnostics_at_full_depth_reads_top_level_twice():
+    """At k = n the energy comes from the sweep that built ``nu``; the
+    level-n pressure is the only other read of level n."""
+    cf = swap_pair_cf()
+    levels = []
+    block = cf.log_value_block
+
+    def counting(t, prefix, depth):
+        levels.append(len(prefix) + depth)
+        return block(t, prefix, depth)
+
+    cf.log_value_block = counting
+    diag = diagnostics(cf, 1.4, 4, 4)
+    assert levels.count(4) == 2
+    assert diag.energy_k == energy_depth(swap_pair_cf(), 1.4, diag.measure)
+    assert diag.nu.masses.tobytes() == nu_weights(swap_pair_cf(), 1.4, 4).masses.tobytes()
