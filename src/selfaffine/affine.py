@@ -144,7 +144,8 @@ class PointCloud:
 
 def _driver_tables(ifs: AffineIFS, driver):
     """Resolve a chaos-game driver into (iid cumulative probs, conditional
-    cumulative rows, context depth)."""
+    cumulative masses, context depth, provenance tag).  The conditional table
+    is (m, contexts): column c holds context c's cumulative masses."""
     from .equilibrium import CylinderMeasure
 
     m = ifs.n_maps
@@ -160,10 +161,12 @@ def _driver_tables(ifs: AffineIFS, driver):
         rows = driver.masses.reshape(m ** (k - 1), m)
         row_sums = rows.sum(axis=1, keepdims=True)
         cond = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 1.0 / m)
-        return None, np.cumsum(cond, axis=1), k - 1, driver.provenance
+        return None, np.ascontiguousarray(np.cumsum(cond, axis=1).T), k - 1, driver.provenance
     probs = np.asarray(driver, dtype=float)
-    if probs.shape != (m,) or probs.min() < 0 or probs.sum() <= 0:
-        raise ValueError("weight driver must be a nonnegative vector with positive sum, one entry per map")
+    if probs.shape != (m,) or not np.isfinite(probs).all() or probs.min() < 0 or probs.sum() <= 0:
+        raise ValueError(
+            "weight driver must be a finite, nonnegative vector with positive sum, one entry per map"
+        )
     probs = probs / probs.sum()
     return np.cumsum(probs), None, 0, f"weights({probs.tolist()})"
 
@@ -179,46 +182,51 @@ def attractor_points(
     """Chaos-game realization of the attractor.
 
     Runs ``chains`` independent chains from the origin, discards ``burn_in``
-    iterates per chain, and concatenates the chains' tails (chain-major) into
-    ``count`` points.  All points stay inside the invariant ball."""
+    iterates per chain, and writes the chains' tails in place, chain-major,
+    into ``count`` points: the first ``count % chains`` chains keep one
+    iterate more than the rest.  All points stay inside the invariant ball."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+    if chains < 1:
+        raise ValueError(f"chains must be >= 1, got {chains}")
     ifs.bounding_radius()  # raises if not contractive
     m = ifs.n_maps
-    n_chains = max(1, min(chains, count))
+    n_chains = min(chains, count)
     base, extra = divmod(count, n_chains)
     keep = base + (1 if extra else 0)
     total_steps = burn_in + keep
 
     iid_cum, cond_cum, ctx_depth, tag = _driver_tables(ifs, driver)
-    streams = np.random.SeedSequence(seed).spawn(n_chains)
-    uniforms = np.stack(
-        [np.random.default_rng(s).random(total_steps) for s in streams], axis=0
-    )
+    # step-major: row ``step`` holds every chain's uniform for that step
+    uniforms = np.empty((total_steps, n_chains))
+    for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
+        uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
 
     d = ifs.dimension
+    points = np.empty((count, d))
+    longer = points[: extra * keep].reshape(extra, keep, d)  # (chain, step, d) views
+    shorter = points[extra * keep :].reshape(n_chains - extra, base, d)
     x = np.zeros((n_chains, d))
     ctx = np.zeros(n_chains, dtype=np.int64)
     ctx_size = m**ctx_depth if ctx_depth else 1
-    out = np.empty((keep, n_chains, d))
     for step in range(total_steps):
-        r = uniforms[:, step]
+        r = uniforms[step]
         if cond_cum is None:
             sym = np.searchsorted(iid_cum, r, side="right")
         else:
-            sym = (cond_cum[ctx] < r[:, None]).sum(axis=1)
+            # the number of the context row's cumulative masses below r
+            sym = (cond_cum.take(ctx, axis=1) < r).sum(axis=0)
             ctx = (ctx * m + sym) % ctx_size
         sym = np.minimum(sym, m - 1)
-        x = np.einsum("cij,cj->ci", ifs.matrices[sym], x) + ifs.translations[sym]
-        if step >= burn_in:
-            out[step - burn_in] = x
-
-    series = out.transpose(1, 0, 2)  # (chain, step, d)
-    quotas = np.full(n_chains, base, dtype=int)
-    quotas[:extra] += 1
-    points = np.concatenate([series[c, : quotas[c]] for c in range(n_chains) if quotas[c]])
+        maps = ifs.matrices.take(sym, axis=0)
+        x = np.einsum("cij,cj->ci", maps, x) + ifs.translations.take(sym, axis=0)
+        i = step - burn_in
+        if i >= 0:
+            longer[:, i] = x[:extra]
+            if i < base:
+                shorter[:, i] = x[extra:]
     return PointCloud(points=points, seed=seed, driver=tag)
 
 
@@ -243,48 +251,67 @@ def check_scales(scales) -> list[float]:
     return scales
 
 
-def _occupied_cells(idx: np.ndarray, radices: list[int]) -> np.ndarray:
-    """The distinct rows of the (N, d) cell-index array ``idx``, whose axis-j
-    entries lie in [0, radices[j]), as a (K, d) integer array."""
+def _occupied_cells(columns, radices: list[int]) -> np.ndarray:
+    """The distinct cells of a grid, as a (K, d) integer array in sorted order.
+
+    ``columns`` is an iterator over the d per-axis cell-index arrays of the
+    same N items, each a fresh int64 array; the axis-j entries lie in
+    [0, radices[j]).  They are packed into one mixed-radix key as they come,
+    so only one of them is alive beside the key.  The distinct keys are the
+    sorted keys that differ from their predecessor."""
     if math.prod(radices) >= 2**62:  # mixed-radix key would overflow int64
-        return np.unique(idx, axis=0)
-    key = idx[:, 0]
-    for axis in range(1, idx.shape[1]):
-        key = key * radices[axis] + idx[:, axis]
-    return np.stack(np.unravel_index(np.unique(key), radices), axis=1)
+        return np.unique(np.stack(list(columns), axis=1), axis=0)
+    key = next(columns)
+    for radix, column in zip(radices[1:], columns):
+        key *= radix
+        key += column
+    key.sort()
+    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+    return np.stack(np.unravel_index(key, radices), axis=1)
 
 
 def box_dimension(cloud, scales) -> BoxDimensionResult:
     """Least-squares slope of log N(delta) against log(1/delta) over
     corner-anchored grid covers.
 
-    The scales are counted from finest to coarsest.  A scale with the same
-    float mantissa as the next finer one is that scale times 2^s, and its
-    occupied cells are the finer grid's cells shifted right by s bits, so only
-    the finer grid's few occupied cells are read.  The count is the one a pass
-    over the points would give: dividing by 2^s is exact in floating point
-    (barring subnormal quotients, whose floors are 0 either way), so
+    The cloud's lower corner and extent are taken one coordinate column at a
+    time, and a cloud with a non-finite coordinate is rejected.  The scales
+    are counted from finest to coarsest.  A scale with the same float mantissa
+    as the next finer one is that scale times 2^s, and its occupied cells are
+    the finer grid's cells shifted right by s bits, so only the finer grid's
+    few occupied cells are read.  The count is the one a pass over the points
+    would give: dividing by 2^s is exact in floating point (barring subnormal
+    quotients, whose floors are 0 either way), so
     floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
     offset u >= 0 from the cloud's lower corner.  Any other scale costs one
-    pass over the points."""
+    pass over the points, one column at a time.  Either way the occupied cells
+    are the distinct packed cell keys, found by sorting the keys in place."""
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     scales = check_scales(scales)
     if points.ndim != 2 or len(points) == 0:
         raise ValueError(f"expected a nonempty (N, d) point array, got shape {points.shape}")
-    mins = points.min(axis=0)
-    extent = points.max(axis=0) - mins
-    if not np.any(extent > 0):
+    # nan and inf propagate into a column's min or its extent
+    mins = [float(column.min()) for column in points.T]
+    extent = [float(column.max()) - lo for column, lo in zip(points.T, mins)]
+    if not all(math.isfinite(v) for v in mins + extent):
+        raise ValueError("cannot box-count a cloud with non-finite coordinates or extent")
+    if not any(e > 0 for e in extent):
         raise DegenerateCloudError("degenerate cloud: all points coincide")
 
     counts = []
     cells, finer = None, (None, None)  # occupied cells and frexp of the finer scale
     for delta in reversed(scales):
-        radices = [int(r) + 1 for r in np.floor(extent / delta)]
+        radices = [math.floor(e / delta) + 1 for e in extent]
         mantissa, exponent = math.frexp(delta)
         if mantissa == finer[0]:
-            cells = _occupied_cells(cells >> (exponent - finer[1]), radices)
+            shift = exponent - finer[1]
+            cells = _occupied_cells((column >> shift for column in cells.T), radices)
         else:
-            cells = _occupied_cells(np.floor((points - mins) / delta).astype(np.int64), radices)
+            # the quotients are >= 0, so the truncating cast is the floor
+            cells = _occupied_cells(
+                (((column - lo) / delta).astype(np.int64) for column, lo in zip(points.T, mins)),
+                radices,
+            )
         counts.append(len(cells))
         finer = mantissa, exponent
     counts.reverse()

@@ -160,6 +160,12 @@ class TestAttractorPoints:
             attractor_points(cantor_ifs(), 100, burn_in=-3)
         assert len(attractor_points(cantor_ifs(), 100, burn_in=0).points) == 100
 
+    def test_non_positive_chains_rejected(self):
+        for chains in (0, -5):
+            with pytest.raises(ValueError, match="chains"):
+                attractor_points(cantor_ifs(), 100, chains=chains)
+        assert len(attractor_points(cantor_ifs(), 100, chains=1).points) == 100
+
     def test_weight_driver_and_mismatch(self):
         ifs = cantor_ifs()
         cloud = attractor_points(ifs, 500, burn_in=50, seed=1, driver=[0.9, 0.1])
@@ -168,6 +174,79 @@ class TestAttractorPoints:
             attractor_points(ifs, 100, driver=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
             attractor_points(ifs, 100, driver=[0.0, 0.0])
+        for weights in ([math.nan, 1.0], [math.inf, 1.0]):
+            with pytest.raises(ValueError, match="finite"):
+                attractor_points(ifs, 100, driver=weights)
+
+
+def _cesaro_driver(ifs, t, n, k):
+    return mu_cesaro(NaturalCylinderFunction(ifs), t, n, k)
+
+
+def _pin_case(name):
+    """(ifs, count, keyword arguments) of one pinned chaos-game run."""
+    if name == "uniform-d2":  # default 512 chains; 1500 % 512 != 0
+        return generic_pair_ifs(), 1500, dict(burn_in=50, seed=3)
+    if name == "weights-d1":
+        return cantor_ifs(), 777, dict(burn_in=20, seed=4, driver=[0.3, 0.7], chains=10)
+    if name == "cesaro-depth1-d2":  # count % chains == 0
+        ifs = generic_pair_ifs()
+        return ifs, 600, dict(burn_in=30, seed=5, driver=_cesaro_driver(ifs, 0.86, 6, 1), chains=8)
+    if name == "cesaro-depth3-d2":
+        ifs = generic_pair_ifs()
+        return ifs, 1001, dict(burn_in=40, seed=6, driver=_cesaro_driver(ifs, 0.86, 8, 3), chains=16)
+    if name == "conditional-11-d3":
+        ifs = random_affine_ifs(np.random.default_rng(5), 3, 11)
+        return ifs, 500, dict(burn_in=25, seed=7, driver=_cesaro_driver(ifs, 1.5, 3, 2), chains=7)
+    if name == "chains-over-count":
+        return swap_pair_ifs(), 5, dict(burn_in=10, seed=8, chains=16)
+    if name == "no-burn-in-d3":
+        ifs = random_affine_ifs(np.random.default_rng(6), 3, 3)
+        return ifs, 300, dict(burn_in=0, seed=9, driver=[0.5, 0.2, 0.3], chains=12)
+    raise KeyError(name)
+
+
+# sha256 of points.tobytes() and the driver tag, recorded with the per-step
+# fancy-index chaos game and np.concatenate of the chains' tails
+PINNED_CLOUDS = {
+    "uniform-d2": (
+        "a6015f42533a7836f93e2218c03c48a5435d9ff63124fb1504401b8388702d09",
+        "uniform",
+    ),
+    "weights-d1": (
+        "b74f3528185478b8e9206f0313ba31ee38fd80cef3c3ea8476ea9b104ed271a2",
+        "weights([0.3, 0.7])",
+    ),
+    "cesaro-depth1-d2": (
+        "1ff6e95b89da8c6dcc3d8d7d1a204698ab5b557f38d9b1e19c80e27837d40483",
+        "mu_cesaro(n=6,t=0.86,k=1,tail=pad)",
+    ),
+    "cesaro-depth3-d2": (
+        "3471bb1f27b4e85c93b108554c0ba63713ef60b8a8aa2186163c7a12fd5bfdfa",
+        "mu_cesaro(n=8,t=0.86,k=3,tail=pad)",
+    ),
+    "conditional-11-d3": (
+        "dfc54b2530ba8297ec7e511398d595ec79d63800a1570d88201fbd0e75ba319c",
+        "mu_cesaro(n=3,t=1.5,k=2,tail=pad)",
+    ),
+    "chains-over-count": (
+        "e71a2630372d84a3db2b49bd6e0324df0a320ebf022f5e1b012d3be90ff04217",
+        "uniform",
+    ),
+    "no-burn-in-d3": (
+        "9158933f22f9ba5de02f59b567d4db664a1acb5a8748524270ae8e2e1d04eb96",
+        "weights([0.5, 0.2, 0.3])",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CLOUDS))
+def test_chaos_game_bits_pinned(name):
+    ifs, count, kwargs = _pin_case(name)
+    cloud = attractor_points(ifs, count, **kwargs)
+    assert cloud.points.shape == (count, ifs.dimension)
+    digest = hashlib.sha256(cloud.points.tobytes()).hexdigest()
+    assert (digest, cloud.driver) == PINNED_CLOUDS[name]
 
 
 class TestBoxDimension:
@@ -198,6 +277,16 @@ class TestBoxDimension:
         for scales in ([math.inf, 0.5, 0.25], [0.5, math.nan, 0.25]):
             with pytest.raises(ValueError, match="finite"):
                 box_dimension(points, scales)
+
+    def test_non_finite_cloud_rejected(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            for column in (0, 1):
+                points = np.random.default_rng(0).random((100, 2))
+                points[17, column] = bad
+                with pytest.raises(ValueError, match="non-finite"):
+                    box_dimension(points, [0.5, 0.25, 0.125])
+        with pytest.raises(ValueError, match="non-finite"):
+            box_dimension(np.full((3, 2), math.inf), [0.5, 0.25, 0.125])
 
     def test_counts_monotone(self):
         rng = np.random.default_rng(7)
