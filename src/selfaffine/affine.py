@@ -163,11 +163,15 @@ def _driver_tables(ifs: AffineIFS, driver):
         cond = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 1.0 / m)
         return None, np.ascontiguousarray(np.cumsum(cond, axis=1).T), k - 1, driver.provenance
     probs = np.asarray(driver, dtype=float)
-    if probs.shape != (m,) or not np.isfinite(probs).all() or probs.min() < 0 or probs.sum() <= 0:
+    with np.errstate(all="ignore"):
+        total = probs.sum()  # inf when finite weights overflow
+    if (probs.shape != (m,) or not np.isfinite(probs).all() or probs.min() < 0
+            or not 0 < total < math.inf):
         raise ValueError(
-            "weight driver must be a finite, nonnegative vector with positive sum, one entry per map"
+            "weight driver must be a finite, nonnegative vector with positive, finite sum, "
+            "one entry per map"
         )
-    probs = probs / probs.sum()
+    probs = probs / total
     return np.cumsum(probs), None, 0, f"weights({probs.tolist()})"
 
 
@@ -275,7 +279,8 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     corner-anchored grid covers.
 
     The cloud's lower corner and extent are taken one coordinate column at a
-    time, and a cloud with a non-finite coordinate is rejected.  The scales
+    time, and a cloud with a non-finite coordinate is rejected, as is a scale
+    at which an axis would need 2^63 or more cells.  The scales
     are counted from finest to coarsest.  A scale with the same float mantissa
     as the next finer one is that scale times 2^s, and its occupied cells are
     the finer grid's cells shifted right by s bits, so only the finer grid's
@@ -301,6 +306,11 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     counts = []
     cells, finer = None, (None, None)  # occupied cells and frexp of the finer scale
     for delta in reversed(scales):
+        if not all(e / delta < 2**63 for e in extent):
+            raise ValueError(
+                f"box scale {delta!r} is too small for the cloud: its cell indices "
+                "overflow 64-bit integers"
+            )
         radices = [math.floor(e / delta) + 1 for e in extent]
         mantissa, exponent = math.frexp(delta)
         if mantissa == finer[0]:

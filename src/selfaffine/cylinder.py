@@ -32,6 +32,17 @@ the cap, and a block larger than the cap is never kept, so such a block is
 recomputed at every parameter.  Single-word ``log_value`` calls do not fill
 the memo.  The compound products behind a block take ``C(d, k)^2`` floats
 per word, so they are formed at most ``PRODUCT_CHUNK_WORDS`` words at a time.
+
+A feature is the log of the top singular value of a compound product, from
+``top_singular_values``.  Compounds up to 3 x 3 (every k when d <= 3, and
+k = 4 when d = 4) take closed forms: ``|a|`` for 1 x 1, a sum of two
+``hypot`` terms for 2 x 2, and for 3 x 3 the largest eigenvalue of the Gram
+matrix of the product scaled to largest entry 1, by the trigonometric formula.
+Each is within a few ulps of LAPACK's a_1, for the reasons its docstring
+gives; the 3 x 3 rows whose top two singular values nearly meet, and the
+4 x 4 and 6 x 6 compounds of d = 4, go to LAPACK.  A product that underflows
+to the zero matrix has top singular value 0, so its feature is ``-inf`` and
+the block raises ``NumericallySingularError``.
 """
 
 from __future__ import annotations
@@ -46,8 +57,8 @@ from .errors import NumericallySingularError
 from .linalg import (
     compound_matrix,
     singular_values,
-    singular_values_batch,
     svf_compound_terms,
+    top_singular_values,
     word_matrix,
 )
 from .symbolic import DEFAULT_WORD_BUDGET, Word
@@ -150,7 +161,7 @@ class NaturalCylinderFunction(CylinderFunction):
         feats = np.empty((len(heads), self.n_symbols**inner))
         with np.errstate(divide="ignore"):
             for head, row in zip(heads, feats):
-                row[:] = np.log(singular_values_batch(extend(head[None, :, :], inner))[:, 0])
+                row[:] = np.log(top_singular_values(extend(head[None, :, :], inner)))
         feats = feats.reshape(-1)
         if not np.all(np.isfinite(feats)):
             raise NumericallySingularError(

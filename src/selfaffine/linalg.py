@@ -27,6 +27,11 @@ SINGULAR_RTOL = 1e-14
 #: Supported ambient dimensions.
 MAX_DIM = 4
 
+#: Rows of the 3 x 3 closed form whose r = cos(3 phi) lies below this go to
+#: LAPACK: there the top two Gram eigenvalues nearly meet, the slope of
+#: acos(r) blows up, and the trigonometric formula loses up to half its digits.
+_TRIG_R_MIN = -1 + 1e-3
+
 
 def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values of A, sorted non-increasing, all strictly positive.
@@ -50,10 +55,75 @@ def singular_values(A: np.ndarray) -> np.ndarray:
     return svals
 
 
-def singular_values_batch(mats: np.ndarray) -> np.ndarray:
-    """Singular values of a stack of matrices, shape (N, d) non-increasing."""
+def top_singular_values(mats: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of an (N, m, m) stack.
+
+    Closed forms serve m <= 3, each within a few ulps of LAPACK's value, and
+    LAPACK serves m >= 4.  A zero matrix gives 0, with no floating-point
+    warning.
+
+    - m = 1: ``|a|``, the same bits as the 1 x 1 SVD.
+    - m = 2: ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``.  The two
+      hypotenuses are a_1 + a_2 and a_1 - a_2.  The sums a + d, ..., b + c
+      are rounded by at most an ulp of a_1, ``hypot`` squares nothing (so
+      entries near 1e-160 do not underflow), and the final sum adds two
+      non-negative terms, so a_1 is within a few ulps.  (The textbook
+      ``sqrt((|M|_F^2 + sqrt(|M|_F^4 - 4 det^2)) / 2)`` subtracts near-equal
+      squares for near-conformal matrices and is off by about 1.5e-8 there.)
+    - m = 3: see ``_top_singular_values_3x3``.
+    """
     mats = np.asarray(mats, dtype=float)
-    return np.linalg.svd(mats, compute_uv=False)
+    n, m = mats.shape[:2]
+    if m == 1:
+        return np.abs(mats[:, 0, 0])
+    if m == 2:
+        a, b, c, d = mats.reshape(n, 4).T
+        return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2
+    if m == 3:
+        return _top_singular_values_3x3(mats)
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _top_singular_values_3x3(mats: np.ndarray) -> np.ndarray:
+    """Top singular values of an (N, 3, 3) stack: the square root of the
+    largest eigenvalue of the Gram matrix G = M^T M, by the trigonometric
+    formula for symmetric 3 x 3 matrices (O. K. Smith, CACM 4(4), 1961):
+
+        q = tr G / 3,  p^2 = |G - qI|_F^2 / 6,  r = det(G - qI) / (2 p^3),
+        lambda_1 = q + 2 p cos(acos(r) / 3).
+
+    Each matrix is first divided by its largest |entry|, because entries of
+    deep word products reach 1e-160 and their squares would underflow.  Then
+    lambda_1 lies in [1, 9], and the Gram entries, q, p and p * r are all
+    correct to a few ulps of 1 (r's own error grows like 1/p, but it enters
+    lambda_1 multiplied by p).  So lambda_1 is correct to a few ulps wherever
+    r -> cos(acos(r) / 3) has a bounded slope.  That slope is 1/9 at r = 1
+    and grows without bound as r -> -1, where the top two eigenvalues meet;
+    rows with r below ``_TRIG_R_MIN`` (slope about 6.4) go to LAPACK."""
+    n = len(mats)
+    flat = mats.reshape(n, 9)
+    scale = np.abs(flat).max(axis=1)
+    scale[scale == 0] = 1.0  # a zero matrix stays zero
+    # row 3i + j holds entry (i, j) of every matrix, so column j is rows j::3
+    e = np.ascontiguousarray((flat / scale[:, None]).T)
+    c0, c1, c2 = e[0::3], e[1::3], e[2::3]
+    g00, g11, g22 = (np.einsum("kn,kn->n", c, c) for c in (c0, c1, c2))
+    g01, g02, g12 = (np.einsum("kn,kn->n", a, b) for a, b in ((c0, c1), (c0, c2), (c1, c2)))
+    q = (g00 + g11 + g22) / 3
+    b00, b11, b22 = g00 - q, g11 - q, g22 - q
+    p2 = (b00 * b00 + b11 * b11 + b22 * b22 + 2 * (g01 * g01 + g02 * g02 + g12 * g12)) / 6
+    det = (b00 * (b11 * b22 - g12 * g12) - g01 * (g01 * b22 - g12 * g02)
+           + g02 * (g01 * g12 - b11 * g02))
+    p = np.sqrt(p2)
+    p3 = p2 * p
+    r = np.ones(n)  # G = qI (p = 0): lambda_1 = q
+    np.divide(det, 2 * p3, out=r, where=p3 > 0)
+    np.clip(r, -1.0, 1.0, out=r)
+    out = np.sqrt(q + 2 * p * np.cos(np.arccos(r) / 3)) * scale
+    near = np.flatnonzero(r < _TRIG_R_MIN)
+    if len(near):
+        out[near] = np.linalg.svd(mats[near], compute_uv=False)[:, 0]
+    return out
 
 
 def svf_exponents(t: float, d: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -177,6 +178,9 @@ class TestAttractorPoints:
         for weights in ([math.nan, 1.0], [math.inf, 1.0]):
             with pytest.raises(ValueError, match="finite"):
                 attractor_points(ifs, 100, driver=weights)
+        # finite weights whose sum overflows, with no overflow warning
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite sum"):
+            attractor_points(ifs, 100, driver=[1e308, 1e308])
 
 
 def _cesaro_driver(ifs, t, n, k):
@@ -271,6 +275,15 @@ class TestBoxDimension:
             box_dimension(points, [0.5, 0.25])  # too few
         with pytest.raises(ValueError):
             box_dimension(points, [0.25, 0.5, 0.125])  # not decreasing
+
+    def test_scales_too_fine_for_the_cloud_rejected(self):
+        """Cell indices at the finest scale must fit int64; the finest
+        offending scale is named."""
+        points = np.random.default_rng(0).random((100, 2))
+        for scales in ([1e-300, 1e-310, 1e-320], [0.5, 0.25, 1e-19]):
+            message = re.escape(f"box scale {scales[-1]!r} is too small")
+            with pytest.raises(ValueError, match=message):
+                box_dimension(points, scales)
 
     def test_non_finite_scales_rejected(self):
         points = np.random.default_rng(0).random((100, 2))

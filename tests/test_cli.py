@@ -282,6 +282,15 @@ def test_uniform_driver_ignores_depth_and_zero_burn_in_is_valid(cantor_path, tmp
     assert (out / "attractor.pgm").exists()
 
 
+def test_boxdim_scale_too_fine_is_named_error(cantor_path, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["boxdim", "--ifs", str(cantor_path), "--count", "100",
+                 "--scales", "1e-300,1e-310,1e-320", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: box scale 1e-320" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_dim_underflow_is_named_error(tmp_path, capsys):
     path = tmp_path / "tiny.json"
     write_ifs_file(AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny"), path)

@@ -2,10 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from systems import random_contractive_matrix
+from systems import random_affine_ifs, random_contractive_matrix
 
-from selfaffine import NumericallySingularError, singular_values, svf_alpha_t, word_matrix
-from selfaffine.linalg import log_svf_alpha_t, svf_exponents
+from selfaffine import (
+    AffineIFS,
+    NaturalCylinderFunction,
+    NumericallySingularError,
+    log_partition_sum,
+    singular_values,
+    svf_alpha_t,
+    word_matrix,
+    words_of_length,
+)
+from selfaffine.linalg import (
+    compound_matrix,
+    log_svf_alpha_t,
+    svf_exponents,
+    top_singular_values,
+)
 
 
 def test_singular_values_identity():
@@ -138,3 +152,79 @@ def test_word_matrix_order():
     A = random_contractive_matrix(rng, 2)
     B = random_contractive_matrix(rng, 2)
     assert np.allclose(word_matrix(np.stack([A, B]), (0, 1)), A @ B, rtol=1e-14)
+
+
+def _svd_top(mats):
+    return np.linalg.svd(mats, compute_uv=False)[:, 0]
+
+
+def _kernel_cases(m, count=2000):
+    """Named (count, m, m) stacks: Gaussian, near-conformal (scaled orthogonal
+    plus noise), and for m = 3 a top singular-value pair of ratio 1 - 1e-6."""
+    rng = np.random.default_rng(10 + m)
+
+    def orthogonal():
+        return np.linalg.qr(rng.standard_normal((count, m, m)))[0]
+
+    cases = {"gaussian": rng.standard_normal((count, m, m))}
+    for noise in (0.0, 1e-12, 1e-8, 1e-4):
+        scale = rng.uniform(0.1, 2.0, (count, 1, 1))
+        cases[f"conformal+{noise:g}"] = scale * (
+            orthogonal() + noise * rng.standard_normal((count, m, m))
+        )
+    if m == 3:
+        svals = np.stack(
+            [np.ones(count), np.full(count, 1 - 1e-6), rng.uniform(0.0, 1 - 1e-6, count)], axis=1
+        )
+        cases["top-pair"] = (orthogonal() * svals[:, None, :]) @ orthogonal().transpose(0, 2, 1)
+    return cases
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-200, 1e-300])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_top_singular_values_match_svd(m, scale):
+    for name, mats in _kernel_cases(m).items():
+        mats = mats * scale
+        np.testing.assert_allclose(
+            top_singular_values(mats), _svd_top(mats), rtol=1e-13, atol=0, err_msg=name
+        )
+
+
+@pytest.mark.parametrize("m", [1, 4, 6])
+def test_top_singular_values_bit_equal_to_svd(m):
+    mats = np.random.default_rng(m).standard_normal((500, m, m))
+    assert np.array_equal(top_singular_values(mats), _svd_top(mats))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_top_singular_value_of_zero_matrix_is_zero(m):
+    mats = np.zeros((3, m, m))
+    mats[1] = np.eye(m)
+    with np.errstate(all="raise"):
+        assert top_singular_values(mats).tolist() == [0.0, 1.0, 0.0]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_underflowing_closed_form_products_raise_named_error(d):
+    """Level-3 products of 1e-150 times a permutation underflow to the zero
+    matrix; levels 1 and 2 must not."""
+    ifs = AffineIFS(d, [1e-150 * np.eye(d)[::-1]] * 2, np.zeros((2, d)), name="tiny")
+    cf = NaturalCylinderFunction(ifs)
+    assert math.isfinite(log_partition_sum(cf, 1.0, 2))
+    with pytest.raises(NumericallySingularError, match="level 3"):
+        log_partition_sum(cf, 1.0, 3)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_level_features_match_svd_reference(d):
+    """log(a_1...a_k) of every level-6 word, read off ``log_value_block`` at
+    t = k, against LAPACK's top singular value of the word's k-th compound
+    product."""
+    rng = np.random.default_rng(40 + d)
+    ifs = random_affine_ifs(rng, d, 3)
+    cf = NaturalCylinderFunction(ifs)
+    words = list(words_of_length(3, 6))
+    for k in range(1, d + 1):
+        comps = np.stack([compound_matrix(A, k) for A in ifs.matrices])
+        reference = np.log(_svd_top(np.stack([word_matrix(comps, w) for w in words])))
+        assert np.max(np.abs(cf.log_value_block(float(k), (), 6) - reference)) <= 1e-13
