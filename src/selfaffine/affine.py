@@ -12,6 +12,17 @@ Randomness: numpy's PCG64 behind ``default_rng``; 64-bit seeds.  Chains of the
 chaos game draw from per-chain streams created with ``SeedSequence.spawn``, so
 a fixed (seed, chains) pair reproduces the cloud bit for bit regardless of how
 the chains are scheduled.
+
+The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
+context c of a conditional driver walks the state c * (m + 1) through tables
+linear in the number of contexts, and its next context carries the symbol it
+emits, clamped to m - 1 when a uniform lies at or above its row's last
+cumulative mass (rows can end just below 1 after normalization).  A step maps
+each chain's column (x, 1) by its map's [A | a] in one einsum, summing each
+row left to right with a * 1 last: for d <= 2 that is the arithmetic of
+A x + a, and for d >= 3 it may differ in the last bits from numpy's
+pairwise-ordered ``A x`` of the earlier step-at-a-time loop (whose d = 3
+pinned clouds, ``conditional-11-d3`` and ``no-burn-in-d3``, were re-recorded).
 """
 
 from __future__ import annotations
@@ -28,6 +39,10 @@ from .linalg import singular_values
 #: Number of independent chaos-game chains (a config value, not a worker count:
 #: it changes the sampled cloud, so it is fixed by default).
 DEFAULT_CHAINS = 512
+
+#: Lockstep chaos-game steps per chunk: one gather of the maps, one copy into
+#: the cloud and, for an i.i.d. driver, one symbol draw serve this many steps.
+CHUNK_STEPS = 64
 
 #: Smallest raster side ``render_pgm`` accepts.
 MIN_RESOLUTION = 16
@@ -144,24 +159,25 @@ class PointCloud:
 
 def _driver_tables(ifs: AffineIFS, driver):
     """Resolve a chaos-game driver into (iid cumulative probs, conditional
-    cumulative masses, context depth, provenance tag).  The conditional table
-    is (m, contexts): column c holds context c's cumulative masses."""
+    cumulative masses, provenance tag).  The conditional table is
+    (contexts, m): row c holds context c's cumulative masses, and context c
+    is the packed index of the last k - 1 symbols of a depth-k driver."""
     from .equilibrium import CylinderMeasure
 
     m = ifs.n_maps
     if driver is None:
         probs = np.full(m, 1.0 / m)
-        return np.cumsum(probs), None, 0, "uniform"
+        return np.cumsum(probs), None, "uniform"
     if isinstance(driver, CylinderMeasure):
         if driver.n_symbols != m:
             raise ValueError("driver measure is over a different alphabet")
         k = driver.depth
         if k == 1:
-            return np.cumsum(driver.masses), None, 0, driver.provenance
+            return np.cumsum(driver.masses), None, driver.provenance
         rows = driver.masses.reshape(m ** (k - 1), m)
         row_sums = rows.sum(axis=1, keepdims=True)
         cond = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 1.0 / m)
-        return None, np.ascontiguousarray(np.cumsum(cond, axis=1).T), k - 1, driver.provenance
+        return None, np.cumsum(cond, axis=1), driver.provenance
     probs = np.asarray(driver, dtype=float)
     with np.errstate(all="ignore"):
         total = probs.sum()  # inf when finite weights overflow
@@ -172,7 +188,26 @@ def _driver_tables(ifs: AffineIFS, driver):
             "one entry per map"
         )
     probs = probs / total
-    return np.cumsum(probs), None, 0, f"weights({probs.tolist()})"
+    return np.cumsum(probs), None, f"weights({probs.tolist()})"
+
+
+def _context_walk(cond_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of the conditional walk, each linear in the number of contexts.
+
+    A chain in context c is in state z = c * (m + 1).  Column z of the
+    (m, contexts * (m + 1)) view ``cum_rows`` is context c's cumulative row (a
+    window on one flat array of the rows, each followed by a pad).  For the
+    number s in 0..m of that row's entries below a uniform, the chain emits
+    ``symbol[z + s] = min(s, m - 1)`` and moves to ``next_state[z + s]``, the
+    state of context (c * m + min(s, m - 1)) mod contexts: the context
+    carries the clamped symbol, the one the chain emits."""
+    contexts, m = cond_cum.shape
+    flat = np.zeros(contexts * (m + 1) + m - 1)
+    flat[: contexts * (m + 1)].reshape(contexts, m + 1)[:, :m] = cond_cum
+    cum_rows = np.lib.stride_tricks.sliding_window_view(flat, m).T
+    clamped = np.minimum(np.arange(m + 1), m - 1)
+    next_state = (np.arange(contexts)[:, None] * m + clamped) % contexts * (m + 1)
+    return cum_rows, next_state.ravel(), np.tile(clamped, contexts)
 
 
 def attractor_points(
@@ -188,7 +223,15 @@ def attractor_points(
     Runs ``chains`` independent chains from the origin, discards ``burn_in``
     iterates per chain, and writes the chains' tails in place, chain-major,
     into ``count`` points: the first ``count % chains`` chains keep one
-    iterate more than the rest.  All points stay inside the invariant ball."""
+    iterate more than the rest.  All points stay inside the invariant ball.
+
+    The chains move in lockstep, ``CHUNK_STEPS`` steps at a time.  Each
+    chain's stream fills its own row of uniforms.  An i.i.d. driver picks a
+    chunk's symbols in one pass; a conditional driver walks each chain's
+    context state one step at a time, and the context carries the clamped
+    symbol.  A chain's state is the column ``(x, 1)``, so a step is one
+    einsum with the maps' ``[A | a]`` gathered once per chunk, and each
+    coordinate's sum runs left to right, ``a * 1`` last."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if burn_in < 0:
@@ -202,35 +245,61 @@ def attractor_points(
     keep = base + (1 if extra else 0)
     total_steps = burn_in + keep
 
-    iid_cum, cond_cum, ctx_depth, tag = _driver_tables(ifs, driver)
-    # step-major: row ``step`` holds every chain's uniform for that step
-    uniforms = np.empty((total_steps, n_chains))
-    for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
-        uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
+    iid_cum, cond_cum, tag = _driver_tables(ifs, driver)
+    # chain-major: row c holds chain c's uniforms in stream order
+    uniforms = np.empty((n_chains, total_steps))
+    for row, stream in zip(uniforms, np.random.SeedSequence(seed).spawn(n_chains)):
+        np.random.default_rng(stream).random(out=row)
 
     d = ifs.dimension
     points = np.empty((count, d))
     longer = points[: extra * keep].reshape(extra, keep, d)  # (chain, step, d) views
     shorter = points[extra * keep :].reshape(n_chains - extra, base, d)
-    x = np.zeros((n_chains, d))
-    ctx = np.zeros(n_chains, dtype=np.int64)
-    ctx_size = m**ctx_depth if ctx_depth else 1
-    for step in range(total_steps):
-        r = uniforms[step]
+    # [:, :, i] is the transpose of [A_i | a_i].  With the summed index j
+    # outermost in the gathered maps, numpy's einsum adds the terms in order
+    # of j for any number of chains; with j innermost it pairs them when the
+    # chain axis has length 1
+    columns = np.concatenate((ifs.matrices, ifs.translations[:, :, None]), axis=2)
+    columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
+    chunk = min(CHUNK_STEPS, total_steps)
+    # row 0 is the state carried into the chunk and row s + 1 the state after
+    # its step s; coordinate row d stays 1
+    states = np.ones((chunk + 1, d + 1, n_chains))
+    states[0, :d] = 0.0
+    if cond_cum is not None:
+        cum_rows, next_state, symbol = _context_walk(cond_cum)
+        state = np.zeros(n_chains, dtype=np.intp)
+        cum_row = np.empty((m, n_chains))
+        below = np.empty((m, n_chains), dtype=bool)
+        n_below = np.empty(n_chains, dtype=np.intp)
+    for start in range(0, total_steps, chunk):
+        steps = min(chunk, total_steps - start)
+        u = uniforms[:, start : start + steps].T  # (step, chain)
         if cond_cum is None:
-            sym = np.searchsorted(iid_cum, r, side="right")
+            sym = np.searchsorted(iid_cum, u, side="right")
+            np.minimum(sym, m - 1, out=sym)
         else:
-            # the number of the context row's cumulative masses below r
-            sym = (cond_cum.take(ctx, axis=1) < r).sum(axis=0)
-            ctx = (ctx * m + sym) % ctx_size
-        sym = np.minimum(sym, m - 1)
-        maps = ifs.matrices.take(sym, axis=0)
-        x = np.einsum("cij,cj->ci", maps, x) + ifs.translations.take(sym, axis=0)
-        i = step - burn_in
-        if i >= 0:
-            longer[:, i] = x[:extra]
-            if i < base:
-                shorter[:, i] = x[extra:]
+            moved = np.empty((steps, n_chains), dtype=np.intp)
+            for r, z_s in zip(u, moved):
+                # z + s, with s the number of the context row's masses below r
+                # mode="clip": indices are in range, and "raise" would buffer ``out``
+                cum_rows.take(state, axis=1, out=cum_row, mode="clip")
+                np.less(cum_row, r, out=below)
+                np.add.reduce(below, axis=0, out=n_below)
+                np.add(state, n_below, out=z_s)
+                next_state.take(z_s, out=state, mode="clip")
+            sym = symbol.take(moved)
+        maps = columns.take(sym, axis=2)  # (d + 1, d, step, chain)
+        for s in range(steps):
+            np.einsum("jic,jc->ic", maps[:, :, s], states[s], out=states[s + 1, :d])
+        # the chunk's kept iterates: indices lo..hi-1 of each chain's tail
+        lo, hi = max(start, burn_in) - burn_in, start + steps - burn_in
+        if lo < hi:
+            kept = states[steps + 1 - (hi - lo) : steps + 1]
+            for k in range(d):  # one coordinate at a time: long runs of reads
+                longer[:, lo:hi, k] = kept[:, k, :extra].T
+                shorter[:, lo : min(hi, base), k] = kept[: base - lo, k, extra:].T
+        states[0] = states[steps]
     return PointCloud(points=points, seed=seed, driver=tag)
 
 

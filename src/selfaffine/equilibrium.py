@@ -28,8 +28,8 @@ Entropy and energy are the finite-depth quotients (natural log throughout);
 every probability assignment and zero exactly at the nu weights.
 Each consumer of level-n word values reads them, and ``log S_n``, from one
 ``pressure.level_log_values`` sweep; ``diagnostics`` builds its depth-k and
-depth-(k+1) tables from one ``nu``, and at k = n takes the energy from that
-sweep too.
+depth-(k+1) tables from one ``nu``, takes the level-n pressure of its Fekete
+envelope from that sweep, and at k = n takes the energy from it too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinder import CylinderFunction
-from .pressure import level_log_values, pressure_sequence
+from .pressure import level_log_values, pressure_level
 from .symbolic import Word, pack_word, word_str
 
 
@@ -289,8 +289,9 @@ def diagnostics(
     defect = _defect(_cesaro(nu, t, k + 1, tail_mode)) if k < n else None
     h = entropy_depth(mu)
     e = _energy(mu, lv) if k == n else energy_depth(cf, t, mu)
-    del lv  # not held while the pressure sequence builds its own level-n values
-    upper = pressure_sequence(cf, t, n).fekete_upper
+    del lv  # not held while the lower levels are swept
+    # the Fekete envelope through level n, level n from the sweep above
+    upper = min([pressure_level(cf, t, j) for j in range(1, n)] + [log_s / n])
     return EquilibriumDiagnostics(
         t=float(t),
         level=n,

@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from systems import cantor_ifs, generic_pair_ifs, random_affine_ifs, swap_pair_ifs
 
 from selfaffine import (
     AffineIFS,
+    CylinderMeasure,
     DegenerateCloudError,
     attractor_points,
     box_dimension,
@@ -19,6 +20,8 @@ from selfaffine import (
     sample_translations,
     validate_ifs,
 )
+from selfaffine import affine
+from selfaffine.affine import CHUNK_STEPS, DEFAULT_CHAINS, _driver_tables
 
 
 class TestAffineIFS:
@@ -183,6 +186,122 @@ class TestAttractorPoints:
             attractor_points(ifs, 100, driver=[1e308, 1e308])
 
 
+def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
+                                chains=DEFAULT_CHAINS):
+    """The chaos game one lockstep step at a time, with the per-chain
+    uniforms in a step-major array and the context carrying the clamped
+    symbol: the loop ``attractor_points`` ran before it stepped in chunks."""
+    m = ifs.n_maps
+    n_chains = min(chains, count)
+    base, extra = divmod(count, n_chains)
+    keep = base + (1 if extra else 0)
+    total_steps = burn_in + keep
+    iid_cum, cond_cum, tag = _driver_tables(ifs, driver)
+    uniforms = np.empty((total_steps, n_chains))
+    for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
+        uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
+    d = ifs.dimension
+    points = np.empty((count, d))
+    longer = points[: extra * keep].reshape(extra, keep, d)
+    shorter = points[extra * keep :].reshape(n_chains - extra, base, d)
+    x = np.zeros((n_chains, d))
+    ctx = np.zeros(n_chains, dtype=np.int64)
+    for step in range(total_steps):
+        r = uniforms[step]
+        if cond_cum is None:
+            sym = np.minimum(np.searchsorted(iid_cum, r, side="right"), m - 1)
+        else:
+            sym = np.minimum((cond_cum.take(ctx, axis=0) < r[:, None]).sum(axis=1), m - 1)
+            ctx = (ctx * m + sym) % len(cond_cum)
+        maps = ifs.matrices.take(sym, axis=0)
+        x = np.einsum("cij,cj->ci", maps, x) + ifs.translations.take(sym, axis=0)
+        i = step - burn_in
+        if i >= 0:
+            longer[:, i] = x[:extra]
+            if i < base:
+                shorter[:, i] = x[extra:]
+    return affine.PointCloud(points=points, seed=seed, driver=tag)
+
+
+def _sweep_driver(rng, kind, m):
+    if kind == "uniform":
+        return None
+    if kind == "weights":
+        weights = rng.random(m) * (rng.random(m) < 0.7)
+        weights[rng.integers(m)] += 0.1  # a positive sum
+        return weights.tolist()
+    depth = int(kind[-1])
+    masses = rng.random(m**depth) * (rng.random(m**depth) < 0.6)  # rows of zero mass
+    masses[rng.integers(m**depth)] += 0.1
+    return CylinderMeasure(m, depth, masses / masses.sum())
+
+
+class TestChunkedChaosGame:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.integers(1, 4),
+        m=st.integers(1, 5),
+        chains=st.integers(1, 9),
+        count=st.integers(1, 3 * CHUNK_STEPS),
+        burn_in=st.sampled_from([0, 1, CHUNK_STEPS - 1, CHUNK_STEPS + 3]),
+        kind=st.sampled_from(["uniform", "weights", "depth-1", "depth-2", "depth-3"]),
+    )
+    # one chain: numpy's einsum reduces innermost over a summed axis, pairing terms
+    @example(seed=0, d=2, m=1, chains=1, count=2, burn_in=CHUNK_STEPS - 1, kind="uniform")
+    def test_matches_step_at_a_time_loop(self, seed, d, m, chains, count, burn_in, kind):
+        """Bit-equal clouds for d <= 2; for d >= 3 the sum over a row of
+        ``[A | a]`` runs in another order, so only rounding may differ."""
+        rng = np.random.default_rng(seed)
+        ifs = random_affine_ifs(rng, d, m)
+        driver = _sweep_driver(rng, kind, m)
+        kwargs = dict(burn_in=burn_in, seed=seed, driver=driver, chains=chains)
+        cloud = attractor_points(ifs, count, **kwargs)
+        reference = _reference_attractor_points(ifs, count, **kwargs)
+        assert cloud.driver == reference.driver
+        assert cloud.points.shape == reference.points.shape == (count, d)
+        if d <= 2:
+            assert cloud.points.tobytes() == reference.points.tobytes()
+        else:
+            scale = np.abs(reference.points).max()
+            assert np.abs(cloud.points - reference.points).max() <= 4 * np.finfo(float).eps * scale
+
+    def test_context_carries_the_clamped_symbol(self, monkeypatch):
+        """A uniform at or above a context row's last cumulative mass emits
+        the last symbol, and the next context is that symbol's, not a carry
+        into the previous context digit."""
+        ifs = AffineIFS(1, np.full((5, 1, 1), 0.1), np.arange(5.0)[:, None], name="decimal")
+        masses = np.random.default_rng(8).random(25)
+        masses[20:] = (1, 0, 0, 0, 0)
+        driver = CylinderMeasure(5, 2, masses / masses.sum())
+        top = np.nextafter(1.0, 0.0)
+        # normalized, context 0's cumulative row ends below the largest uniform
+        assert _driver_tables(ifs, driver)[1][0, -1] < top
+
+        class Stream:
+            """Draws ``top``, then 0.5 for ever."""
+
+            def __init__(self, seed_sequence):
+                pass
+
+            def random(self, size=None, out=None):
+                values = np.full(size if out is None else len(out), 0.5)
+                values[0] = top
+                if out is None:
+                    return values
+                out[:] = values
+                return out
+
+        monkeypatch.setattr(affine.np.random, "default_rng", Stream)
+        cloud = attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
+        reference = _reference_attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
+        assert cloud.points.tobytes() == reference.points.tobytes()
+        x = np.concatenate(([0.0], cloud.points[:, 0]))
+        symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
+        assert symbols[:2] == [4, 0]  # context 4 sends all its mass to symbol 0
+        assert driver.mass(symbols[1:3]) > 0
+
+
 def _cesaro_driver(ifs, t, n, k):
     return mu_cesaro(NaturalCylinderFunction(ifs), t, n, k)
 
@@ -210,8 +329,10 @@ def _pin_case(name):
     raise KeyError(name)
 
 
-# sha256 of points.tobytes() and the driver tag, recorded with the per-step
-# fancy-index chaos game and np.concatenate of the chains' tails
+# sha256 of points.tobytes() and the driver tag.  The d <= 2 digests were
+# recorded with the per-step fancy-index chaos game and np.concatenate of the
+# chains' tails; the d = 3 digests were re-recorded when each step became one
+# einsum over [A | a], whose sum over the row runs left to right
 PINNED_CLOUDS = {
     "uniform-d2": (
         "a6015f42533a7836f93e2218c03c48a5435d9ff63124fb1504401b8388702d09",
@@ -230,7 +351,7 @@ PINNED_CLOUDS = {
         "mu_cesaro(n=8,t=0.86,k=3,tail=pad)",
     ),
     "conditional-11-d3": (
-        "dfc54b2530ba8297ec7e511398d595ec79d63800a1570d88201fbd0e75ba319c",
+        "476cf01d72ea856b3d0cd118aaf791400c26da6075c44aafc44f0e451ba84c50",
         "mu_cesaro(n=3,t=1.5,k=2,tail=pad)",
     ),
     "chains-over-count": (
@@ -238,7 +359,7 @@ PINNED_CLOUDS = {
         "uniform",
     ),
     "no-burn-in-d3": (
-        "9158933f22f9ba5de02f59b567d4db664a1acb5a8748524270ae8e2e1d04eb96",
+        "604d2ae5440157ec4bdf02507dd6305d964bd866f87af1ff95e585913197d561",
         "weights([0.5, 0.2, 0.3])",
     ),
 }

@@ -159,9 +159,9 @@ def test_measure_explicit_t_and_nu(triple_path, tmp_path):
     assert len(csv_lines) == 1 + 27  # nu lives at depth nmax
 
 
-def test_measure_nu_reads_top_level_twice(tmp_path, monkeypatch):
+def test_measure_nu_reads_top_level_once(tmp_path, monkeypatch):
     """``--kind nu`` writes the weights ``diagnostics`` built: level n is read
-    once for them and once for the level-n pressure."""
+    once, for them and for the level-n pressure."""
     path = tmp_path / "swap.json"
     write_ifs_file(swap_pair_ifs(), path)
     expected = tmp_path / "expected.csv"
@@ -178,7 +178,7 @@ def test_measure_nu_reads_top_level_twice(tmp_path, monkeypatch):
     out = tmp_path / "out"
     assert main(["measure", "--ifs", str(path), "--t", "1.4", "--nmax", "6", "--depth", "2",
                  "--kind", "nu", "--out", str(out)]) == 0
-    assert levels.count(6) == 2
+    assert levels.count(6) == 1
     assert (out / "measure.csv").read_bytes() == expected.read_bytes()
 
 

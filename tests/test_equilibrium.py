@@ -471,9 +471,9 @@ def test_mu_cesaro_matches_per_word_windows(tail_mode, k):
     np.testing.assert_allclose(mu.masses, table, rtol=1e-13, atol=1e-16)
 
 
-def test_diagnostics_sweeps_top_level_at_most_three_times():
-    """The depth-k and depth-(k+1) tables share one read of level n, and the
-    level-n pressure reads it once more."""
+def test_diagnostics_sweeps_top_level_once():
+    """The depth-k and depth-(k+1) tables and the level-n pressure share one
+    read of level n."""
     cf = swap_pair_cf()
     levels = []
     block = cf.log_value_block
@@ -483,13 +483,14 @@ def test_diagnostics_sweeps_top_level_at_most_three_times():
         return block(t, prefix, depth)
 
     cf.log_value_block = counting
-    diagnostics(cf, 1.4, 8, 2)
-    assert levels.count(8) == 2
+    diag = diagnostics(cf, 1.4, 8, 2)
+    assert levels.count(8) == 1
+    assert diag.pressure_upper == pressure.pressure_sequence(swap_pair_cf(), 1.4, 8).fekete_upper
 
 
-def test_diagnostics_at_full_depth_reads_top_level_twice():
-    """At k = n the energy comes from the sweep that built ``nu``; the
-    level-n pressure is the only other read of level n."""
+def test_diagnostics_at_full_depth_reads_top_level_once():
+    """At k = n the energy and the level-n pressure come from the sweep that
+    built ``nu``."""
     cf = swap_pair_cf()
     levels = []
     block = cf.log_value_block
@@ -500,6 +501,6 @@ def test_diagnostics_at_full_depth_reads_top_level_twice():
 
     cf.log_value_block = counting
     diag = diagnostics(cf, 1.4, 4, 4)
-    assert levels.count(4) == 2
+    assert levels.count(4) == 1
     assert diag.energy_k == energy_depth(swap_pair_cf(), 1.4, diag.measure)
     assert diag.nu.masses.tobytes() == nu_weights(swap_pair_cf(), 1.4, 4).masses.tobytes()
