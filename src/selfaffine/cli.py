@@ -91,7 +91,10 @@ def parse_t_grid(spec: str) -> list[float]:
         raise CLIUsageError("t-grid step must be positive")
     if b < a:
         raise CLIUsageError("t-grid must be ascending (need A <= B)")
-    count = int(math.floor((b - a) / step + 1e-9)) + 1
+    span = (b - a) / step + 1e-9
+    if not math.isfinite(span):
+        raise CLIUsageError(f"bad t-grid {spec!r}; too many points")
+    count = int(math.floor(span)) + 1
     return [a + i * step for i in range(count)]
 
 
@@ -213,7 +216,7 @@ def cmd_measure(args) -> int:
     t = args.t
     if t is None:
         t = pressure_root(cf, args.nmax, args.tol, cache=cache)
-    diag = diagnostics(cf, t, args.nmax, args.depth, args.tail_mode)
+    diag = diagnostics(cf, t, args.nmax, args.depth)
     measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
@@ -222,7 +225,6 @@ def cmd_measure(args) -> int:
         "nmax": args.nmax,
         "depth": args.depth,
         "kind": args.kind,
-        "tail_mode": args.tail_mode,
         "tol": args.tol,
         "budget": args.budget,
     }
@@ -372,7 +374,6 @@ def build_parser() -> _Parser:
     p.add_argument("--depth", type=int, default=2)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--kind", choices=["mu", "nu"], default="mu")
-    p.add_argument("--tail-mode", dest="tail_mode", choices=["pad", "drop"], default="pad")
     p.add_argument("--cache", default=None)
 
     p = sub.add_parser("verify", parents=[common], help="check the cylinder-function axioms")

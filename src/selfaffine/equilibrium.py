@@ -7,19 +7,16 @@ level, and this module exposes exactly those finite objects:
   potential value of each word (the equality case of the finite-level Jensen
   inequality).
 * ``mu_cesaro``: the Cesaro average of the shifted weights,
-  (1/n) * sum_{j=0..n-1} nu_n o shift^-j, materialized as a depth-k cylinder
-  table.  Shifts whose window extends past the end of a word are completed by
-  the designated constant tail (symbol 0 repeated): the window at shift j is
-  the q = min(k, n - j) symbols from position j followed by k - q zeros, and
-  its masses are nu summed over the other positions; passing
-  ``tail_mode="drop"`` instead discards those shifts and renormalizes over the
-  n-k+1 full windows.  The drop variant is exactly shift-invariant for
-  symmetric inputs but carries no defect guarantee and its tables at different
-  depths average different window counts, so only the default mode is
-  marginal-consistent across independently built depths.
+  (1/n) * sum_{j=0..n-1} nu_n o shift^-j, with nu_n placed on the periodic
+  points w w w ..., materialized as a depth-k cylinder table.  The window at
+  shift j is the cyclic window (w + w)[j : j + k], so the table is the
+  average over the n rotations of each word.  Since shift^n fixes every
+  periodic point, the table is exactly shift-invariant at every n and its
+  tables at different depths are marginals of one another; its weak-* limits
+  are those of the construction in the proof.
 * ``invariance_defect``: max over level-k cylinders of
-  |mu_n([i]) - mu_n(shift^-1 [i])|; under the default tail convention this
-  telescopes to (1/n)|nu_n([i]) - [i == 0^k]| and is therefore <= 1/n.
+  |mu_n([i]) - mu_n(shift^-1 [i])|, defined for 1 <= k <= n; both sides sum
+  the same nu masses, so the value is rounding error only.
 * ``local_dimension_samples``: words drawn from nu_n by inverse CDF on the
   level table (one uniform per word).
 
@@ -61,6 +58,8 @@ class CylinderMeasure:
             raise ValueError(
                 f"expected {expected} masses for depth {self.depth}, got shape {self.masses.shape}"
             )
+        if not np.isfinite(self.masses).all():
+            raise ValueError("masses must be finite")
         if self.masses.min(initial=0.0) < -1e-12:
             raise ValueError("masses must be nonnegative")
         total = float(self.masses.sum())
@@ -115,34 +114,37 @@ def nu_weights(cf: CylinderFunction, t: float, n: int) -> CylinderMeasure:
     return _nu(cf, t, n, *level_log_values(cf, t, n))
 
 
-def _check_depth(n: int, k: int, tail_mode: str) -> None:
+def _check_depth(n: int, k: int) -> None:
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if tail_mode not in ("pad", "drop"):
-        raise ValueError(f"tail_mode must be 'pad' or 'drop', got {tail_mode!r}")
 
 
-def _cesaro(nu: CylinderMeasure, t: float, k: int, tail_mode: str) -> CylinderMeasure:
-    """The depth-k Cesaro table of the level-n weights ``nu``."""
+def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
+    """The depth-k cyclic Cesaro table of the level-n weights ``nu``, for
+    1 <= k <= n + 1."""
     m_sym, n = nu.n_symbols, nu.depth
-    shifts = range(n) if tail_mode == "pad" else range(n - k + 1)
     table = np.zeros(m_sym**k)
-    for j in shifts:
-        # the window at shift j: q word symbols, then k - q tail symbols 0
-        q = min(k, n - j)
-        table[:: m_sym ** (k - q)] += nu.masses.reshape(m_sym**j, m_sym**q, -1).sum(axis=(0, 2))
-    table /= n if tail_mode == "pad" else (n - k + 1)
-    return CylinderMeasure(
-        m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k},tail={tail_mode})"
-    )
+    if k == n + 1:
+        # each window is the rotated word followed by its own first symbol
+        rho = _cesaro(nu, t, n).masses
+        r = np.arange(rho.size)
+        table[r * m_sym + r // m_sym ** (n - 1)] = rho
+    else:
+        for j in range(n):
+            q = n - j
+            if q >= k:
+                table += nu.masses.reshape(m_sym**j, m_sym**k, -1).sum(axis=(0, 2))
+            else:  # the window wraps: the last q symbols, then the first k - q
+                wrapped = nu.masses.reshape(m_sym ** (k - q), m_sym ** (n - k), m_sym**q)
+                table += wrapped.sum(axis=1).T.ravel()
+        table /= n
+    return CylinderMeasure(m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k})")
 
 
-def mu_cesaro(
-    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
-) -> CylinderMeasure:
+def mu_cesaro(cf: CylinderFunction, t: float, n: int, k: int) -> CylinderMeasure:
     """Depth-k table of the Cesaro average of the shifted level-n weights."""
-    _check_depth(n, k, tail_mode)
-    return _cesaro(nu_weights(cf, t, n), t, k, tail_mode)
+    _check_depth(n, k)
+    return _cesaro(nu_weights(cf, t, n), t, k)
 
 
 def entropy_table(masses: np.ndarray) -> float:
@@ -184,15 +186,15 @@ def _defect(deep: CylinderMeasure) -> float:
     return float(np.abs(direct - preimage).max())
 
 
-def invariance_defect(
-    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
-) -> float:
+def invariance_defect(cf: CylinderFunction, t: float, n: int, k: int) -> float:
     """max over level-k words of |mu_n([i]) - mu_n(shift^-1 [i])|, both sides
-    read from one depth-(k+1) table.  Under the default tail convention the
-    value is at most 1/n."""
-    if not 1 <= k <= n - 1:
-        raise ValueError(f"need 1 <= k <= n-1, got k={k}, n={n}")
-    return _defect(mu_cesaro(cf, t, n, k + 1, tail_mode))
+    read from one depth-(k+1) table, for 1 <= k <= n.
+
+    Both sides sum the same nu masses in different orders, so the value is
+    rounding error only: at most 2 (n + m^(n-k)) eps for an m-symbol system,
+    with eps the double-precision machine epsilon."""
+    _check_depth(n, k)
+    return _defect(_cesaro(nu_weights(cf, t, n), t, k + 1))
 
 
 @dataclass
@@ -264,8 +266,7 @@ def bernoulli_lower_estimate(
 class EquilibriumDiagnostics:
     """Finite-level snapshot of the variational quantities at one (t, n, k);
     ``measure`` is the depth-k Cesaro table the snapshot was computed from
-    and ``nu`` the level-n weights it averages;
-    ``invariance_defect_max`` is ``None`` at k = n (it needs depth k + 1)."""
+    and ``nu`` the level-n weights it averages."""
 
     t: float
     level: int
@@ -274,19 +275,21 @@ class EquilibriumDiagnostics:
     energy_k: float
     pressure_upper: float
     gap: float
-    invariance_defect_max: float | None
+    invariance_defect_max: float
     measure: CylinderMeasure
     nu: CylinderMeasure
 
 
-def diagnostics(
-    cf: CylinderFunction, t: float, n: int, k: int, tail_mode: str = "pad"
-) -> EquilibriumDiagnostics:
-    _check_depth(n, k, tail_mode)
+def diagnostics(cf: CylinderFunction, t: float, n: int, k: int) -> EquilibriumDiagnostics:
+    """The depth-k Cesaro table of the level-n weights at ``t``, with its
+    entropy and energy quotients, the Fekete upper bound on the pressure
+    through level n, the gap between that bound and h + E, and the
+    invariance defect (as in ``invariance_defect``), for 1 <= k <= n."""
+    _check_depth(n, k)
     log_s, lv = level_log_values(cf, t, n)
     nu = _nu(cf, t, n, log_s, lv)
-    mu = _cesaro(nu, t, k, tail_mode)
-    defect = _defect(_cesaro(nu, t, k + 1, tail_mode)) if k < n else None
+    mu = _cesaro(nu, t, k)
+    defect = _defect(_cesaro(nu, t, k + 1))
     h = entropy_depth(mu)
     e = _energy(mu, lv) if k == n else energy_depth(cf, t, mu)
     del lv  # not held while the lower levels are swept

@@ -43,6 +43,8 @@ def test_parse_t_grid():
     for spec in ("0:inf:1", "nan:1:0.5", "0:1:nan"):
         with pytest.raises(CLIUsageError, match="finite"):
             parse_t_grid(spec)
+    with pytest.raises(CLIUsageError, match="too many points"):
+        parse_t_grid("0:1e300:1e-300")  # the point count overflows
 
 
 def test_dim_conformal_reports_dimension_one(conformal_path, tmp_path, capsys):
@@ -135,8 +137,8 @@ def test_measure_outputs(triple_path, tmp_path):
 
 @pytest.mark.parametrize("depth", ["2", "3"])
 def test_measure_report_values_are_finite_or_none(triple_path, tmp_path, depth):
-    """At --depth = --nmax there is no depth-(k+1) table for the defect: the
-    report says none instead of nan."""
+    """Every number in the report is finite, and the defect is a number at
+    --depth = --nmax too: its depth-(k+1) windows wrap around the word."""
     out = tmp_path / "out"
     assert main(["measure", "--ifs", str(triple_path), "--nmax", "3", "--depth", depth,
                  "--out", str(out)]) == 0
@@ -148,7 +150,10 @@ def test_measure_report_values_are_finite_or_none(triple_path, tmp_path, depth):
         except ValueError:
             continue
         assert math.isfinite(number), key
-    assert (report["invariance_defect_max"] == "none") == (depth == "3")
+    assert "none" not in report.values()
+    # the rounding bound of ``invariance_defect`` at n = 3 over 3 symbols
+    bound = 2 * (3 + 3 ** (3 - int(depth))) * np.finfo(float).eps
+    assert 0.0 <= float(report["invariance_defect_max"]) <= bound
 
 
 def test_measure_explicit_t_and_nu(triple_path, tmp_path):
@@ -256,6 +261,7 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
     "argv",
     [
         ["pressure", "--t-grid", "2:1:0.5"],
+        ["pressure", "--t-grid", "0:1e300:1e-300"],
         ["boxdim", "--count", "100", "--scales", "0.5,0.25"],
         ["boxdim", "--count", "100", "--scales", "0.25,0.5,0.125"],
         ["render", "--count", "100", "--driver", "equilibrium", "--depth", "9", "--nmax", "4"],
@@ -264,9 +270,11 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["render", "--count", "100", "--burn-in", "-1"],
         ["render", "--count", "100", "--driver", "equilibrium", "--resolution", "8"],
         ["boxdim", "--count", "100", "--seed", "-1"],
+        ["measure", "--nmax", "3", "--tail-mode", "pad"],  # one Cesaro convention, no knob
     ],
-    ids=["grid-descending", "two-scales", "scales-unsorted", "render-depth", "boxdim-depth",
-         "boxdim-burn-in", "render-burn-in", "render-resolution", "boxdim-seed"],
+    ids=["grid-descending", "grid-overflow", "two-scales", "scales-unsorted", "render-depth",
+         "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "boxdim-seed",
+         "measure-tail-mode"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
