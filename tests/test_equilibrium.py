@@ -108,10 +108,17 @@ class TestNuWeights:
 
 
 class TestMuCesaro:
-    def test_product_uniform_at_every_depth(self):
+    def test_product_drop_uniform_at_every_depth(self):
+        # in-word and wrapped windows alike: the table is uniform at every depth 1..n
         for k in range(1, 7):
             mu = mu_cesaro(half_product_cf(), 1.0, 6, k)
             assert np.allclose(mu.masses, 2.0**-k, rtol=0, atol=1e-14)
+
+    def test_product_pad_depth_one_uniform(self):
+        # no depth-one window wraps, so the table is uniform at every level 1..8
+        for n in range(1, 9):
+            mu = mu_cesaro(half_product_cf(), 1.0, n, 1)
+            assert np.allclose(mu.masses, 0.5, rtol=0, atol=1e-14)
 
     def test_cyclic_window_oracle(self):
         # independent oracle: enumerate words, slide windows around each word
@@ -422,6 +429,31 @@ def test_diagnostics_snapshot():
     assert diag_full.invariance_defect_max <= 2 * (4 + 1) * np.finfo(float).eps
 
 
+def _wrapped_by_rotation(nu, m, k, q):
+    # sum out the middle n - k symbols, then rotate (head, tail) to (tail, head)
+    return nu.reshape(m ** (k - q), -1, m**q).sum(axis=1).T.ravel()
+
+
+def _wrapped_by_padding(nu, m, k, q):
+    # pad each word (head, middle, tail) with its own head: the window (tail, head)
+    # then lies inside the padded word, and the other symbols sum out
+    blocks = nu.reshape(m ** (k - q), -1, m**q)
+    heads = np.arange(blocks.shape[0])
+    padded = np.zeros(blocks.shape + blocks.shape[:1])
+    padded[heads, :, :, heads] = blocks
+    return padded.sum(axis=(0, 1)).ravel()
+
+
+# Two constructions of a window that wraps round the end of a level-n word,
+# for shifts with q < k symbols left: rotate the word and drop what lies
+# outside the window, or pad the word with its own head and slide along it.
+WRAPPED_WINDOW_TABLES = dict(drop=_wrapped_by_rotation, pad=_wrapped_by_padding)
+CYCLIC_WINDOWS = dict(
+    drop=lambda w, j, k: (w[j:] + w[:j])[:k],
+    pad=lambda w, j, k: (w + w[: k - 1])[j : j + k],
+)
+
+
 class TestOnePassMatchesTwoPass:
     """The one-sweep consumers give the bits of the two-pass formulas: log S_n
     from ``log_partition_sum`` and the word values from a second sweep."""
@@ -438,8 +470,9 @@ class TestOnePassMatchesTwoPass:
         expected = np.exp(values - log_s)
         assert nu_weights(self.CF, self.T, self.N).masses.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("wrapped", WRAPPED_WINDOW_TABLES.values(), ids=WRAPPED_WINDOW_TABLES)
     @pytest.mark.parametrize("k", [1, 3, 6])
-    def test_mu_cesaro(self, k):
+    def test_mu_cesaro(self, k, wrapped):
         # the cyclic windows (w + w)[j : j + k] of the two-pass weights, summed
         # shift by shift in the order the library sums them
         log_s, values = self.two_pass()
@@ -451,7 +484,7 @@ class TestOnePassMatchesTwoPass:
             if q >= k:
                 table += nu.reshape(m_sym**j, m_sym**k, -1).sum(axis=(0, 2))
             else:
-                table += nu.reshape(m_sym ** (k - q), -1, m_sym**q).sum(axis=1).T.ravel()
+                table += wrapped(nu, m_sym, k, q)
         table /= n
         mu = mu_cesaro(self.CF, self.T, n, k)
         assert mu.masses.tobytes() == table.tobytes()
@@ -464,8 +497,9 @@ class TestOnePassMatchesTwoPass:
         assert jensen_residual(self.CF, self.T, self.N, m) == expected
 
 
+@pytest.mark.parametrize("window", CYCLIC_WINDOWS.values(), ids=CYCLIC_WINDOWS)
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_mu_cesaro_matches_per_word_windows(k):
+def test_mu_cesaro_matches_per_word_windows(k, window):
     """Per-word oracle: add each word's nu mass / n to the cylinder of each of
     its n cyclic windows (w + w)[j : j + k]."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(39), 2, 3))
@@ -475,7 +509,7 @@ def test_mu_cesaro_matches_per_word_windows(k):
     for index, mass in enumerate(nu):
         w = unpack_word(index, 3, n)
         for j in range(n):
-            table[pack_word((w + w)[j : j + k], 3)] += mass / n
+            table[pack_word(window(w, j, k), 3)] += mass / n
     mu = mu_cesaro(cf, t, n, k)
     np.testing.assert_allclose(mu.masses, table, rtol=1e-13, atol=1e-16)
 
