@@ -11,7 +11,15 @@ dimension on sampled generic translations.
 Randomness: numpy's PCG64 behind ``default_rng``; 64-bit seeds.  Chains of the
 chaos game draw from per-chain streams created with ``SeedSequence.spawn``, so
 a fixed (seed, chains) pair reproduces the cloud bit for bit regardless of how
-the chains are scheduled.
+the chains are scheduled.  The uniforms are drawn into a block of
+``BLOCK_CHUNKS`` chunks per chain, refilled when it runs out; a stream split
+across ``random`` calls gives the same doubles as one call.
+
+The cloud is the only array whose size grows with the number of points.
+Beside it the chaos game holds the block of uniforms and one chunk's symbols,
+maps and states, and box counting and rendering read the points
+``CHUNK_POINTS`` rows at a time, holding one chunk's temporaries and the
+occupied cells (box counting) or the hit counts (rendering).
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c of a conditional driver walks the state c * (m + 1) through tables
@@ -43,6 +51,14 @@ DEFAULT_CHAINS = 512
 #: Lockstep chaos-game steps per chunk: one gather of the maps, one copy into
 #: the cloud and, for an i.i.d. driver, one symbol draw serve this many steps.
 CHUNK_STEPS = 64
+
+#: Chunks of uniforms drawn per refill of the chains' block: each refill is
+#: one ``random`` call per chain.
+BLOCK_CHUNKS = 8
+
+#: Rows per chunk of a pass over a point or cell array (box counting,
+#: rendering): the pass's temporaries have this many rows, whatever the count.
+CHUNK_POINTS = 2**16
 
 #: Smallest raster side ``render_pgm`` accepts.
 MIN_RESOLUTION = 16
@@ -226,12 +242,15 @@ def attractor_points(
     iterate more than the rest.  All points stay inside the invariant ball.
 
     The chains move in lockstep, ``CHUNK_STEPS`` steps at a time.  Each
-    chain's stream fills its own row of uniforms.  An i.i.d. driver picks a
-    chunk's symbols in one pass; a conditional driver walks each chain's
-    context state one step at a time, and the context carries the clamped
-    symbol.  A chain's state is the column ``(x, 1)``, so a step is one
-    einsum with the maps' ``[A | a]`` gathered once per chunk, and each
-    coordinate's sum runs left to right, ``a * 1`` last."""
+    chain's stream fills its own row of a block of ``BLOCK_CHUNKS`` chunks of
+    uniforms, refilled when the chunks reach its end, so beside the cloud the
+    game holds that block and one chunk's symbols, maps and states, whatever
+    ``count`` is.  An i.i.d. driver picks a chunk's symbols in one pass; a
+    conditional driver walks each chain's context state one step at a time,
+    and the context carries the clamped symbol.  A chain's state is the
+    column ``(x, 1)``, so a step is one einsum with the maps' ``[A | a]``
+    gathered once per chunk, and each coordinate's sum runs left to right,
+    ``a * 1`` last."""
     if count < 1:
         raise ValueError("count must be >= 1")
     if burn_in < 0:
@@ -246,10 +265,7 @@ def attractor_points(
     total_steps = burn_in + keep
 
     iid_cum, cond_cum, tag = _driver_tables(ifs, driver)
-    # chain-major: row c holds chain c's uniforms in stream order
-    uniforms = np.empty((n_chains, total_steps))
-    for row, stream in zip(uniforms, np.random.SeedSequence(seed).spawn(n_chains)):
-        np.random.default_rng(stream).random(out=row)
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
 
     d = ifs.dimension
     points = np.empty((count, d))
@@ -262,6 +278,8 @@ def attractor_points(
     columns = np.concatenate((ifs.matrices, ifs.translations[:, :, None]), axis=2)
     columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
     chunk = min(CHUNK_STEPS, total_steps)
+    # chain-major: row c holds the next uniforms of chain c's stream
+    uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
     # row 0 is the state carried into the chunk and row s + 1 the state after
     # its step s; coordinate row d stays 1
     states = np.ones((chunk + 1, d + 1, n_chains))
@@ -274,7 +292,12 @@ def attractor_points(
         n_below = np.empty(n_chains, dtype=np.intp)
     for start in range(0, total_steps, chunk):
         steps = min(chunk, total_steps - start)
-        u = uniforms[:, start : start + steps].T  # (step, chain)
+        offset = start % uniforms.shape[1]
+        if offset == 0:  # refill; a stream split across calls gives the same doubles
+            width = min(uniforms.shape[1], total_steps - start)
+            for row, rng in zip(uniforms, rngs):
+                rng.random(out=row[:width])
+        u = uniforms[:, offset : offset + steps].T  # (step, chain)
         if cond_cum is None:
             sym = np.searchsorted(iid_cum, u, side="right")
             np.minimum(sym, m - 1, out=sym)
@@ -324,23 +347,45 @@ def check_scales(scales) -> list[float]:
     return scales
 
 
-def _occupied_cells(columns, radices: list[int]) -> np.ndarray:
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D key array (sorted in place) or the
+    distinct rows of a 2-D one, in sorted order."""
+    if keys.ndim == 2:
+        return np.unique(keys, axis=0)
+    keys.sort()
+    return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+
+
+def _occupied_cells(rows: np.ndarray, to_cells, radices: list[int]) -> np.ndarray:
     """The distinct cells of a grid, as a (K, d) integer array in sorted order.
 
-    ``columns`` is an iterator over the d per-axis cell-index arrays of the
-    same N items, each a fresh int64 array; the axis-j entries lie in
-    [0, radices[j]).  They are packed into one mixed-radix key as they come,
-    so only one of them is alive beside the key.  The distinct keys are the
-    sorted keys that differ from their predecessor."""
-    if math.prod(radices) >= 2**62:  # mixed-radix key would overflow int64
-        return np.unique(np.stack(list(columns), axis=1), axis=0)
-    key = next(columns)
-    for radix, column in zip(radices[1:], columns):
-        key *= radix
-        key += column
-    key.sort()
-    key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-    return np.stack(np.unravel_index(key, radices), axis=1)
+    The items are the rows of ``rows``, read ``CHUNK_POINTS`` at a time:
+    ``to_cells(j, column)`` maps a chunk's axis-j column to a fresh int64
+    array of cell indices in [0, radices[j]).  A chunk's indices are packed
+    into one mixed-radix key as they come, so only one of them is alive beside
+    the key, or, when the key would overflow int64, stacked into (rows, d)
+    cells.  Beside ``rows`` a pass holds one chunk's temporaries and the
+    distinct keys found so far: each chunk's, merged into one sorted set
+    whenever the unmerged ones outnumber it and ``CHUNK_POINTS``, so with K
+    occupied cells they are at most 2 K + 2 ``CHUNK_POINTS`` keys, whatever
+    the number of rows."""
+    packed = math.prod(radices) < 2**62
+    found = []  # distinct keys; found[0] is the merged set
+    for start in range(0, len(rows), CHUNK_POINTS):
+        chunk = rows[start : start + CHUNK_POINTS]
+        columns = (to_cells(j, column) for j, column in enumerate(chunk.T))
+        if packed:
+            key = next(columns)
+            for radix, column in zip(radices[1:], columns):
+                key *= radix
+                key += column
+        else:
+            key = np.stack(list(columns), axis=1)
+        found.append(_distinct(key))
+        if sum(map(len, found[1:])) > max(len(found[0]), CHUNK_POINTS):
+            found = [_distinct(np.concatenate(found))]
+    keys = _distinct(np.concatenate(found))
+    return np.stack(np.unravel_index(keys, radices), axis=1) if packed else keys
 
 
 def box_dimension(cloud, scales) -> BoxDimensionResult:
@@ -358,8 +403,11 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     quotients, whose floors are 0 either way), so
     floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
     offset u >= 0 from the cloud's lower corner.  Any other scale costs one
-    pass over the points, one column at a time.  Either way the occupied cells
-    are the distinct packed cell keys, found by sorting the keys in place."""
+    pass over the points, ``CHUNK_POINTS`` rows at a time.  Either way the
+    occupied cells are the distinct packed cell keys, found by sorting each
+    chunk's keys in place and merging the chunks' distinct keys (see
+    ``_occupied_cells``), so beside the cloud a pass holds one chunk's columns
+    and keys and the grid's distinct keys."""
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     scales = check_scales(scales)
     if points.ndim != 2 or len(points) == 0:
@@ -384,12 +432,11 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
         mantissa, exponent = math.frexp(delta)
         if mantissa == finer[0]:
             shift = exponent - finer[1]
-            cells = _occupied_cells((column >> shift for column in cells.T), radices)
+            cells = _occupied_cells(cells, lambda j, column: column >> shift, radices)
         else:
             # the quotients are >= 0, so the truncating cast is the floor
             cells = _occupied_cells(
-                (((column - lo) / delta).astype(np.int64) for column, lo in zip(points.T, mins)),
-                radices,
+                points, lambda j, column: ((column - mins[j]) / delta).astype(np.int64), radices
             )
         counts.append(len(cells))
         finer = mantissa, exponent
@@ -407,7 +454,10 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
     """Binary PGM (P5) raster of hit counts, log-scaled to 8 bits.
 
     Byte-exact for fixed inputs: header ``P5\\n<w> <h>\\n255\\n`` followed by
-    row-major bytes, top row = largest y."""
+    row-major bytes, top row = largest y.  The bounds are taken one column at
+    a time, and the pixels are hit ``CHUNK_POINTS`` points at a time, so
+    beside the cloud it holds the integer hit counts, the raster and one
+    chunk's temporaries."""
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
@@ -415,23 +465,26 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
     if len(points) == 0:
         return header + bytes(resolution * resolution)
 
-    xs = points[:, 0]
-    ys = points[:, 1] if points.shape[1] >= 2 else np.zeros(len(points))
+    flat = points.shape[1] < 2  # a 1-D cloud is drawn at y = 0
     if bounds is None:
-        bounds = ((float(xs.min()), float(xs.max())), (float(ys.min()), float(ys.max())))
+        xs = points[:, 0]
+        y_bounds = (0.0, 0.0) if flat else (float(points[:, 1].min()), float(points[:, 1].max()))
+        bounds = ((float(xs.min()), float(xs.max())), y_bounds)
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_lo + 0.5
     if y_hi <= y_lo:
         y_lo, y_hi = y_lo - 0.5, y_lo + 0.5
 
-    px = np.clip(((xs - x_lo) / (x_hi - x_lo) * resolution).astype(np.int64), 0, resolution - 1)
-    py = np.clip(((ys - y_lo) / (y_hi - y_lo) * resolution).astype(np.int64), 0, resolution - 1)
-    row = resolution - 1 - py
-    hits = np.bincount(row * resolution + px, minlength=resolution * resolution)
-    c_max = hits.max()
-    if c_max == 0:
-        img = np.zeros(resolution * resolution, dtype=np.uint8)
-    else:
-        img = np.rint(255.0 * np.log1p(hits) / np.log1p(c_max)).astype(np.uint8)
+    def pixel(values, lo, hi):
+        return np.clip(((values - lo) / (hi - lo) * resolution).astype(np.int64), 0, resolution - 1)
+
+    hits = np.zeros(resolution * resolution, dtype=np.int64)
+    for start in range(0, len(points), CHUNK_POINTS):
+        rows = points[start : start + CHUNK_POINTS]
+        px = pixel(rows[:, 0], x_lo, x_hi)
+        py = pixel(np.zeros(len(rows)) if flat else rows[:, 1], y_lo, y_hi)
+        np.add.at(hits, (resolution - 1 - py) * resolution + px, 1)
+    # every point hits a pixel, so the largest count is at least 1
+    img = np.rint(255.0 * np.log1p(hits) / np.log1p(hits.max())).astype(np.uint8)
     return header + img.tobytes()

@@ -41,6 +41,9 @@ VERIFY_SLACK_THRESHOLD = 1e-9
 
 DEFAULT_SCALES = "0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 
+#: Most points a ``--t-grid`` may have; each is one level evaluation.
+MAX_T_GRID_POINTS = 10**6
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -95,6 +98,10 @@ def parse_t_grid(spec: str) -> list[float]:
     if not math.isfinite(span):
         raise CLIUsageError(f"bad t-grid {spec!r}; too many points")
     count = int(math.floor(span)) + 1
+    if count > MAX_T_GRID_POINTS:
+        raise CLIUsageError(
+            f"bad t-grid {spec!r}; too many points ({count}, at most {MAX_T_GRID_POINTS})"
+        )
     return [a + i * step for i in range(count)]
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -257,6 +258,9 @@ class TestChunkedChaosGame:
         driver = _sweep_driver(rng, kind, m)
         kwargs = dict(burn_in=burn_in, seed=seed, driver=driver, chains=chains)
         cloud = attractor_points(ifs, count, **kwargs)
+        with pytest.MonkeyPatch.context() as patch:  # a refill of uniforms at every chunk
+            patch.setattr(affine, "BLOCK_CHUNKS", 1)
+            assert attractor_points(ifs, count, **kwargs).points.tobytes() == cloud.points.tobytes()
         reference = _reference_attractor_points(ifs, count, **kwargs)
         assert cloud.driver == reference.driver
         assert cloud.points.shape == reference.points.shape == (count, d)
@@ -485,7 +489,11 @@ class TestBoxCountNesting:
         if not np.any(points.max(axis=0) - points.min(axis=0) > 0):
             points[0] += 1.0
         scales = SCALE_LISTS[scales]
-        assert box_dimension(points, scales).counts == per_scale_counts(points, scales)
+        expected = per_scale_counts(points, scales)
+        assert box_dimension(points, scales).counts == expected
+        with pytest.MonkeyPatch.context() as patch:  # chunk boundaries inside the cloud
+            patch.setattr(affine, "CHUNK_POINTS", 7)
+            assert box_dimension(points, scales).counts == expected
 
     def test_equilibrium_cloud_counts_pinned(self):
         # counts recorded with one pass over the points per scale, on the
@@ -496,6 +504,33 @@ class TestBoxCountNesting:
         cloud = attractor_points(ifs, 200000, burn_in=300, seed=7, driver=driver)
         result = box_dimension(cloud, [2.0**-k for k in range(3, 11)])
         assert result.counts == (12, 20, 35, 61, 113, 189, 343, 604)
+
+
+def _traced_peak(function, *args, **kwargs):
+    """The result of ``function`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = function(*args, **kwargs)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingMemory:
+    """Beside its input or its cloud, each pass holds a bounded amount,
+    whatever the number of points."""
+
+    def test_box_counting_holds_chunks_not_columns(self):
+        points = np.random.default_rng(12).random((2**20, 2))  # 16 MiB
+        result, peak = _traced_peak(box_dimension, points, [2.0**-k for k in range(1, 7)])
+        assert result.counts == (4, 16, 64, 256, 1024, 4096)
+        assert peak < 4 * 2**20  # full-length columns and keys took 24 MiB
+
+    def test_chaos_game_draws_uniforms_in_blocks(self):
+        cloud, peak = _traced_peak(attractor_points, generic_pair_ifs(), 10**6, seed=3)
+        assert cloud.points.shape == (10**6, 2)
+        # 512 chains: all uniforms at once took 12.5 MiB beside the cloud
+        assert peak - cloud.points.nbytes < 8 * 2**20
 
 
 class TestCloudInvariance:
@@ -538,6 +573,36 @@ class TestRenderPGM:
         digest_b = hashlib.sha256(render_pgm(b, 256)).hexdigest()
         assert digest_a == digest_b
 
+    def test_chunked_hits_match_one_pass(self):
+        """Hits counted chunk by chunk give the bytes of one pass over the
+        cloud, for 2-D and 1-D clouds, with and without bounds."""
+        cloud = attractor_points(generic_pair_ifs(), 3000, burn_in=50, seed=4).points
+        for points in (cloud, cloud[:, :1]):
+            for bounds in (None, ((-0.2, 0.9), (0.1, 0.6))):
+                raster = render_pgm(points, 64, bounds)
+                with pytest.MonkeyPatch.context() as patch:
+                    patch.setattr(affine, "CHUNK_POINTS", 7)
+                    assert render_pgm(points, 64, bounds) == raster
+                assert raster == _one_pass_pgm(points, 64, bounds)
+
     def test_resolution_floor(self):
         with pytest.raises(ValueError):
             render_pgm(np.array([[0.0, 0.0]]), 8)
+
+
+def _one_pass_pgm(points, resolution, bounds):
+    """The raster from full-length pixel columns and one ``np.bincount``."""
+    xs = points[:, 0]
+    ys = points[:, 1] if points.shape[1] >= 2 else np.zeros(len(points))
+    if bounds is None:
+        bounds = ((xs.min(), xs.max()), (ys.min(), ys.max()))
+    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    if x_hi <= x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_lo + 0.5
+    if y_hi <= y_lo:
+        y_lo, y_hi = y_lo - 0.5, y_lo + 0.5
+    px = np.clip(((xs - x_lo) / (x_hi - x_lo) * resolution).astype(np.int64), 0, resolution - 1)
+    py = np.clip(((ys - y_lo) / (y_hi - y_lo) * resolution).astype(np.int64), 0, resolution - 1)
+    hits = np.bincount((resolution - 1 - py) * resolution + px, minlength=resolution**2)
+    img = np.rint(255.0 * np.log1p(hits) / np.log1p(hits.max())).astype(np.uint8)
+    return b"P5\n%d %d\n255\n" % (resolution, resolution) + img.tobytes()

@@ -45,6 +45,10 @@ def test_parse_t_grid():
             parse_t_grid(spec)
     with pytest.raises(CLIUsageError, match="too many points"):
         parse_t_grid("0:1e300:1e-300")  # the point count overflows
+    # the cap is 10^6 points: one more is rejected before the list is built
+    assert len(parse_t_grid("0:999999:1")) == 10**6
+    with pytest.raises(CLIUsageError, match=r"too many points \(1000001,"):
+        parse_t_grid("0:1e6:1")
 
 
 def test_dim_conformal_reports_dimension_one(conformal_path, tmp_path, capsys):
@@ -262,6 +266,7 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
     [
         ["pressure", "--t-grid", "2:1:0.5"],
         ["pressure", "--t-grid", "0:1e300:1e-300"],
+        ["pressure", "--t-grid", "0:1e9:1"],
         ["boxdim", "--count", "100", "--scales", "0.5,0.25"],
         ["boxdim", "--count", "100", "--scales", "0.25,0.5,0.125"],
         ["render", "--count", "100", "--driver", "equilibrium", "--depth", "9", "--nmax", "4"],
@@ -272,7 +277,7 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["boxdim", "--count", "100", "--seed", "-1"],
         ["measure", "--nmax", "3", "--tail-mode", "pad"],  # one Cesaro convention, no knob
     ],
-    ids=["grid-descending", "grid-overflow", "two-scales", "scales-unsorted", "render-depth",
+    ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "boxdim-seed",
          "measure-tail-mode"],
 )
