@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .affine import (
     AffineIFS,
     BoxDimensionResult,
+    ChaosGame,
     PointCloud,
     ValidationReport,
     attractor_points,

@@ -15,11 +15,16 @@ the chains are scheduled.  The uniforms are drawn into a block of
 ``BLOCK_CHUNKS`` chunks per chain, refilled when it runs out; a stream split
 across ``random`` calls gives the same doubles as one call.
 
-The cloud is the only array whose size grows with the number of points.
-Beside it the chaos game holds the block of uniforms and one chunk's symbols,
-maps and states, and box counting and rendering read the points
-``CHUNK_POINTS`` rows at a time, holding one chunk's temporaries and the
-occupied cells (box counting) or the hit counts (rendering).
+One stepping loop plays the game.  ``attractor_points`` writes its kept
+iterates into a cloud of 8 d bytes per point.  ``ChaosGame`` keeps no points:
+what grows with the number of points is a tape of the chains' symbols (1 byte
+per point for up to 256 maps) and each chain's state at the start of each
+chunk of steps (d / 8 bytes per point), from which it replays the points,
+many chunks at once.  Beside these the loop holds the block of uniforms and
+one chunk's symbols, maps and states.  Box counting and rendering read a
+cloud, or a replay, ``CHUNK_POINTS`` rows at a time, holding one chunk's
+temporaries and the occupied cells (box counting) or the hit counts
+(rendering).
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c of a conditional driver walks the state c * (m + 1) through tables
@@ -226,6 +231,93 @@ def _context_walk(cond_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cum_rows, next_state.ravel(), np.tile(clamped, contexts)
 
 
+class _Game:
+    """A chaos game's checked arguments, its layout and its single stepping
+    loop, shared by ``attractor_points`` and ``ChaosGame``.
+
+    ``count`` points split over ``n_chains`` chains: after ``burn_in``
+    iterates the first ``extra`` chains keep ``base + 1`` iterates and the
+    rest ``base``.  The chains move in lockstep, ``chunk`` steps at a time."""
+
+    def __init__(self, ifs, count, burn_in, seed, driver, chains):
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {burn_in}")
+        if chains < 1:
+            raise ValueError(f"chains must be >= 1, got {chains}")
+        ifs.bounding_radius()  # raises if not contractive
+        self.ifs, self.seed, self.burn_in = ifs, seed, burn_in
+        self.n_chains = min(chains, count)
+        self.base, self.extra = divmod(count, self.n_chains)
+        self.total_steps = burn_in + self.base + (1 if self.extra else 0)
+        self.chunk = min(CHUNK_STEPS, self.total_steps)
+        self.iid_cum, self.cond_cum, self.tag = _driver_tables(ifs, driver)
+        # [:, :, i] is the transpose of [A_i | a_i].  With the summed index j
+        # outermost in the gathered maps, numpy's einsum adds the terms in
+        # order of j for any number of chains; with j innermost it pairs them
+        # when the chain axis has length 1
+        columns = np.concatenate((ifs.matrices, ifs.translations[:, :, None]), axis=2)
+        self.columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
+
+    def chunks(self):
+        """Play the game: for each chunk, yield its first step ``start``, its
+        symbols (step, chain) and its states (step + 1, d + 1, chain).  Row 0
+        of the states is the state carried into the chunk, row s + 1 the
+        state after its step s, and coordinate row d stays 1.  The arrays are
+        overwritten by the next chunk."""
+        m, d, n_chains, chunk, total_steps = (
+            self.ifs.n_maps, self.ifs.dimension, self.n_chains, self.chunk, self.total_steps)
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(self.seed).spawn(n_chains)]
+        # chain-major: row c holds the next uniforms of chain c's stream
+        uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
+        states = np.ones((chunk + 1, d + 1, n_chains))
+        states[0, :d] = 0.0
+        if self.cond_cum is not None:
+            cum_rows, next_state, symbol = _context_walk(self.cond_cum)
+            state = np.zeros(n_chains, dtype=np.intp)
+            cum_row = np.empty((m, n_chains))
+            below = np.empty((m, n_chains), dtype=bool)
+            n_below = np.empty(n_chains, dtype=np.intp)
+        for start in range(0, total_steps, chunk):
+            steps = min(chunk, total_steps - start)
+            offset = start % uniforms.shape[1]
+            if offset == 0:  # refill; a stream split across calls gives the same doubles
+                width = min(uniforms.shape[1], total_steps - start)
+                for row, rng in zip(uniforms, rngs):
+                    rng.random(out=row[:width])
+            u = uniforms[:, offset : offset + steps].T  # (step, chain)
+            if self.cond_cum is None:
+                sym = np.searchsorted(self.iid_cum, u, side="right")
+                np.minimum(sym, m - 1, out=sym)
+            else:
+                moved = np.empty((steps, n_chains), dtype=np.intp)
+                for r, z_s in zip(u, moved):
+                    # z + s, with s the number of the context row's masses below r
+                    # mode="clip": indices are in range, and "raise" would buffer ``out``
+                    cum_rows.take(state, axis=1, out=cum_row, mode="clip")
+                    np.less(cum_row, r, out=below)
+                    np.add.reduce(below, axis=0, out=n_below)
+                    np.add(state, n_below, out=z_s)
+                    next_state.take(z_s, out=state, mode="clip")
+                sym = symbol.take(moved)
+            maps = self.columns.take(sym, axis=2)  # (d + 1, d, step, chain)
+            for s in range(steps):
+                np.einsum("jic,jc->ic", maps[:, :, s], states[s], out=states[s + 1, :d])
+            yield start, sym, states[: steps + 1]
+            states[0] = states[steps]
+
+    def kept(self, start, states):
+        """A chunk's kept iterates: the tail index ``lo`` of the first, the
+        states (step, d + 1, chain) that every chain keeps, from tail index
+        ``lo`` on, and those that only the longer chains keep (the iterate at
+        tail index ``base``, if the chunk has it)."""
+        steps = len(states) - 1
+        lo, hi = max(start, self.burn_in) - self.burn_in, start + steps - self.burn_in
+        kept = states[steps + 1 - max(hi - lo, 0) :]
+        return lo, kept[: self.base - lo], kept[self.base - lo :, :, : self.extra]
+
+
 def attractor_points(
     ifs: AffineIFS,
     count: int,
@@ -250,80 +342,103 @@ def attractor_points(
     and the context carries the clamped symbol.  A chain's state is the
     column ``(x, 1)``, so a step is one einsum with the maps' ``[A | a]``
     gathered once per chunk, and each coordinate's sum runs left to right,
-    ``a * 1`` last."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-    if chains < 1:
-        raise ValueError(f"chains must be >= 1, got {chains}")
-    ifs.bounding_radius()  # raises if not contractive
-    m = ifs.n_maps
-    n_chains = min(chains, count)
-    base, extra = divmod(count, n_chains)
+    ``a * 1`` last.  ``ChaosGame`` plays the same game without the cloud."""
+    game = _Game(ifs, count, burn_in, seed, driver, chains)
+    d, base, extra = ifs.dimension, game.base, game.extra
     keep = base + (1 if extra else 0)
-    total_steps = burn_in + keep
-
-    iid_cum, cond_cum, tag = _driver_tables(ifs, driver)
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
-
-    d = ifs.dimension
     points = np.empty((count, d))
     longer = points[: extra * keep].reshape(extra, keep, d)  # (chain, step, d) views
-    shorter = points[extra * keep :].reshape(n_chains - extra, base, d)
-    # [:, :, i] is the transpose of [A_i | a_i].  With the summed index j
-    # outermost in the gathered maps, numpy's einsum adds the terms in order
-    # of j for any number of chains; with j innermost it pairs them when the
-    # chain axis has length 1
-    columns = np.concatenate((ifs.matrices, ifs.translations[:, :, None]), axis=2)
-    columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
-    chunk = min(CHUNK_STEPS, total_steps)
-    # chain-major: row c holds the next uniforms of chain c's stream
-    uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
-    # row 0 is the state carried into the chunk and row s + 1 the state after
-    # its step s; coordinate row d stays 1
-    states = np.ones((chunk + 1, d + 1, n_chains))
-    states[0, :d] = 0.0
-    if cond_cum is not None:
-        cum_rows, next_state, symbol = _context_walk(cond_cum)
-        state = np.zeros(n_chains, dtype=np.intp)
-        cum_row = np.empty((m, n_chains))
-        below = np.empty((m, n_chains), dtype=bool)
-        n_below = np.empty(n_chains, dtype=np.intp)
-    for start in range(0, total_steps, chunk):
-        steps = min(chunk, total_steps - start)
-        offset = start % uniforms.shape[1]
-        if offset == 0:  # refill; a stream split across calls gives the same doubles
-            width = min(uniforms.shape[1], total_steps - start)
-            for row, rng in zip(uniforms, rngs):
-                rng.random(out=row[:width])
-        u = uniforms[:, offset : offset + steps].T  # (step, chain)
-        if cond_cum is None:
-            sym = np.searchsorted(iid_cum, u, side="right")
-            np.minimum(sym, m - 1, out=sym)
-        else:
-            moved = np.empty((steps, n_chains), dtype=np.intp)
-            for r, z_s in zip(u, moved):
-                # z + s, with s the number of the context row's masses below r
-                # mode="clip": indices are in range, and "raise" would buffer ``out``
-                cum_rows.take(state, axis=1, out=cum_row, mode="clip")
-                np.less(cum_row, r, out=below)
-                np.add.reduce(below, axis=0, out=n_below)
-                np.add(state, n_below, out=z_s)
-                next_state.take(z_s, out=state, mode="clip")
-            sym = symbol.take(moved)
-        maps = columns.take(sym, axis=2)  # (d + 1, d, step, chain)
-        for s in range(steps):
-            np.einsum("jic,jc->ic", maps[:, :, s], states[s], out=states[s + 1, :d])
-        # the chunk's kept iterates: indices lo..hi-1 of each chain's tail
-        lo, hi = max(start, burn_in) - burn_in, start + steps - burn_in
-        if lo < hi:
-            kept = states[steps + 1 - (hi - lo) : steps + 1]
-            for k in range(d):  # one coordinate at a time: long runs of reads
-                longer[:, lo:hi, k] = kept[:, k, :extra].T
-                shorter[:, lo : min(hi, base), k] = kept[: base - lo, k, extra:].T
-        states[0] = states[steps]
-    return PointCloud(points=points, seed=seed, driver=tag)
+    shorter = points[extra * keep :].reshape(game.n_chains - extra, base, d)
+    for start, _, states in game.chunks():
+        lo, every, longer_only = game.kept(start, states)
+        for k in range(d):  # one coordinate at a time: long runs of reads
+            longer[:, lo : lo + len(every), k] = every[:, k, :extra].T
+            shorter[:, lo : lo + len(every), k] = every[:, k, extra:].T
+            longer[:, base : base + len(longer_only), k] = longer_only[:, k].T
+    return PointCloud(points=points, seed=seed, driver=game.tag)
+
+
+class ChaosGame:
+    """The chaos game of ``attractor_points``, played without keeping its
+    points and replayed chunk by chunk.
+
+    The play pass is ``attractor_points``' loop, with the same streams and
+    checks.  For each chunk of steps that keeps an iterate it records every
+    chain's symbols on a tape (the smallest unsigned dtype, 1 byte per step
+    and chain for up to 256 maps) and every chain's state at the chunk's
+    start, and it keeps each coordinate's least and greatest kept iterate in
+    ``mins`` and ``maxs``.  So what grows with ``count`` is the tape and the
+    checkpoints, about 1 + d / 8 bytes per point against the cloud's 8 d.
+
+    ``replay`` restarts all recorded chunks from their checkpoints at once,
+    one lane per (chunk, chain), in groups of at most ``CHUNK_POINTS`` lanes.
+    A step of a group is one gather of the maps' ``[A | a]`` and one einsum
+    laid out as the play pass's, so the lanes give the cloud's points bit for
+    bit, in another order."""
+
+    def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
+                 driver=None, chains: int = DEFAULT_CHAINS):
+        game = _Game(ifs, count, burn_in, seed, driver, chains)
+        d, n_chains, chunk = ifs.dimension, game.n_chains, game.chunk
+        self.count, self.driver = count, game.tag
+        self._game = game
+        first = burn_in // chunk  # the first chunk that keeps an iterate
+        lanes = (-(-game.total_steps // chunk) - first) * n_chains
+        #: tail index of the iterate after step 0 of the first recorded chunk
+        self._lead = first * chunk - burn_in
+        # column (chunk - first) * n_chains + c is lane (chunk, chain c); the
+        # steps past the end of the game stay on symbol 0 and keep nothing
+        self._tape = np.zeros((chunk, lanes), dtype=np.min_scalar_type(ifs.n_maps - 1))
+        self._starts = np.empty((d, lanes))
+        # each chain's least and greatest kept coordinates; nan propagates
+        lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
+        for start, sym, states in game.chunks():
+            lane = (start // chunk - first) * n_chains
+            if lane < 0:
+                continue
+            self._tape[: len(sym), lane : lane + n_chains] = sym
+            self._starts[:, lane : lane + n_chains] = states[0, :d]
+            _, every, longer_only = game.kept(start, states)
+            for kept, chains in ((every, slice(None)), (longer_only, slice(game.extra))):
+                if len(kept):
+                    low, high = lowest[:, chains], highest[:, chains]
+                    np.minimum(low, kept[:, :d].min(axis=0), out=low)
+                    np.maximum(high, kept[:, :d].max(axis=0), out=high)
+        self.mins = tuple(lowest.min(axis=1).tolist())
+        self.maxs = tuple(highest.max(axis=1).tolist())
+
+    @property
+    def dimension(self) -> int:
+        return len(self.mins)
+
+    def replay(self):
+        """Yield the kept iterates as (rows, d) arrays of at most
+        ``CHUNK_POINTS`` rows, each a fresh array.  Together they are the
+        rows of the cloud ``attractor_points`` builds from the same
+        arguments, in an order of their own."""
+        game, d = self._game, self.dimension
+        chunk, lanes = self._tape.shape
+        for offset in range(0, lanes, CHUNK_POINTS):
+            lane = np.arange(offset, min(offset + CHUNK_POINTS, lanes))
+            group = slice(offset, offset + len(lane))
+            # a lane keeps the iterate after its step s when tail + s >= 0 and
+            # past_end + s < 0: ``tail`` is its tail index after step 0, and
+            # ``past_end`` that minus its chain's kept count.  Neither
+            # decreases along the lanes, so the lanes kept at step s are one
+            # run, between two binary searches
+            tail = lane // game.n_chains * chunk + self._lead
+            past_end = tail - np.where(lane % game.n_chains < game.extra, game.base + 1, game.base)
+            state = np.ones((d + 1, len(lane)))
+            state[:d] = self._starts[:, group]
+            maps = np.empty((d + 1, d, len(lane)))
+            for s, sym in enumerate(self._tape[:, group]):
+                game.columns.take(sym, axis=2, out=maps, mode="clip")
+                state, carried = np.empty_like(state), state
+                state[d] = 1.0
+                np.einsum("jic,jc->ic", maps, carried, out=state[:d])
+                begin, end = np.searchsorted(tail, -s), np.searchsorted(past_end, -s)
+                if begin < end:
+                    yield state[:d, begin:end].T
 
 
 @dataclass
@@ -356,23 +471,48 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
 
 
-def _occupied_cells(rows: np.ndarray, to_cells, radices: list[int]) -> np.ndarray:
+def _row_chunks(rows: np.ndarray):
+    """The rows of an array, ``CHUNK_POINTS`` at a time."""
+    return (rows[start : start + CHUNK_POINTS] for start in range(0, len(rows), CHUNK_POINTS))
+
+
+def _chunked(cloud):
+    """A cloud's lower and upper corners and a function that reads its points
+    as (rows, d) arrays of at most ``CHUNK_POINTS`` rows; None for a cloud
+    without points.
+
+    A ``ChaosGame`` brings the corners of its play pass and is replayed by
+    each read.  A ``PointCloud`` or a point array is read in row slices, and
+    its corners are taken one column at a time; nan and inf propagate into
+    them."""
+    if isinstance(cloud, ChaosGame):
+        return cloud.mins, cloud.maxs, cloud.replay
+    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    if len(points) == 0:
+        return None
+    if points.ndim != 2:
+        raise ValueError(f"expected an (N, d) point array, got shape {points.shape}")
+    mins = tuple(float(column.min()) for column in points.T)
+    maxs = tuple(float(column.max()) for column in points.T)
+    return mins, maxs, lambda: _row_chunks(points)
+
+
+def _occupied_cells(chunks, to_cells, radices: list[int]) -> np.ndarray:
     """The distinct cells of a grid, as a (K, d) integer array in sorted order.
 
-    The items are the rows of ``rows``, read ``CHUNK_POINTS`` at a time:
+    The items are the rows of the (rows, d) arrays ``chunks`` yields:
     ``to_cells(j, column)`` maps a chunk's axis-j column to a fresh int64
     array of cell indices in [0, radices[j]).  A chunk's indices are packed
     into one mixed-radix key as they come, so only one of them is alive beside
     the key, or, when the key would overflow int64, stacked into (rows, d)
-    cells.  Beside ``rows`` a pass holds one chunk's temporaries and the
-    distinct keys found so far: each chunk's, merged into one sorted set
-    whenever the unmerged ones outnumber it and ``CHUNK_POINTS``, so with K
-    occupied cells they are at most 2 K + 2 ``CHUNK_POINTS`` keys, whatever
-    the number of rows."""
+    cells.  A pass holds one chunk's temporaries and the distinct keys found
+    so far: each chunk's, merged into one sorted set whenever the unmerged
+    ones outnumber it and ``CHUNK_POINTS``, so with K occupied cells and
+    chunks of at most ``CHUNK_POINTS`` rows they are at most
+    2 K + 2 ``CHUNK_POINTS`` keys, whatever the number of rows."""
     packed = math.prod(radices) < 2**62
     found = []  # distinct keys; found[0] is the merged set
-    for start in range(0, len(rows), CHUNK_POINTS):
-        chunk = rows[start : start + CHUNK_POINTS]
+    for chunk in chunks:
         columns = (to_cells(j, column) for j, column in enumerate(chunk.T))
         if packed:
             key = next(columns)
@@ -392,9 +532,11 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     """Least-squares slope of log N(delta) against log(1/delta) over
     corner-anchored grid covers.
 
-    The cloud's lower corner and extent are taken one coordinate column at a
-    time, and a cloud with a non-finite coordinate is rejected, as is a scale
-    at which an axis would need 2^63 or more cells.  The scales
+    ``cloud`` is a point array, a ``PointCloud`` or a ``ChaosGame``.  An
+    array's lower corner and extent are taken one coordinate column at a
+    time; a ``ChaosGame`` keeps them from its play pass.  A cloud with a
+    non-finite coordinate is rejected, as is a scale at which an axis would
+    need 2^63 or more cells.  The scales
     are counted from finest to coarsest.  A scale with the same float mantissa
     as the next finer one is that scale times 2^s, and its occupied cells are
     the finer grid's cells shifted right by s bits, so only the finer grid's
@@ -403,19 +545,21 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     quotients, whose floors are 0 either way), so
     floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
     offset u >= 0 from the cloud's lower corner.  Any other scale costs one
-    pass over the points, ``CHUNK_POINTS`` rows at a time.  Either way the
+    pass over the points, ``CHUNK_POINTS`` rows at a time; for a
+    ``ChaosGame`` that pass is a replay.  Either way the
     occupied cells are the distinct packed cell keys, found by sorting each
     chunk's keys in place and merging the chunks' distinct keys (see
-    ``_occupied_cells``), so beside the cloud a pass holds one chunk's columns
-    and keys and the grid's distinct keys."""
-    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    ``_occupied_cells``), so beside the cloud, or the game's tape and
+    checkpoints, a pass holds one chunk's columns and keys and the grid's
+    distinct keys."""
     scales = check_scales(scales)
-    if points.ndim != 2 or len(points) == 0:
-        raise ValueError(f"expected a nonempty (N, d) point array, got shape {points.shape}")
-    # nan and inf propagate into a column's min or its extent
-    mins = [float(column.min()) for column in points.T]
-    extent = [float(column.max()) - lo for column, lo in zip(points.T, mins)]
-    if not all(math.isfinite(v) for v in mins + extent):
+    chunked = _chunked(cloud)
+    if chunked is None:
+        raise ValueError("cannot box-count a cloud without points")
+    mins, maxs, read = chunked
+    # nan and inf propagate into a corner or the extent
+    extent = [hi - lo for lo, hi in zip(mins, maxs)]
+    if not all(math.isfinite(v) for v in (*mins, *extent)):
         raise ValueError("cannot box-count a cloud with non-finite coordinates or extent")
     if not any(e > 0 for e in extent):
         raise DegenerateCloudError("degenerate cloud: all points coincide")
@@ -432,11 +576,11 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
         mantissa, exponent = math.frexp(delta)
         if mantissa == finer[0]:
             shift = exponent - finer[1]
-            cells = _occupied_cells(cells, lambda j, column: column >> shift, radices)
+            cells = _occupied_cells(_row_chunks(cells), lambda j, column: column >> shift, radices)
         else:
             # the quotients are >= 0, so the truncating cast is the floor
             cells = _occupied_cells(
-                points, lambda j, column: ((column - mins[j]) / delta).astype(np.int64), radices
+                read(), lambda j, column: ((column - mins[j]) / delta).astype(np.int64), radices
             )
         counts.append(len(cells))
         finer = mantissa, exponent
@@ -454,22 +598,23 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
     """Binary PGM (P5) raster of hit counts, log-scaled to 8 bits.
 
     Byte-exact for fixed inputs: header ``P5\\n<w> <h>\\n255\\n`` followed by
-    row-major bytes, top row = largest y.  The bounds are taken one column at
-    a time, and the pixels are hit ``CHUNK_POINTS`` points at a time, so
-    beside the cloud it holds the integer hit counts, the raster and one
-    chunk's temporaries."""
+    row-major bytes, top row = largest y.  ``cloud`` is a point array, a
+    ``PointCloud`` or a ``ChaosGame``, read as ``box_dimension`` reads it: the
+    bounds are an array's column extremes or the game's play-pass ones, and
+    the pixels are hit ``CHUNK_POINTS`` points at a time (a ``ChaosGame`` is
+    replayed once).  So beside the cloud, or the game's tape and checkpoints,
+    it holds the integer hit counts, the raster and one chunk's temporaries."""
     if resolution < MIN_RESOLUTION:
         raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
-    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
     header = b"P5\n%d %d\n255\n" % (resolution, resolution)
-    if len(points) == 0:
+    chunked = _chunked(cloud)
+    if chunked is None:
         return header + bytes(resolution * resolution)
+    mins, maxs, read = chunked
 
-    flat = points.shape[1] < 2  # a 1-D cloud is drawn at y = 0
+    flat = len(mins) < 2  # a 1-D cloud is drawn at y = 0
     if bounds is None:
-        xs = points[:, 0]
-        y_bounds = (0.0, 0.0) if flat else (float(points[:, 1].min()), float(points[:, 1].max()))
-        bounds = ((float(xs.min()), float(xs.max())), y_bounds)
+        bounds = ((mins[0], maxs[0]), (0.0, 0.0) if flat else (mins[1], maxs[1]))
     (x_lo, x_hi), (y_lo, y_hi) = bounds
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_lo + 0.5
@@ -480,8 +625,7 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
         return np.clip(((values - lo) / (hi - lo) * resolution).astype(np.int64), 0, resolution - 1)
 
     hits = np.zeros(resolution * resolution, dtype=np.int64)
-    for start in range(0, len(points), CHUNK_POINTS):
-        rows = points[start : start + CHUNK_POINTS]
+    for rows in read():
         px = pixel(rows[:, 0], x_lo, x_hi)
         py = pixel(np.zeros(len(rows)) if flat else rows[:, 1], y_lo, y_hi)
         np.add.at(hits, (resolution - 1 - py) * resolution + px, 1)

@@ -22,6 +22,7 @@ from pathlib import Path
 from . import __version__
 from .affine import (
     MIN_RESOLUTION,
+    ChaosGame,
     attractor_points,
     box_dimension,
     check_scales,
@@ -276,6 +277,8 @@ def cmd_verify(args) -> int:
 
 
 def _make_cloud(args, ifs):
+    """The chaos game of ``render`` and ``boxdim``: a cloud only when its
+    points are saved, else a ``ChaosGame`` that is replayed in chunks."""
     driver = None
     t_used = None
     if args.driver == "equilibrium":
@@ -284,7 +287,8 @@ def _make_cloud(args, ifs):
         if t_used is None:
             t_used = pressure_root(cf, args.nmax, args.tol)
         driver = mu_cesaro(cf, t_used, args.nmax, args.depth)
-    cloud = attractor_points(
+    play = attractor_points if args.save_points else ChaosGame
+    cloud = play(
         ifs, args.count, burn_in=args.burn_in, seed=args.seed, driver=driver, chains=args.chains
     )
     return cloud, t_used
@@ -320,7 +324,7 @@ def cmd_render(args) -> int:
         _save_points(out, cloud)
     config = dict(_cloud_config(args), resolution=args.resolution)
     body = [
-        ("points", len(cloud.points)),
+        ("points", args.count),
         ("cloud_driver", cloud.driver),
         ("t_used", t_used),
     ]

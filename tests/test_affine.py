@@ -11,8 +11,10 @@ from systems import cantor_ifs, generic_pair_ifs, random_affine_ifs, swap_pair_i
 
 from selfaffine import (
     AffineIFS,
+    ChaosGame,
     CylinderMeasure,
     DegenerateCloudError,
+    IFSValidationError,
     attractor_points,
     box_dimension,
     mu_cesaro,
@@ -306,6 +308,61 @@ class TestChunkedChaosGame:
         assert driver.mass(symbols[1:3]) > 0
 
 
+def _sorted_rows(points):
+    """The rows of a point array as a sorted multiset, in bytes."""
+    rows = np.ascontiguousarray(points)
+    return np.sort(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()).tobytes()
+
+
+class TestReplayedChaosGame:
+    """A ``ChaosGame`` replays the cloud of ``attractor_points`` bit for bit.
+    Box counts alone are a weak oracle: a replay with a broken walk can still
+    give a cloud's counts."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "weights", "depth-2"])
+    @pytest.mark.parametrize("burn_in", [0, CHUNK_STEPS + 3])
+    # count % chains != 0 for 7 and 512 chains; 16 chains over 5 points run 5
+    @pytest.mark.parametrize(
+        "chains, count", [(1, 300), (7, 7 * 45 + 3), (512, 3 * 512 + 77), (16, 5)]
+    )
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_replay_is_the_cloud(self, d, chains, count, burn_in, kind):
+        rng = np.random.default_rng([d, chains, burn_in, len(kind)])
+        ifs = random_affine_ifs(rng, d, 3)
+        driver = None  # drivers that use every map: no cloud collapses to a point
+        if kind == "weights":
+            driver = (rng.random(3) + 0.1).tolist()
+        elif kind == "depth-2":
+            masses = rng.random(9) + 0.05
+            driver = CylinderMeasure(3, 2, masses / masses.sum())
+        kwargs = dict(burn_in=burn_in, seed=int(rng.integers(2**32)), driver=driver, chains=chains)
+        cloud = attractor_points(ifs, count, **kwargs)
+        scales = [1.0, 0.5, 0.3, 0.25, 0.125, 0.1, 0.0625]  # passes and shifted grids
+        boxes, raster = box_dimension(cloud, scales), render_pgm(cloud, 64)
+        # lane groups that split the chains and straddle chunks
+        for patched in ({}, {"CHUNK_STEPS": 7, "CHUNK_POINTS": 37}):
+            with pytest.MonkeyPatch.context() as patch:
+                for name, value in patched.items():
+                    patch.setattr(affine, name, value)
+                game = ChaosGame(ifs, count, **kwargs)
+                assert (game.count, game.dimension, game.driver) == (count, d, cloud.driver)
+                assert game.mins == tuple(cloud.points.min(axis=0).tolist())
+                assert game.maxs == tuple(cloud.points.max(axis=0).tolist())
+                chunks = list(game.replay())
+                assert max(map(len, chunks)) <= affine.CHUNK_POINTS
+                assert _sorted_rows(np.concatenate(chunks)) == _sorted_rows(cloud.points)
+                assert box_dimension(game, scales) == boxes
+                assert render_pgm(game, 64) == raster
+
+    def test_same_checks_as_the_cloud(self):
+        for kwargs in (dict(count=0), dict(count=10, burn_in=-1), dict(count=10, chains=0)):
+            with pytest.raises(ValueError):
+                ChaosGame(cantor_ifs(), **kwargs)
+        expanding = AffineIFS(1, [[[1.5]], [[0.2]]], [[0.0], [1.0]])
+        with pytest.raises(IFSValidationError, match="not contractive"):
+            ChaosGame(expanding, 10)
+
+
 def _cesaro_driver(ifs, t, n, k):
     return mu_cesaro(NaturalCylinderFunction(ifs), t, n, k)
 
@@ -525,6 +582,22 @@ class TestWorkingMemory:
         result, peak = _traced_peak(box_dimension, points, [2.0**-k for k in range(1, 7)])
         assert result.counts == (4, 16, 64, 256, 1024, 4096)
         assert peak < 4 * 2**20  # full-length columns and keys took 24 MiB
+
+    def test_streamed_box_counting_holds_no_cloud(self):
+        """Played and box-counted without a cloud, 10^6 equilibrium-driven
+        points peak at 8.9 MiB traced (22.2 MiB through the cloud): the tape
+        and checkpoints, the play pass's uniforms, maps and states, then one
+        lane group's replay."""
+        ifs = generic_pair_ifs()
+        driver = mu_cesaro(NaturalCylinderFunction(ifs), 0.86, 8, 3)
+        scales = [2.0**-k for k in range(3, 11)]
+
+        def streamed():
+            return box_dimension(ChaosGame(ifs, 10**6, seed=3, driver=driver), scales)
+
+        result, peak = _traced_peak(streamed)
+        assert len(result.counts) == len(scales)
+        assert peak < 10**6 * 2 * 8  # the 15.3 MiB cloud it does not build
 
     def test_chaos_game_draws_uniforms_in_blocks(self):
         cloud, peak = _traced_peak(attractor_points, generic_pair_ifs(), 10**6, seed=3)

@@ -144,6 +144,43 @@ def test_pressure_root_triple_diag_closed_form():
         assert abs(pressure_root(cf, n, 1e-8) - expected) <= 1e-8
 
 
+def _triangular_root(a, d):
+    """The affinity dimension of upper-triangular planar maps with diagonals
+    (a_i, d_i), when it is below 2: the zero of the Falconer-Miao pressure
+
+        max(log sum a_i^t, log sum d_i^t)                   on [0, 1],
+        max(log sum a_i d_i^(t-1), log sum d_i a_i^(t-1))   on [1, 2],
+
+    bisected to float spacing; the lower end, where the pressure is > 0."""
+
+    def pressure(t):
+        if t <= 1:
+            return max(math.log(np.sum(a**t)), math.log(np.sum(d**t)))
+        return max(math.log(np.sum(a * d ** (t - 1))), math.log(np.sum(d * a ** (t - 1))))
+
+    lo, hi = 0.0, 2.0
+    assert pressure(hi) < 0
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        lo, hi = (mid, hi) if pressure(mid) > 0 else (lo, mid)
+    return lo
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pressure_root_triangular_oracle(seed):
+    """Level roots of upper-triangular systems bound the exact affinity
+    dimension from above, and fall as the level doubles (P_2n <= P_n)."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 5))
+    a, d = rng.uniform(0.1, 0.45, size=(2, m))
+    mats = np.zeros((m, 2, 2))
+    mats[:, 0, 0], mats[:, 1, 1], mats[:, 0, 1] = a, d, rng.uniform(-0.3, 0.3, size=m)
+    cf = NaturalCylinderFunction(AffineIFS(2, mats, rng.uniform(-1, 1, size=(m, 2))))
+    exact = _triangular_root(a, d)
+    roots = [pressure_root(cf, n, 1e-12) for n in (1, 2, 4, 8)]
+    assert all(root >= exact for root in roots), (exact, roots)
+    assert all(finer <= coarser for coarser, finer in zip(roots, roots[1:])), roots
+
+
 def test_root_brackets_sign_change():
     rng = np.random.default_rng(24)
     t_tol = 1e-6
