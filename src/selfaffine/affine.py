@@ -20,11 +20,14 @@ iterates into a cloud of 8 d bytes per point.  ``ChaosGame`` keeps no points:
 what grows with the number of points is a tape of the chains' symbols (1 byte
 per point for up to 256 maps) and each chain's state at the start of each
 chunk of steps (d / 8 bytes per point), from which it replays the points,
-many chunks at once.  Beside these the loop holds the block of uniforms and
-one chunk's symbols, maps and states.  Box counting and rendering read a
-cloud, or a replay, ``CHUNK_POINTS`` rows at a time, holding one chunk's
-temporaries and the occupied cells (box counting) or the hit counts
-(rendering).
+many chunks at once.  Beside these the loop holds the block of uniforms, one
+chunk's symbols and states and one step's maps.  Box counting and rendering
+read a cloud ``CHUNK_POINTS`` rows at a time, or a replay ``CHUNK_POINTS //
+8`` lanes at a time, holding one chunk's temporaries and the occupied cells
+(box counting) or the hit counts (rendering).  On the 2,000,000-point
+equilibrium ``boxdim`` of the benchmark, with 512 chains, the play pass
+peaks at 5.4 MiB traced, the tape and checkpoints included, and box counting
+at 4.7 MiB.
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c of a conditional driver walks the state c * (m + 1) through tables
@@ -53,13 +56,15 @@ from .linalg import singular_values
 #: it changes the sampled cloud, so it is fixed by default).
 DEFAULT_CHAINS = 512
 
-#: Lockstep chaos-game steps per chunk: one gather of the maps, one copy into
-#: the cloud and, for an i.i.d. driver, one symbol draw serve this many steps.
+#: Lockstep chaos-game steps per chunk: one copy into the cloud, one tape
+#: record and, for an i.i.d. driver, one symbol draw serve this many steps.
 CHUNK_STEPS = 64
 
 #: Chunks of uniforms drawn per refill of the chains' block: each refill is
-#: one ``random`` call per chain.
-BLOCK_CHUNKS = 8
+#: one ``random`` call per chain.  At 512 chains a block of 4 chunks is 1 MiB,
+#: and blocks of 2, 4 and 8 chunks play the benchmark's 2,000,000-point game
+#: equally fast, within timing noise on a 2-core host.
+BLOCK_CHUNKS = 4
 
 #: Rows per chunk of a pass over a point or cell array (box counting,
 #: rendering): the pass's temporaries have this many rows, whatever the count.
@@ -273,6 +278,7 @@ class _Game:
         uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
         states = np.ones((chunk + 1, d + 1, n_chains))
         states[0, :d] = 0.0
+        maps = np.empty((d + 1, d, n_chains))  # one step's [A | a] columns
         if self.cond_cum is not None:
             cum_rows, next_state, symbol = _context_walk(self.cond_cum)
             state = np.zeros(n_chains, dtype=np.intp)
@@ -301,9 +307,9 @@ class _Game:
                     np.add(state, n_below, out=z_s)
                     next_state.take(z_s, out=state, mode="clip")
                 sym = symbol.take(moved)
-            maps = self.columns.take(sym, axis=2)  # (d + 1, d, step, chain)
             for s in range(steps):
-                np.einsum("jic,jc->ic", maps[:, :, s], states[s], out=states[s + 1, :d])
+                self.columns.take(sym[s], axis=2, out=maps, mode="clip")
+                np.einsum("jic,jc->ic", maps, states[s], out=states[s + 1, :d])
             yield start, sym, states[: steps + 1]
             states[0] = states[steps]
 
@@ -336,12 +342,12 @@ def attractor_points(
     The chains move in lockstep, ``CHUNK_STEPS`` steps at a time.  Each
     chain's stream fills its own row of a block of ``BLOCK_CHUNKS`` chunks of
     uniforms, refilled when the chunks reach its end, so beside the cloud the
-    game holds that block and one chunk's symbols, maps and states, whatever
-    ``count`` is.  An i.i.d. driver picks a chunk's symbols in one pass; a
-    conditional driver walks each chain's context state one step at a time,
-    and the context carries the clamped symbol.  A chain's state is the
-    column ``(x, 1)``, so a step is one einsum with the maps' ``[A | a]``
-    gathered once per chunk, and each coordinate's sum runs left to right,
+    game holds that block, one chunk's symbols and states and one step's
+    maps, whatever ``count`` is.  An i.i.d. driver picks a chunk's symbols in
+    one pass; a conditional driver walks each chain's context state one step
+    at a time, and the context carries the clamped symbol.  A chain's state is the
+    column ``(x, 1)``, so a step is one gather of the chains' ``[A | a]`` into
+    a buffer and one einsum, and each coordinate's sum runs left to right,
     ``a * 1`` last.  ``ChaosGame`` plays the same game without the cloud."""
     game = _Game(ifs, count, burn_in, seed, driver, chains)
     d, base, extra = ifs.dimension, game.base, game.extra
@@ -371,10 +377,13 @@ class ChaosGame:
     checkpoints, about 1 + d / 8 bytes per point against the cloud's 8 d.
 
     ``replay`` restarts all recorded chunks from their checkpoints at once,
-    one lane per (chunk, chain), in groups of at most ``CHUNK_POINTS`` lanes.
-    A step of a group is one gather of the maps' ``[A | a]`` and one einsum
-    laid out as the play pass's, so the lanes give the cloud's points bit for
-    bit, in another order."""
+    one lane per (chunk, chain), in groups of at most ``CHUNK_POINTS // 8``
+    lanes.  A step of a group is one gather of the maps' ``[A | a]`` and one
+    einsum laid out as the play pass's, so the lanes give the cloud's points
+    bit for bit, in another order.  At 8192 lanes a group's maps, states and
+    lane indices take under 1 MiB in d = 2, and the benchmark's game is
+    box-counted as fast as with groups of 2^16 lanes, at under half the
+    traced peak."""
 
     def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
                  driver=None, chains: int = DEFAULT_CHAINS):
@@ -413,13 +422,14 @@ class ChaosGame:
 
     def replay(self):
         """Yield the kept iterates as (rows, d) arrays of at most
-        ``CHUNK_POINTS`` rows, each a fresh array.  Together they are the
-        rows of the cloud ``attractor_points`` builds from the same
+        ``CHUNK_POINTS // 8`` rows, each a fresh array.  Together they are
+        the rows of the cloud ``attractor_points`` builds from the same
         arguments, in an order of their own."""
         game, d = self._game, self.dimension
         chunk, lanes = self._tape.shape
-        for offset in range(0, lanes, CHUNK_POINTS):
-            lane = np.arange(offset, min(offset + CHUNK_POINTS, lanes))
+        width = max(CHUNK_POINTS // 8, 1)  # lanes per group
+        for offset in range(0, lanes, width):
+            lane = np.arange(offset, min(offset + width, lanes))
             group = slice(offset, offset + len(lane))
             # a lane keeps the iterate after its step s when tail + s >= 0 and
             # past_end + s < 0: ``tail`` is its tail index after step 0, and
@@ -497,35 +507,41 @@ def _chunked(cloud):
     return mins, maxs, lambda: _row_chunks(points)
 
 
-def _occupied_cells(chunks, to_cells, radices: list[int]) -> np.ndarray:
-    """The distinct cells of a grid, as a (K, d) integer array in sorted order.
+def _occupied_cells(chunks, grids) -> list[np.ndarray]:
+    """The distinct cells of each of several grids over the same items, each
+    as a (K, d) integer array in sorted order, from one read of ``chunks``.
 
-    The items are the rows of the (rows, d) arrays ``chunks`` yields:
-    ``to_cells(j, column)`` maps a chunk's axis-j column to a fresh int64
-    array of cell indices in [0, radices[j]).  A chunk's indices are packed
-    into one mixed-radix key as they come, so only one of them is alive beside
-    the key, or, when the key would overflow int64, stacked into (rows, d)
-    cells.  A pass holds one chunk's temporaries and the distinct keys found
-    so far: each chunk's, merged into one sorted set whenever the unmerged
-    ones outnumber it and ``CHUNK_POINTS``, so with K occupied cells and
-    chunks of at most ``CHUNK_POINTS`` rows they are at most
-    2 K + 2 ``CHUNK_POINTS`` keys, whatever the number of rows."""
-    packed = math.prod(radices) < 2**62
-    found = []  # distinct keys; found[0] is the merged set
+    The items are the rows of the (rows, d) arrays ``chunks`` yields.  A grid
+    is a pair ``(to_cells, radices)``: ``to_cells(j, column)`` maps a chunk's
+    axis-j column to a fresh int64 array of cell indices in [0, radices[j]).
+    For each grid in turn a chunk's indices are packed into one mixed-radix
+    key as they come, so only one of them is alive beside the key, or, when
+    the key would overflow int64, stacked into (rows, d) cells.  A pass holds
+    one chunk's temporaries and, per grid, the distinct keys found so far:
+    each chunk's, merged into one sorted set whenever the unmerged ones
+    outnumber it and ``CHUNK_POINTS``, so with K occupied cells and chunks of
+    at most ``CHUNK_POINTS`` rows they are at most 2 K + 2 ``CHUNK_POINTS``
+    keys per grid, whatever the number of rows."""
+    packed = [math.prod(radices) < 2**62 for _, radices in grids]
+    found = [[] for _ in grids]  # per grid, distinct keys; [0] is the merged set
     for chunk in chunks:
-        columns = (to_cells(j, column) for j, column in enumerate(chunk.T))
-        if packed:
-            key = next(columns)
-            for radix, column in zip(radices[1:], columns):
-                key *= radix
-                key += column
-        else:
-            key = np.stack(list(columns), axis=1)
-        found.append(_distinct(key))
-        if sum(map(len, found[1:])) > max(len(found[0]), CHUNK_POINTS):
-            found = [_distinct(np.concatenate(found))]
-    keys = _distinct(np.concatenate(found))
-    return np.stack(np.unravel_index(keys, radices), axis=1) if packed else keys
+        for (to_cells, radices), pack, keys in zip(grids, packed, found):
+            columns = (to_cells(j, column) for j, column in enumerate(chunk.T))
+            if pack:
+                key = next(columns)
+                for radix, column in zip(radices[1:], columns):
+                    key *= radix
+                    key += column
+            else:
+                key = np.stack(list(columns), axis=1)
+            keys.append(_distinct(key))
+            if sum(map(len, keys[1:])) > max(len(keys[0]), CHUNK_POINTS):
+                keys[:] = [_distinct(np.concatenate(keys))]
+    cells = []
+    for (_, radices), pack, keys in zip(grids, packed, found):
+        keys = _distinct(np.concatenate(keys))
+        cells.append(np.stack(np.unravel_index(keys, radices), axis=1) if pack else keys)
+    return cells
 
 
 def box_dimension(cloud, scales) -> BoxDimensionResult:
@@ -544,14 +560,14 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     would give: dividing by 2^s is exact in floating point (barring subnormal
     quotients, whose floors are 0 either way), so
     floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
-    offset u >= 0 from the cloud's lower corner.  Any other scale costs one
-    pass over the points, ``CHUNK_POINTS`` rows at a time; for a
-    ``ChaosGame`` that pass is a replay.  Either way the
-    occupied cells are the distinct packed cell keys, found by sorting each
-    chunk's keys in place and merging the chunks' distinct keys (see
-    ``_occupied_cells``), so beside the cloud, or the game's tape and
-    checkpoints, a pass holds one chunk's columns and keys and the grid's
-    distinct keys."""
+    offset u >= 0 from the cloud's lower corner.  All other scales, the
+    finest always among them, are counted together in one pass over the
+    points, ``CHUNK_POINTS`` rows at a time; for a ``ChaosGame`` that pass is
+    one replay.  Either way the occupied cells are the distinct packed cell keys,
+    found by sorting each chunk's keys in place and merging the chunks'
+    distinct keys (see ``_occupied_cells``), so beside the cloud, or the
+    game's tape and checkpoints, the pass holds one chunk's columns and keys
+    and the distinct keys of each grid it counts."""
     scales = check_scales(scales)
     chunked = _chunked(cloud)
     if chunked is None:
@@ -564,26 +580,32 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     if not any(e > 0 for e in extent):
         raise DegenerateCloudError("degenerate cloud: all points coincide")
 
-    counts = []
-    cells, finer = None, (None, None)  # occupied cells and frexp of the finer scale
+    grids = []  # (delta, radices, shift from the finer grid or None), finest first
+    finer = None, None  # frexp of the finer scale
     for delta in reversed(scales):
         if not all(e / delta < 2**63 for e in extent):
             raise ValueError(
                 f"box scale {delta!r} is too small for the cloud: its cell indices "
                 "overflow 64-bit integers"
             )
-        radices = [math.floor(e / delta) + 1 for e in extent]
         mantissa, exponent = math.frexp(delta)
-        if mantissa == finer[0]:
-            shift = exponent - finer[1]
-            cells = _occupied_cells(_row_chunks(cells), lambda j, column: column >> shift, radices)
+        shift = exponent - finer[1] if mantissa == finer[0] else None
+        grids.append((delta, [math.floor(e / delta) + 1 for e in extent], shift))
+        finer = mantissa, exponent
+    # the quotients are >= 0, so the truncating cast is the floor
+    counted = _occupied_cells(read(), [
+        (lambda j, column, delta=delta: ((column - mins[j]) / delta).astype(np.int64), radices)
+        for delta, radices, shift in grids if shift is None
+    ])
+    counts = []
+    for delta, radices, shift in grids:
+        if shift is None:
+            cells = counted.pop(0)
         else:
-            # the quotients are >= 0, so the truncating cast is the floor
-            cells = _occupied_cells(
-                read(), lambda j, column: ((column - mins[j]) / delta).astype(np.int64), radices
+            (cells,) = _occupied_cells(
+                _row_chunks(cells), [(lambda j, column: column >> shift, radices)]
             )
         counts.append(len(cells))
-        finer = mantissa, exponent
     counts.reverse()
     x = np.log(1.0 / np.asarray(scales))
     y = np.log(np.asarray(counts, dtype=float))

@@ -283,6 +283,8 @@ def verify_axioms(
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
         raise ValueError("t_grid must be nonempty")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t_grid must be strictly ascending")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
 

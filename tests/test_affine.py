@@ -354,6 +354,28 @@ class TestReplayedChaosGame:
                 assert box_dimension(game, scales) == boxes
                 assert render_pgm(game, 64) == raster
 
+    def test_scales_off_the_shift_path_share_one_replay(self, monkeypatch):
+        """Every scale that is not a power-of-two multiple of the next finer
+        one is counted in a single replay, and the counts are the cloud's."""
+        ifs = random_affine_ifs(np.random.default_rng(3), 3, 3)
+        kwargs = dict(burn_in=200, seed=0)
+        game, cloud = ChaosGame(ifs, 20000, **kwargs), attractor_points(ifs, 20000, **kwargs)
+        replays = []
+        replay = ChaosGame.replay
+
+        def counted(self):
+            replays.append(self)
+            return replay(self)
+
+        monkeypatch.setattr(ChaosGame, "replay", counted)
+        for scales in ([0.3, 0.1, 0.03, 0.01], SCALE_LISTS["mixed"]):
+            replays.clear()
+            assert box_dimension(game, scales) == box_dimension(cloud, scales)
+            assert replays == [game]
+        assert box_dimension(cloud, SCALE_LISTS["mixed"]).counts == per_scale_counts(
+            cloud.points, SCALE_LISTS["mixed"]
+        )
+
     def test_same_checks_as_the_cloud(self):
         for kwargs in (dict(count=0), dict(count=10, burn_in=-1), dict(count=10, chains=0)):
             with pytest.raises(ValueError):
@@ -585,9 +607,9 @@ class TestWorkingMemory:
 
     def test_streamed_box_counting_holds_no_cloud(self):
         """Played and box-counted without a cloud, 10^6 equilibrium-driven
-        points peak at 8.9 MiB traced (22.2 MiB through the cloud): the tape
-        and checkpoints, the play pass's uniforms, maps and states, then one
-        lane group's replay."""
+        points peak at 4.2 MiB traced (22.2 MiB through the cloud): the tape
+        and checkpoints, the play pass's uniforms, states and one step's
+        maps, then one lane group's replay."""
         ifs = generic_pair_ifs()
         driver = mu_cesaro(NaturalCylinderFunction(ifs), 0.86, 8, 3)
         scales = [2.0**-k for k in range(3, 11)]
@@ -598,6 +620,24 @@ class TestWorkingMemory:
         result, peak = _traced_peak(streamed)
         assert len(result.counts) == len(scales)
         assert peak < 10**6 * 2 * 8  # the 15.3 MiB cloud it does not build
+
+    def test_streamed_working_set_beside_tape_and_checkpoints(self):
+        """Beside the tape and checkpoints, playing and box-counting 10^6
+        equilibrium-driven points holds 3.0 MiB traced (7.0 MiB when the play
+        pass gathered a whole chunk's maps at once and a replay ran
+        ``CHUNK_POINTS`` lanes at a time)."""
+        ifs = generic_pair_ifs()
+        driver = mu_cesaro(NaturalCylinderFunction(ifs), 0.86, 8, 3)
+        scales = [2.0**-k for k in range(3, 11)]
+        ChaosGame(ifs, 10, seed=3, driver=driver)  # numpy.random is imported outside the trace
+
+        def streamed():
+            game = ChaosGame(ifs, 10**6, seed=3, driver=driver)
+            return game, box_dimension(game, scales)
+
+        (game, result), peak = _traced_peak(streamed)
+        assert len(result.counts) == len(scales)
+        assert peak - game._tape.nbytes - game._starts.nbytes < 4 * 2**20
 
     def test_chaos_game_draws_uniforms_in_blocks(self):
         cloud, peak = _traced_peak(attractor_points, generic_pair_ifs(), 10**6, seed=3)

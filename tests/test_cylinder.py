@@ -121,6 +121,15 @@ def test_verify_axioms_product_chain_rule_is_tight():
     assert report.passed()
 
 
+def test_verify_axioms_rejects_unsorted_grid():
+    """A descending grid took negative increments and reported a parameter
+    violation of 1.419 where the ascending grid passes."""
+    cf = ProductCylinderFunction([0.4, 0.6])
+    for grid in ([1.5, 1.0, 0.5], [0.5, 1.0, 1.0], [1.0, 0.5, 1.5]):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            verify_axioms(cf, grid, samples=400, seed=3)
+
+
 def test_verify_axioms_natural_random_maps():
     rng = np.random.default_rng(13)
     cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
