@@ -21,6 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .affine import (
+    DEFAULT_CHAINS,
     MIN_RESOLUTION,
     ChaosGame,
     attractor_points,
@@ -396,7 +397,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, parents=[common], help=extra)
         p.add_argument("--count", type=int, default=100000 if name == "render" else 200000)
         p.add_argument("--burn-in", dest="burn_in", type=int, default=200)
-        p.add_argument("--chains", type=int, default=512)
+        p.add_argument("--chains", type=int, default=DEFAULT_CHAINS)
         p.add_argument("--driver", choices=["uniform", "equilibrium"], default="uniform")
         p.add_argument("--t", type=float, default=None)
         p.add_argument("--nmax", type=int, default=8)

@@ -1,48 +1,41 @@
 """Cylinder functions: positive word-indexed potentials with certified constants.
 
 A cylinder function assigns every nonempty word ``w`` and parameter ``t >= 0``
-a positive value and certifies three constants: a distortion bound ``K_t``
-(how much the value may vary over infinite tails), and parameter bounds
-``0 < s_lo <= s_hi < 1`` controlling the response to a shift ``t -> t + delta``:
+a log-value and certifies three constants: a distortion bound ``K_t`` (how much
+the value may vary over infinite tails), and parameter bounds
+``0 < s_lo <= s_hi < 1`` controlling the response to a shift ``t -> t + delta``
+(``value = exp(log_value)``):
 
     value(t, w) * s_lo^(delta * |w|)  <=  value(t + delta, w)
                                       <=  value(t, w) * s_hi^(delta * |w|)
 
-A cylinder function also holds the word budget ``budget``, the most words a
-level may have; it limits work, not values, so ``content_hash`` ignores it.
+A value never exceeds the product of the values of its parts,
+``value(t, ij) <= K_t * value(t, i) * value(t, j)`` (submultiplicativity), and
+``verify_axioms`` spot-checks all three properties on random words.  Both
+potentials here are constant in the tail (``K_t = 1``).  The word budget
+``budget``, the most words a level may have, limits work, not values, so
+``content_hash`` ignores it.
 
-Both implementations here are constant in the tail (``K_t = 1`` exactly); the
-``tail`` argument is accepted and ignored so that a future tail-dependent
-potential with ``K_t > 1`` can slot into the same interface.
+A potential is exponents times level features: ``log_value(t, w)`` is the sum
+of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t)``, and
+``level_features(k, n)`` is the read-only ``F_k`` of every level-n word in
+packed-index order.  ``CylinderFunction.log_value_block`` takes that sum from
+zeros, in ``terms`` order, over the slice of a level that a prefix spans.
+``log_value`` evaluates one word without building its level.
 
-The value of a word must never exceed the product of the values of its parts:
-``value(t, ij) <= K_t * value(t, i) * value(t, j)`` (submultiplicativity; with
-equality and K_t = 1 this is the multiplicative chain rule of similarity
-weights).  ``verify_axioms`` spot-checks all three properties on random words
-and reports the worst signed slack per axiom.
-
-The natural potential is ``log value(t, w) = sum_k c_k(t) * log(a_1...a_k)(w)``
-(``svf_compound_terms``), and the features ``log(a_1...a_k)(w)`` do not depend
-on ``t``.  ``NaturalCylinderFunction`` therefore keeps the feature array of
-each ``(k, prefix, depth)`` block it evaluates (a whole level is the block
-``((), n)``), so the batched singular values of a block are computed once
+The natural potential's terms are ``svf_compound_terms(t, d)`` and its
+features ``log(a_1...a_k)``, built per ``k`` as the terms ask.  It keeps the
+features of each ``(k, n)``, so a level's singular values are computed once
 however many parameters are asked for.  The kept bytes are capped by
-``FEATURE_MEMO_BYTES``: the memo is cleared when storing a block would pass
-the cap, and a block larger than the cap is never kept, so such a block is
-recomputed at every parameter.  Single-word ``log_value`` calls do not fill
-the memo.  The compound products behind a block take ``C(d, k)^2`` floats
-per word, so they are formed at most ``PRODUCT_CHUNK_WORDS`` words at a time.
-
-A feature is the log of the top singular value of a compound product, from
-``top_singular_values``.  Compounds up to 3 x 3 (every k when d <= 3, and
-k = 4 when d = 4) take closed forms: ``|a|`` for 1 x 1, a sum of two
-``hypot`` terms for 2 x 2, and for 3 x 3 the largest eigenvalue of the Gram
-matrix of the product scaled to largest entry 1, by the trigonometric formula.
-Each is within a few ulps of LAPACK's a_1, for the reasons its docstring
-gives; the 3 x 3 rows whose top two singular values nearly meet, and the
-4 x 4 and 6 x 6 compounds of d = 4, go to LAPACK.  A product that underflows
-to the zero matrix has top singular value 0, so its feature is ``-inf`` and
-the block raises ``NumericallySingularError``.
+``FEATURE_MEMO_BYTES``: the memo is cleared when storing a level would pass the
+cap, and a level larger than the cap is never kept, so it is rebuilt at every
+parameter.  The compound products behind a level take ``C(d, k)^2`` floats per
+word, so they are formed at most ``PRODUCT_CHUNK_WORDS`` words at a time.  A
+feature is the log of the top singular value of a compound product, from
+``top_singular_values`` (closed forms within a few ulps of LAPACK's a_1 up to
+3 x 3, LAPACK above).  A product that underflows to the zero matrix has
+feature ``-inf``, and its level or word raises ``NumericallySingularError``.
+The product potential's one term is ``(1, t)``, its feature ``sum_i log s_{w_i}``.
 """
 
 from __future__ import annotations
@@ -61,17 +54,18 @@ from .linalg import (
     top_singular_values,
     word_matrix,
 )
-from .symbolic import DEFAULT_WORD_BUDGET, Word
+from .symbolic import DEFAULT_WORD_BUDGET, Word, pack_word
 
-#: Cap on the bytes of block features a ``NaturalCylinderFunction`` keeps.
+#: Cap on the bytes of level features a ``NaturalCylinderFunction`` keeps.
 FEATURE_MEMO_BYTES = 64 << 20
 
-#: Most suffix words whose compound products are formed at once.
+#: Most words whose compound products are formed at once.
 PRODUCT_CHUNK_WORDS = 1 << 12
 
 
 class CylinderFunction:
-    """Interface: positive potential on words, with certified constants."""
+    """Interface: positive potential on words, with certified constants.  A
+    potential defines the methods that raise ``NotImplementedError``."""
 
     #: number of symbols in the underlying alphabet
     n_symbols: int
@@ -81,11 +75,16 @@ class CylinderFunction:
         if self.budget < 1:
             raise ValueError(f"word budget must be >= 1, got {budget}")
 
-    def log_value(self, t: float, w: Word, tail: Word | None = None) -> float:
+    def terms(self, t: float) -> list[tuple[int, float]]:
+        """The exponents ``[(k, c_k(t))]`` of ``log_value = sum_k c_k * F_k``."""
         raise NotImplementedError
 
-    def value(self, t: float, w: Word, tail: Word | None = None) -> float:
-        return math.exp(self.log_value(t, w, tail))
+    def level_features(self, k: int, n: int) -> np.ndarray:
+        """Read-only ``F_k`` of every level-n word, in packed-index order."""
+        raise NotImplementedError
+
+    def log_value(self, t: float, w: Word) -> float:
+        raise NotImplementedError
 
     def constants(self, t: float) -> tuple[float, float, float]:
         """Certified (K_t, s_lo, s_hi)."""
@@ -96,8 +95,13 @@ class CylinderFunction:
 
     def log_value_block(self, t: float, prefix: Word, depth: int) -> np.ndarray:
         """Log-values of all words ``prefix + suffix``, suffixes of the given
-        depth in lexicographic order."""
-        raise NotImplementedError
+        depth in lexicographic order; the prefix may be empty."""
+        size = self.n_symbols**depth
+        start = pack_word(prefix, self.n_symbols) * size  # checks the prefix's symbols
+        out = np.zeros(size)
+        for k, coeff in self.terms(t):
+            out += coeff * self.level_features(k, len(prefix) + depth)[start:start + size]
+        return out
 
     def _check_word(self, w: Word) -> None:
         if len(w) < 1:
@@ -109,13 +113,10 @@ class CylinderFunction:
 
 class NaturalCylinderFunction(CylinderFunction):
     """Singular-value-function potential of an affine IFS: alpha^t of the word's
-    matrix product.  Submultiplicativity of alpha^t makes K_t = 1.
-
-    alpha^t of a product is evaluated through top singular values of
-    exterior-power (compound) products, never through the small singular
-    values of the explicitly formed product; the latter lose relative accuracy
-    with the product's condition number, which grows exponentially with word
-    length."""
+    matrix product.  Submultiplicativity of alpha^t makes K_t = 1.  alpha^t is
+    read off top singular values of compound (exterior-power) products, never
+    off the small singular values of the product itself, which lose relative
+    accuracy with its condition number, exponential in the word length."""
 
     def __init__(self, maps, budget: int | None = None):
         super().__init__(budget)
@@ -134,61 +135,56 @@ class NaturalCylinderFunction(CylinderFunction):
             k: np.stack([compound_matrix(A, k) for A in mats])
             for k in range(1, self.dimension + 1)
         }
-        self._features: dict[tuple, np.ndarray] = {}
+        self._features: dict[tuple[int, int], np.ndarray] = {}
         self._feature_bytes = 0
 
-    def _log_partial_products(self, k: int, prefix: Word, depth: int, memo: bool) -> np.ndarray:
-        """log(a_1 ... a_k) of the word matrix for every ``prefix + suffix``,
-        via top singular values of k-th compound products; kept in the feature
-        memo when ``memo`` is set.  Each product of the prefix and the first
-        ``depth - inner`` suffix symbols is extended by all ``inner``-symbol
-        tails at once, at most ``PRODUCT_CHUNK_WORDS`` words."""
-        key = (k, tuple(prefix), depth)
-        if key in self._features:
-            return self._features[key]
+    def terms(self, t):
+        return svf_compound_terms(t, self.dimension)
+
+    def level_features(self, k, n):
+        if (k, n) in self._features:
+            return self._features[k, n]
         comps = self._compounds[k]
-        m = comps.shape[1]
 
         def extend(prods, levels):
             for _ in range(levels):
-                prods = (prods[:, None, :, :] @ comps[None, :, :, :]).reshape(-1, m, m)
+                prods = (prods[:, None, :, :] @ comps[None, :, :, :]).reshape(-1, *comps.shape[1:])
             return prods
 
-        inner = 0
-        while inner < depth and self.n_symbols ** (inner + 1) <= PRODUCT_CHUNK_WORDS:
+        inner = 0  # extend each head product by every inner-symbol tail at once
+        while inner < n and self.n_symbols ** (inner + 1) <= PRODUCT_CHUNK_WORDS:
             inner += 1
-        heads = extend(word_matrix(comps, prefix)[None, :, :], depth - inner)
+        heads = extend(np.eye(comps.shape[1])[None, :, :], n - inner)
         feats = np.empty((len(heads), self.n_symbols**inner))
-        with np.errstate(divide="ignore"):
-            for head, row in zip(heads, feats):
-                row[:] = np.log(top_singular_values(extend(head[None, :, :], inner)))
+        for head, row in zip(heads, feats):
+            row[:] = self._log_top(extend(head[None, :, :], inner), k, n)
         feats = feats.reshape(-1)
-        if not np.all(np.isfinite(feats)):
-            raise NumericallySingularError(
-                f"level {len(prefix) + depth}: the product of the top {k} singular value(s) "
-                "of some word matrix underflows double precision"
-            )
-        if memo and feats.nbytes <= FEATURE_MEMO_BYTES:
+        feats.flags.writeable = False
+        if feats.nbytes <= FEATURE_MEMO_BYTES:
             if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
                 self._features.clear()
                 self._feature_bytes = 0
-            feats.flags.writeable = False
-            self._features[key] = feats
+            self._features[k, n] = feats
             self._feature_bytes += feats.nbytes
         return feats
 
-    def _log_values(self, t, prefix, depth, memo):
-        out = np.zeros(self.n_symbols**depth)
-        for k, coeff in svf_compound_terms(t, self.dimension):
-            out += coeff * self._log_partial_products(k, prefix, depth, memo)
-        return out
-
-    def log_value(self, t, w, tail=None):
+    def log_value(self, t, w):
         self._check_word(w)
-        return float(self._log_values(t, w, 0, memo=False)[0])
+        out = 0.0
+        for k, coeff in self.terms(t):
+            out += coeff * self._log_top(word_matrix(self._compounds[k], w)[None], k, len(w))[0]
+        return float(out)
 
-    def log_value_block(self, t, prefix, depth):
-        return self._log_values(t, prefix, depth, memo=True)
+    @staticmethod
+    def _log_top(prods, k, n):  # log(a_1...a_k) of the words of level n
+        with np.errstate(divide="ignore"):
+            feats = np.log(top_singular_values(prods))
+        if not np.all(np.isfinite(feats)):
+            raise NumericallySingularError(
+                f"level {n}: the product of the top {k} singular value(s) "
+                "of some word matrix underflows double precision"
+            )
+        return feats
 
     def constants(self, t):
         return 1.0, float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
@@ -218,16 +214,20 @@ class ProductCylinderFunction(CylinderFunction):
         self.n_symbols = len(weights)
         self._log_weights = np.log(weights)
 
-    def log_value(self, t, w, tail=None):
-        self._check_word(w)
-        return t * float(self._log_weights[list(w)].sum())
+    def terms(self, t):
+        return [(1, t)]
 
-    def log_value_block(self, t, prefix, depth):
-        base = self._log_weights[list(prefix)].sum() if prefix else 0.0
-        out = np.array([base])
-        for _ in range(depth):
-            out = (out[:, None] + self._log_weights[None, :]).reshape(-1)
-        return t * out
+    def level_features(self, k, n):
+        feats = np.zeros(1)  # sum_i log s_{w_i}, the one feature (k = 1)
+        for _ in range(n):
+            feats = (feats[:, None] + self._log_weights[None, :]).reshape(-1)
+        feats.flags.writeable = False
+        return feats
+
+    def log_value(self, t, w):
+        self._check_word(w)
+        # summed left to right and from zeros, in the order of a level's sum
+        return 0.0 + t * float(np.cumsum(self._log_weights[list(w)])[-1])
 
     def constants(self, t):
         return 1.0, float(self.weights.min()), float(self.weights.max())
@@ -244,8 +244,8 @@ class AxiomReport:
     """Worst signed slack per axiom over the sampled checks.
 
     Slacks are in log scale; a value <= 0 means the axiom held with margin on
-    every sample.  ``bvp_max_ratio`` is the largest value ratio observed over
-    pairs of tails (exactly 1 for tail-constant potentials)."""
+    every sample.  ``bvp_max_ratio`` is the largest value ratio over pairs of
+    tails: 1, since both potentials are constant in the tail."""
 
     bvp_max_ratio: float
     worst_subchain_violation: float
@@ -288,7 +288,6 @@ def verify_axioms(
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
 
-    worst_bvp = 1.0
     worst_subchain = -math.inf
     worst_param = -math.inf
     k_t = max(cf.constants(t)[0] for t in t_grid)
@@ -301,12 +300,10 @@ def verify_axioms(
         j = int(rng.integers(1, length))
         t = t_grid[int(rng.integers(0, len(t_grid)))]
 
-        # (1) BVP: the value may vary over tails by at most K_t
-        tail_a = tuple(rng.integers(0, cf.n_symbols, size=4))
-        tail_b = tuple(rng.integers(0, cf.n_symbols, size=4))
-        va = cf.log_value(t, w, tail=tail_a)
-        vb = cf.log_value(t, w, tail=tail_b)
-        worst_bvp = max(worst_bvp, math.exp(abs(va - vb)))
+        # (1) BVP: the value ratio over tails is 1 for tail-constant
+        # potentials; two 4-symbol tails are still drawn, for the same stream
+        for _ in range(2):
+            rng.integers(0, cf.n_symbols, size=4)
 
         # (2) subchain rule on the split w = w[:j] + w[j:]
         slack = cf.log_value(t, w) - cf.log_value(t, w[:j]) - cf.log_value(t, w[j:])
@@ -328,7 +325,7 @@ def verify_axioms(
         )
 
     return AxiomReport(
-        bvp_max_ratio=worst_bvp,
+        bvp_max_ratio=1.0,
         worst_subchain_violation=worst_subchain,
         worst_param_violation=worst_param,
         samples=samples,

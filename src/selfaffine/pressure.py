@@ -11,13 +11,13 @@ running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
 estimate, never a bound.
 
-A level is one flat array of word log-values in lexicographic (packed-index)
-order, from one ``log_value_block(t, (), n)`` call; ``log_sum_exp`` reduces
-it around its maximum in a fixed order, so results are bit-for-bit
-reproducible.  ``level_log_values`` returns the array with ``log S_n``, for
-consumers that need every word's value as well.  A level of more than
-``cf.budget`` words raises ``BudgetExceededError``, and one whose log-values
-overflow double precision raises ``LevelOverflowError``.
+A level is the flat array ``cf.log_value_block(t, (), n)`` of word log-values
+``sum_k c_k * F_k`` (``terms`` times ``level_features``) in packed-index order;
+``log_sum_exp`` reduces it around its maximum in a fixed order, so results are
+bit-for-bit reproducible.  ``level_log_values`` returns the array with
+``log S_n``, for consumers that need every word's value as well.  A level of
+more than ``cf.budget`` words raises ``BudgetExceededError``, and one whose
+log-values overflow double precision raises ``LevelOverflowError``.
 """
 
 from __future__ import annotations

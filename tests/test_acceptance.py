@@ -133,7 +133,9 @@ def test_c05_subchain_suite():
             i = tuple(rng.integers(0, 2, size=int(rng.integers(1, 9))))
             j = tuple(rng.integers(0, 2, size=int(rng.integers(1, 9))))
             for t in (0.5, 1.3, 2.0, 2.7):
-                assert cf.value(t, i + j) <= cf.value(t, i) * cf.value(t, j) * (1 + 1e-12)
+                lhs = math.exp(cf.log_value(t, i + j))
+                rhs = math.exp(cf.log_value(t, i)) * math.exp(cf.log_value(t, j))
+                assert lhs <= rhs * (1 + 1e-12)
             checked += 1
 
 
@@ -148,9 +150,9 @@ def test_c06_parameter_bound_suite():
             t = float(rng.uniform(0, 2.5))
             delta = float(rng.uniform(0.05, 1.0))
             _, s_lo, s_hi = cf.constants(t)
-            lo = cf.value(t, w) * s_lo ** (delta * len(w))
-            hi = cf.value(t, w) * s_hi ** (delta * len(w))
-            shifted = cf.value(t + delta, w)
+            lo = math.exp(cf.log_value(t, w)) * s_lo ** (delta * len(w))
+            hi = math.exp(cf.log_value(t, w)) * s_hi ** (delta * len(w))
+            shifted = math.exp(cf.log_value(t + delta, w))
             assert shifted >= lo * (1 - 1e-10)
             assert shifted <= hi * (1 + 1e-10)
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import math
 import re
 import tracemalloc
@@ -586,7 +587,11 @@ class TestBoxCountNesting:
 
 
 def _traced_peak(function, *args, **kwargs):
-    """The result of ``function`` and the peak bytes traced while it ran."""
+    """The result of ``function`` and the peak bytes traced while it ran.
+
+    numpy 2 imports ``numpy.random`` on first use (0.45 MiB or more traced), so
+    it is imported before the trace starts, whatever test ran before."""
+    importlib.import_module("numpy.random")
     tracemalloc.start()
     try:
         result = function(*args, **kwargs)

@@ -5,7 +5,8 @@ import pytest
 from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, swap_pair_ifs, triple_diag_ifs
 
 from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, nu_weights
-from selfaffine.cli import _write_csv, main, parse_t_grid
+from selfaffine.affine import DEFAULT_CHAINS
+from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
 
@@ -286,6 +287,11 @@ def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     assert main(argv + ["--ifs", str(triple_path), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "boxdim"])
+def test_chains_default_is_the_library_default(command):
+    assert build_parser().parse_args([command, "--ifs", "x"]).chains == DEFAULT_CHAINS
 
 
 def test_uniform_driver_ignores_depth_and_zero_burn_in_is_valid(cantor_path, tmp_path):

@@ -11,6 +11,7 @@ from selfaffine import (
     NaturalCylinderFunction,
     ProductCylinderFunction,
     log_partition_sum,
+    pack_word,
     verify_axioms,
     words_of_length,
 )
@@ -30,28 +31,22 @@ def test_product_rejects_bad_weights():
 
 def test_product_value():
     cf = ProductCylinderFunction([0.5, 0.5])
-    assert cf.value(1.0, (0, 1, 0, 1, 1)) == pytest.approx(2.0**-5, rel=1e-14)
+    assert math.exp(cf.log_value(1.0, (0, 1, 0, 1, 1))) == pytest.approx(2.0**-5, rel=1e-14)
 
 
 def test_natural_value_diag():
     cf = NaturalCylinderFunction(np.stack([np.diag([0.5, 0.25])] * 2))
     # word (0,0) has matrix diag(1/4, 1/16); alpha^1.5 = 0.25 * 0.25
-    assert cf.value(1.5, (0, 0)) == pytest.approx(0.0625, rel=1e-13)
-    assert cf.value(0.0, (1,)) == 1.0
+    assert math.exp(cf.log_value(1.5, (0, 0))) == pytest.approx(0.0625, rel=1e-13)
+    assert math.exp(cf.log_value(0.0, (1,))) == 1.0
 
 
 def test_value_rejects_bad_words():
     cf = ProductCylinderFunction([0.5, 0.5])
     with pytest.raises(ValueError):
-        cf.value(1.0, ())
+        cf.log_value(1.0, ())
     with pytest.raises(ValueError):
-        cf.value(1.0, (0, 2))
-
-
-def test_tail_is_accepted_and_ignored():
-    cf = swap_pair_cf()
-    w = (0, 1, 0)
-    assert cf.value(1.3, w, tail=(0, 0)) == cf.value(1.3, w, tail=(1, 1, 1))
+        cf.log_value(1.0, (0, 2))
 
 
 def test_constants_product():
@@ -76,6 +71,80 @@ def test_block_values_match_per_word(depth):
             assert np.allclose(block, direct, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "cf", [ProductCylinderFunction([0.3, 0.5]), swap_pair_cf()], ids=["product", "natural"]
+)
+def test_block_rejects_bad_prefix(cf):
+    """A prefix is checked as a word is: ``(-1,)`` wrapped round to the block
+    of ``(1,)``, and ``(2,)`` raised a bare ``IndexError``."""
+    for bad in [(-1,), (2,), (0, 5)]:
+        with pytest.raises(ValueError, match="alphabet of size 2"):
+            cf.log_value_block(1.0, bad, 1)
+        with pytest.raises(ValueError, match="alphabet of size 2"):
+            cf.log_value(1.0, bad)
+    assert len(cf.log_value_block(1.0, (), 1)) == 2  # the empty prefix stays valid
+
+
+#: Both potentials, at d = 1 through 4 (d = 4 reaches LAPACK), as factories so
+#: that each test starts from an empty feature memo.
+POTENTIALS = {
+    "product": lambda: ProductCylinderFunction([0.3, 0.5, 0.15]),
+    "natural-d1": lambda: NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(1), 1, 3)),
+    "generic-pair": lambda: NaturalCylinderFunction(generic_pair_ifs()),
+    "natural-d3": lambda: NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(3), 3, 3)),
+    "natural-d4": lambda: NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(4), 4, 2)),
+}
+
+#: Parameters in (0, 1), at every integer up to 4, between integers, and past d.
+LEVEL_TS = (0.0, 0.6, 1.0, 1.37, 2.0, 2.5, 3.0, 3.4, 4.0, 5.5)
+
+
+@pytest.mark.parametrize("make", POTENTIALS.values(), ids=POTENTIALS.keys())
+def test_level_is_exponents_times_features(make):
+    """A level's log-values are sum_k c_k * F_k, summed from zeros in
+    ``terms`` order, bit for bit, and the features are read-only."""
+    cf = make()
+    for t in LEVEL_TS:
+        for n in range(1, 7):
+            want = np.zeros(cf.n_symbols**n)
+            for k, coeff in cf.terms(t):
+                feats = cf.level_features(k, n)
+                assert not feats.flags.writeable
+                want += coeff * feats
+            assert cf.log_value_block(t, (), n).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("make", POTENTIALS.values(), ids=POTENTIALS.keys())
+def test_single_word_is_its_level_entry(make):
+    """``log_value`` forms one product per compound, without the level, and
+    gives the bits of the word's entry in the level."""
+    cf = make()
+    for t in LEVEL_TS:
+        for n in range(1, 5):
+            level = cf.log_value_block(t, (), n)
+            for index, w in enumerate(words_of_length(cf.n_symbols, n)):
+                assert np.float64(cf.log_value(t, w)).tobytes() == level[index].tobytes()
+
+
+@pytest.mark.parametrize("make", POTENTIALS.values(), ids=POTENTIALS.keys())
+def test_prefix_block_is_a_slice_of_its_level(make):
+    """A prefix block is its level's slice, and taken after the level it
+    builds no features: the memo stays keyed by (k, n)."""
+    cf = make()
+    for t in (0.6, 2.5):
+        level = cf.log_value_block(t, (), 5)
+        kept = dict(getattr(cf, "_features", {}))
+        for prefix in [(0,), (1, 0), (1, 1, 0), (0, 1, 1, 0, 1)]:
+            depth = 5 - len(prefix)
+            start = pack_word(prefix, cf.n_symbols) * cf.n_symbols**depth
+            block = cf.log_value_block(t, prefix, depth)
+            assert block.tobytes() == level[start:start + cf.n_symbols**depth].tobytes()
+        assert getattr(cf, "_features", {}).keys() == kept.keys()
+        assert all(cf._features[key] is feats for key, feats in kept.items())
+    if isinstance(cf, NaturalCylinderFunction):  # built per k, as the terms ask
+        assert sorted(kept) == [(k, 5) for k in range(1, min(cf.dimension, 3) + 1)]
+
+
 def test_chain_rule_equality_product():
     rng = np.random.default_rng(10)
     cf = ProductCylinderFunction([0.3, 0.5, 0.7])
@@ -83,8 +152,8 @@ def test_chain_rule_equality_product():
         i = tuple(rng.integers(0, 3, size=rng.integers(1, 6)))
         j = tuple(rng.integers(0, 3, size=rng.integers(1, 6)))
         t = float(rng.uniform(0, 3))
-        lhs = cf.value(t, i + j)
-        rhs = cf.value(t, i) * cf.value(t, j)
+        lhs = math.exp(cf.log_value(t, i + j))
+        rhs = math.exp(cf.log_value(t, i)) * math.exp(cf.log_value(t, j))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -96,7 +165,9 @@ def test_subchain_rule_natural():
             i = tuple(rng.integers(0, 3, size=rng.integers(1, 5)))
             j = tuple(rng.integers(0, 3, size=rng.integers(1, 5)))
             t = float(rng.uniform(0, 3))
-            assert cf.value(t, i + j) <= cf.value(t, i) * cf.value(t, j) * (1 + 1e-12)
+            lhs = math.exp(cf.log_value(t, i + j))
+            rhs = math.exp(cf.log_value(t, i)) * math.exp(cf.log_value(t, j))
+            assert lhs <= rhs * (1 + 1e-12)
 
 
 def test_parameter_bound_two_sided():

@@ -47,7 +47,7 @@ from selfaffine.pressure import level_log_values
 
 def brute_force_log_sum(cf, t, n):
     """Independent oracle: plain enumeration and direct summation."""
-    return math.log(sum(cf.value(t, w) for w in words_of_length(cf.n_symbols, n)))
+    return math.log(sum(math.exp(cf.log_value(t, w)) for w in words_of_length(cf.n_symbols, n)))
 
 
 def test_log_partition_product_cancellation():
