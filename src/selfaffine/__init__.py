@@ -48,7 +48,7 @@ from .errors import (
     NumericallySingularError,
 )
 from .ifsfile import parse_ifs_file, parse_ifs_text, serialize_ifs, write_ifs_file
-from .linalg import log_svf_alpha_t, singular_values, svf_alpha_t, word_matrix
+from .linalg import singular_values, word_matrix
 from .pressure import (
     DimensionReport,
     PressureReport,
@@ -59,14 +59,4 @@ from .pressure import (
     pressure_root,
     pressure_sequence,
 )
-from .symbolic import (
-    DEFAULT_WORD_BUDGET,
-    Alphabet,
-    Word,
-    concat,
-    pack_word,
-    shift_word,
-    unpack_word,
-    word_metric,
-    words_of_length,
-)
+from .symbolic import DEFAULT_WORD_BUDGET, Word, pack_word

@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateCloudError, IFSValidationError, NumericallySingularError
-from .linalg import singular_values
+from .linalg import MAX_DIM, singular_values
 
 #: Number of independent chaos-game chains (a config value, not a worker count:
 #: it changes the sampled cloud, so it is fixed by default).
@@ -143,12 +143,16 @@ class ValidationReport:
 
 
 def validate_ifs(ifs: AffineIFS) -> ValidationReport:
-    """Hard errors: fewer than two maps, singular or expanding linear part.
+    """Hard errors: fewer than two maps, a dimension above ``MAX_DIM`` (the
+    per-map checks are then skipped), singular or expanding linear part.
     The operator-norm < 1/2 hypothesis is only a warning; the dimension
     computation is defined without it."""
     report = ValidationReport()
     if ifs.n_maps < 2:
         report.errors.append(f"IFS has {ifs.n_maps} map(s); at least 2 required")
+    if ifs.dimension > MAX_DIM:
+        report.errors.append(f"dimension {ifs.dimension} is not supported (1..{MAX_DIM})")
+        return report
     for i, A in enumerate(ifs.matrices):
         try:
             svals = singular_values(A)
@@ -170,8 +174,8 @@ def validate_ifs(ifs: AffineIFS) -> ValidationReport:
 def sample_translations(d: int, n_maps: int, count: int, radius: float, seed: int) -> np.ndarray:
     """Uniform samples from the cube [-radius, radius]^(d * n_maps), one row
     per sampled translation bundle."""
-    if radius <= 0:
-        raise ValueError(f"radius must be positive, got {radius}")
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return rng.uniform(-radius, radius, size=(count, d * n_maps))
 

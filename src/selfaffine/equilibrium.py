@@ -38,7 +38,7 @@ import numpy as np
 
 from .cylinder import CylinderFunction
 from .pressure import level_log_values, pressure_level
-from .symbolic import Word, pack_word, word_str
+from .symbolic import word_str
 
 
 @dataclass
@@ -66,41 +66,11 @@ class CylinderMeasure:
         if abs(total - 1.0) > 1e-8:
             raise ValueError(f"masses must sum to 1, got {total!r}")
 
-    def mass(self, w: Word) -> float:
-        if len(w) != self.depth:
-            raise ValueError(f"word length {len(w)} != table depth {self.depth}")
-        return float(self.masses[pack_word(w, self.n_symbols)])
-
-    def marginal(self, depth: int) -> "CylinderMeasure":
-        """Restrict to a shallower depth by summing over continuations."""
-        if not 1 <= depth <= self.depth:
-            raise ValueError(f"marginal depth must be in 1..{self.depth}, got {depth}")
-        masses = self.masses.reshape(
-            self.n_symbols**depth, self.n_symbols ** (self.depth - depth)
-        ).sum(axis=1)
-        return CylinderMeasure(
-            self.n_symbols, depth, masses, provenance=f"marginal({depth}) of {self.provenance}"
-        )
-
     def rows(self):
         """(word string, mass) pairs in lexicographic (packed) order, for CSV output."""
         words = itertools.product(range(self.n_symbols), repeat=self.depth)
         for w, mass in zip(words, self.masses.tolist()):
             yield word_str(w, self.n_symbols), mass
-
-    @classmethod
-    def point_mass(cls, n_symbols: int, w: Word) -> "CylinderMeasure":
-        masses = np.zeros(n_symbols ** len(w))
-        masses[pack_word(w, n_symbols)] = 1.0
-        return cls(n_symbols, len(w), masses, provenance=f"point({w})")
-
-    @classmethod
-    def bernoulli(cls, p, depth: int) -> "CylinderMeasure":
-        p = np.asarray(p, dtype=float)
-        masses = np.array([1.0])
-        for _ in range(depth):
-            masses = (masses[:, None] * p[None, :]).reshape(-1)
-        return cls(len(p), depth, masses, provenance=f"bernoulli({p.tolist()})")
 
 
 def _nu(cf: CylinderFunction, t: float, n: int, log_s: float, lv: np.ndarray) -> CylinderMeasure:
@@ -215,6 +185,8 @@ def local_dimension_samples(
     table, one uniform per word."""
     if count < 1:
         raise ValueError("count must be >= 1")
+    if not t_star > 0:  # at t = 0 every log value is 0 and each ratio is 0 / 0
+        raise ValueError(f"t_star must be positive, got {t_star}")
     log_s, lv = level_log_values(cf, t_star, n)
     cum = np.cumsum(np.exp(lv - log_s))
     rng = np.random.default_rng(np.random.SeedSequence(seed))

@@ -77,17 +77,16 @@ def parse_ifs_text(text: str, source: str = "<ifs>") -> AffineIFS:
     return parse_ifs_obj(obj, source)
 
 
-def parse_ifs_file(path, require_valid: bool = True) -> AffineIFS:
-    """Parse and (by default) hard-validate an IFS document.
+def parse_ifs_file(path) -> AffineIFS:
+    """Parse and hard-validate an IFS document.
 
     Validation warnings are not raised here; callers wanting them run
     ``validate_ifs`` themselves."""
     path = Path(path)
     ifs = parse_ifs_text(path.read_text(encoding="utf-8"), source=str(path))
-    if require_valid:
-        report = validate_ifs(ifs)
-        if not report.ok:
-            raise IFSValidationError(f"{path}: " + "; ".join(report.errors))
+    report = validate_ifs(ifs)
+    if not report.ok:
+        raise IFSValidationError(f"{path}: " + "; ".join(report.errors))
     return ifs
 
 

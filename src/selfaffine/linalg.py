@@ -126,36 +126,6 @@ def _top_singular_values_3x3(mats: np.ndarray) -> np.ndarray:
     return out
 
 
-def svf_exponents(t: float, d: int) -> np.ndarray:
-    """Exponent vector e with log alpha^t(A) = e . log(singular values)."""
-    if t < 0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    e = np.zeros(d)
-    if t == 0:
-        return e
-    if t > d:
-        e[:] = t / d
-        return e
-    # smallest integer >= t; for integer t this is t itself
-    l = math.ceil(t)
-    e[: l - 1] = 1.0
-    e[l - 1] = t - l + 1
-    return e
-
-
-def log_svf_from_singular_values(svals: np.ndarray, t: float) -> float:
-    return float(svf_exponents(t, len(svals)) @ np.log(svals))
-
-
-def svf_alpha_t(A: np.ndarray, t: float) -> float:
-    """The singular value function alpha^t(A)."""
-    return math.exp(log_svf_from_singular_values(singular_values(A), t))
-
-
-def log_svf_alpha_t(A: np.ndarray, t: float) -> float:
-    return log_svf_from_singular_values(singular_values(A), t)
-
-
 def compound_matrix(A: np.ndarray, k: int) -> np.ndarray:
     """k-th multiplicative compound (exterior power): the matrix of k x k
     minors over lexicographically ordered index subsets.

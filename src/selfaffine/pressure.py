@@ -119,9 +119,6 @@ class PressureReport:
     k_t_is_one: bool
     truncated: bool = False
 
-    def levels(self) -> list[int]:
-        return [n for n, _ in self.per_level]
-
 
 def pressure_sequence(cf, t, n_max, cache=None) -> PressureReport:
     levels, truncated = _budget_levels(cf, n_max)
@@ -196,9 +193,6 @@ class DimensionReport:
     t_tol: float
     n_max: int
     truncated: bool = False
-
-    def levels(self) -> list[int]:
-        return [n for n, _ in self.roots]
 
 
 def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionReport:

@@ -1,0 +1,60 @@
+"""Reference implementations that tests compare the library against.
+
+Each one computes its object from the definition, one word or one matrix at
+a time, and shares no code with the level tables, compound products and
+closed-form kernels of ``selfaffine``.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+
+def words_of_length(m, n):
+    """Stream all words of length n over m symbols in lexicographic order."""
+    return itertools.product(range(m), repeat=n)
+
+
+def unpack_word(index, m, length):
+    """The word of the given length whose packed base-m index is ``index``."""
+    symbols = []
+    for _ in range(length):
+        index, s = divmod(index, m)
+        symbols.append(s)
+    return tuple(reversed(symbols))
+
+
+def svf_exponents(t, d):
+    """Exponent vector e with log alpha^t(A) = e . log(singular values of A):
+
+        t in [l-1, l], l = 1..d:   a_1 ... a_{l-1} * a_l^(t-l+1)
+        t > d:                     (a_1 ... a_d)^(t/d)
+    """
+    if t < 0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    e = np.zeros(d)
+    if t == 0:
+        return e
+    if t > d:
+        e[:] = t / d
+        return e
+    l = math.ceil(t)  # smallest integer >= t; for integer t this is t itself
+    e[: l - 1] = 1.0
+    e[l - 1] = t - l + 1
+    return e
+
+
+def log_svf_alpha_t(A, t):
+    """log alpha^t(A) from LAPACK's singular values of A itself (Falconer 1988).
+
+    The smallest singular values are accurate only to about eps * a_1, so
+    compare against it within a multiple of eps times the condition number."""
+    svals = np.linalg.svd(np.asarray(A, dtype=float), compute_uv=False)
+    return float(svf_exponents(t, len(svals)) @ np.log(svals))
+
+
+def marginal(measure, depth):
+    """Masses of the depth-``depth`` marginal of a cylinder table: each
+    shallower cylinder sums its continuations."""
+    return measure.masses.reshape(measure.n_symbols**depth, -1).sum(axis=1)

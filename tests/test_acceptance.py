@@ -56,7 +56,7 @@ def test_c01_conformal_exactness():
         start = time.perf_counter()
         rep = affinity_dimension(conformal_pair_ifs(), 10, 1e-9)
         elapsed = time.perf_counter() - start
-        assert rep.levels() == list(range(1, 11))
+        assert [n for n, _ in rep.roots] == list(range(1, 11))
         for _, t_n in rep.roots:
             assert abs(t_n - 1.0) <= 1e-9
         assert elapsed < 1.0

@@ -20,6 +20,7 @@ from selfaffine import (
     box_dimension,
     mu_cesaro,
     NaturalCylinderFunction,
+    pack_word,
     render_pgm,
     sample_translations,
     validate_ifs,
@@ -96,6 +97,14 @@ class TestValidateIFS:
         ifs = AffineIFS(2, [np.diag([1.2, 0.5])] * 2, [[0, 0], [1, 0]])
         assert not validate_ifs(ifs).ok
 
+    def test_unsupported_dimension_is_error(self):
+        """Above ``MAX_DIM`` the report names the dimension, and no per-map
+        check runs (``singular_values`` does not take 5 x 5 matrices)."""
+        ifs = AffineIFS(5, [0.3 * np.eye(5), 0.4 * np.eye(5)], np.zeros((2, 5)))
+        report = validate_ifs(ifs)
+        assert report.errors == ["dimension 5 is not supported (1..4)"]
+        assert not report.warnings
+
     def test_single_map_is_error(self):
         ifs = AffineIFS(2, [0.5 * np.eye(2)], [[0, 0]])
         assert not validate_ifs(ifs).ok
@@ -119,8 +128,9 @@ class TestSampleTranslations:
         assert np.all(np.abs(samples.mean(axis=0)) <= 3 * sigma_mean)
 
     def test_rejects_bad_radius(self):
-        with pytest.raises(ValueError):
-            sample_translations(2, 2, 3, radius=0.0, seed=0)
+        for radius in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="radius"):
+                sample_translations(2, 2, 3, radius=radius, seed=0)
 
 
 class TestAttractorPoints:
@@ -306,7 +316,7 @@ class TestChunkedChaosGame:
         x = np.concatenate(([0.0], cloud.points[:, 0]))
         symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
         assert symbols[:2] == [4, 0]  # context 4 sends all its mass to symbol 0
-        assert driver.mass(symbols[1:3]) > 0
+        assert driver.masses[pack_word(symbols[1:3], 5)] > 0
 
 
 def _sorted_rows(points):

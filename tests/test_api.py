@@ -1,0 +1,64 @@
+"""The public surface holds the engine: every exported name is either used by
+the library itself or is one of its named entry points."""
+
+import ast
+from pathlib import Path
+
+import selfaffine
+
+#: Exported names that nothing inside the library calls: the library's own
+#: entry points, for callers and for the tests' cross-checks.
+ENTRY_POINTS = (
+    "ProductCylinderFunction",
+    "bernoulli_lower_estimate",
+    "invariance_defect",
+    "jensen_residual",
+    "local_dimension_samples",
+    "sample_translations",
+    "write_ifs_file",
+)
+
+PACKAGE = Path(selfaffine.__file__).parent
+
+
+def _defines(statement, name):
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return statement.name == name
+    if isinstance(statement, ast.Assign):
+        return any(isinstance(t, ast.Name) and t.id == name for t in statement.targets)
+    if isinstance(statement, ast.AnnAssign):
+        return isinstance(statement.target, ast.Name) and statement.target.id == name
+    return False
+
+
+def _references(tree, name):
+    """True if ``name`` is read as a name or an attribute anywhere in the
+    module outside the top-level statement that defines it."""
+    return any(
+        (isinstance(node, ast.Name) and node.id == name)
+        or (isinstance(node, ast.Attribute) and node.attr == name)
+        for statement in tree.body
+        if not _defines(statement, name)
+        for node in ast.walk(statement)
+    )
+
+
+def test_every_export_is_used_by_the_library_or_an_entry_point():
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    exported = [
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    modules = [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    unused = [
+        name for name in exported if not any(_references(tree, name) for tree in modules)
+    ]
+    assert sorted(set(unused) - set(ENTRY_POINTS)) == []
+    # an entry point that the library starts calling moves out of the list
+    assert sorted(set(ENTRY_POINTS) - set(unused)) == []

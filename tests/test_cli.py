@@ -236,6 +236,17 @@ def test_missing_and_malformed_inputs(tmp_path):
     assert main(["dim"]) == 1  # --ifs required
 
 
+def test_dim_on_unsupported_dimension_is_validation_error(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    write_ifs_file(AffineIFS(5, [0.3 * np.eye(5), 0.4 * np.eye(5)], np.zeros((2, 5))), path)
+    out = tmp_path / "out"
+    assert main(["dim", "--ifs", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}: dimension 5 is not supported (1..4)" in err
+    assert "supported dimensions" not in err  # not singular_values' own message
+    assert not out.exists()
+
+
 def test_invalid_flag_values(triple_path, tmp_path):
     assert main(["dim", "--ifs", str(triple_path), "--nmax", "0",
                  "--out", str(tmp_path / "o")]) == 1

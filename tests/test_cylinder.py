@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import words_of_length
 from systems import generic_pair_ifs, random_affine_ifs, swap_pair_cf, triple_diag_ifs
 
 from selfaffine import cylinder
@@ -13,7 +14,6 @@ from selfaffine import (
     log_partition_sum,
     pack_word,
     verify_axioms,
-    words_of_length,
 )
 
 

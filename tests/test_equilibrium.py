@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import marginal, unpack_word
 from systems import (
     generic_pair_ifs,
     half_product_cf,
@@ -32,7 +33,7 @@ from selfaffine import (
     pressure_root,
 )
 from selfaffine import pressure
-from selfaffine.symbolic import pack_word, unpack_word, word_str
+from selfaffine.symbolic import pack_word, word_str
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
 SWAP_MASS_INNER = 0.20710678118654754
@@ -56,12 +57,9 @@ class TestCylinderMeasure:
 
     def test_mass_lookup_and_marginal(self):
         m = CylinderMeasure(2, 2, np.array([0.4, 0.1, 0.2, 0.3]))
-        assert m.mass((0, 0)) == 0.4
-        assert m.mass((1, 0)) == 0.2
-        marg = m.marginal(1)
-        assert np.allclose(marg.masses, [0.5, 0.5])
-        with pytest.raises(ValueError):
-            m.mass((0,))
+        assert m.masses[pack_word((0, 0), 2)] == 0.4
+        assert m.masses[pack_word((1, 0), 2)] == 0.2
+        assert np.allclose(marginal(m, 1), [0.5, 0.5])
 
     @pytest.mark.parametrize("m_sym,depth", [(3, 3), (11, 2)])
     def test_rows_in_packed_order(self, m_sym, depth):
@@ -72,11 +70,6 @@ class TestCylinderMeasure:
             for idx in range(m_sym**depth)
         ]
         assert list(m.rows()) == expected
-
-    def test_bernoulli_builder(self):
-        m = CylinderMeasure.bernoulli([0.25, 0.75], 3)
-        assert m.masses.sum() == pytest.approx(1.0, abs=1e-14)
-        assert m.mass((1, 1, 1)) == pytest.approx(0.75**3, rel=1e-14)
 
 
 class TestNuWeights:
@@ -102,7 +95,7 @@ class TestNuWeights:
         assert abs(nu.masses.sum() - 1.0) <= 1e-12
         # oracle: mass ratio equals value ratio
         w1, w2 = (0, 1, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1)
-        assert nu.mass(w1) / nu.mass(w2) == pytest.approx(
+        assert nu.masses[pack_word(w1, 2)] / nu.masses[pack_word(w2, 2)] == pytest.approx(
             math.exp(cf.log_value(1.3, w1)) / math.exp(cf.log_value(1.3, w2)), rel=1e-10
         )
 
@@ -142,7 +135,7 @@ class TestMuCesaro:
         cf = swap_pair_cf()
         mu3 = mu_cesaro(cf, 1.3, 8, 3)
         mu2 = mu_cesaro(cf, 1.3, 8, 2)
-        assert np.allclose(mu3.marginal(2).masses, mu2.masses, rtol=0, atol=1e-12)
+        assert np.allclose(marginal(mu3, 2), mu2.masses, rtol=0, atol=1e-12)
         assert abs(mu3.masses.sum() - 1.0) <= 1e-12
 
     def test_rejects_bad_depth_and_mode(self):
@@ -158,7 +151,7 @@ class TestEntropyEnergy:
     def test_entropy_uniform_and_point(self):
         uniform = CylinderMeasure(2, 3, np.full(8, 0.125))
         assert entropy_depth(uniform) == pytest.approx(math.log(2), rel=1e-14)
-        point = CylinderMeasure.point_mass(2, (0, 1, 1))
+        point = CylinderMeasure(2, 3, np.eye(8)[pack_word((0, 1, 1), 2)])
         assert entropy_depth(point) == 0.0
 
     def test_entropy_zero_mass_convention(self):
@@ -186,7 +179,7 @@ class TestEntropyEnergy:
 
     def test_energy_point_mass(self):
         cf = NaturalCylinderFunction(np.stack([np.diag([0.5, 0.25])] * 2))
-        m = CylinderMeasure.point_mass(2, (0, 0))
+        m = CylinderMeasure(2, 2, np.eye(4)[pack_word((0, 0), 2)])
         # (1/2) log alpha^1(diag(1/4, 1/16)) = (1/2) log(1/4)
         assert energy_depth(cf, 1.0, m) == pytest.approx(-math.log(2), rel=1e-12)
 
@@ -205,7 +198,7 @@ class TestJensen:
     def test_point_mass_formula(self):
         cf = swap_pair_cf()
         w = (0, 1, 1, 0)
-        m = CylinderMeasure.point_mass(2, w)
+        m = CylinderMeasure(2, 4, np.eye(16)[pack_word(w, 2)])
         expected = (log_partition_sum(cf, 1.3, 4) - cf.log_value(1.3, w)) / 4
         assert jensen_residual(cf, 1.3, 4, m) == pytest.approx(expected, rel=1e-12)
         assert expected >= 0
@@ -267,7 +260,7 @@ class TestInvarianceDefect:
         assert defect <= 1 / n + 1e-12
         assert defect <= rounding
         if k < n:
-            gap = mu_cesaro(cf, t, n, k + 1).marginal(k).masses - mu_cesaro(cf, t, n, k).masses
+            gap = marginal(mu_cesaro(cf, t, n, k + 1), k) - mu_cesaro(cf, t, n, k).masses
             assert np.abs(gap).max() <= rounding
 
     def test_depth_precondition(self):
@@ -344,8 +337,8 @@ class TestEntropySubadditivity:
             deep = mu_cesaro(cf, 1.2, 9, 6)
             h6 = entropy_table(deep.masses)
             for n1 in (2, 3, 4):
-                h_a = entropy_table(deep.marginal(n1).masses)
-                h_b = entropy_table(deep.marginal(6 - n1).masses)
+                h_a = entropy_table(marginal(deep, n1))
+                h_b = entropy_table(marginal(deep, 6 - n1))
                 assert h6 <= h_a + h_b + 1e-10
 
 
@@ -386,6 +379,12 @@ class TestLocalDimension:
         assert np.array_equal(keys[pos], ratios)
         freq = np.bincount(pos, minlength=keys.size) / ratios.size
         assert 0.5 * np.abs(freq - expected).sum() <= 0.01
+
+    def test_rejects_nonpositive_t(self):
+        # at t = 0 every log value is 0, and each ratio would be 0 / 0
+        for t in (0.0, -0.5, math.nan):
+            with pytest.raises(ValueError, match="t_star"):
+                local_dimension_samples(swap_pair_cf(), t, 4, 10, seed=0)
 
     def test_deterministic(self):
         cf = swap_pair_cf()

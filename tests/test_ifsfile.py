@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 from systems import swap_pair_ifs
 
-from selfaffine import IFSFormatError, IFSValidationError, parse_ifs_text, serialize_ifs
+from selfaffine import (
+    AffineIFS,
+    IFSFormatError,
+    IFSValidationError,
+    parse_ifs_text,
+    serialize_ifs,
+)
 from selfaffine.ifsfile import parse_ifs_file, write_ifs_file
 
 MINIMAL_1D = """
@@ -70,7 +76,7 @@ def test_round_trip_exact(tmp_path):
     ifs = ifs.with_translations(np.array([0.1, -1 / 3, 2e-17, 1.0000000000000002]))
     path = tmp_path / "swap.json"
     write_ifs_file(ifs, path)
-    back = parse_ifs_file(path, require_valid=False)
+    back = parse_ifs_file(path)
     assert back.dimension == ifs.dimension
     assert back.name == ifs.name
     assert np.array_equal(back.matrices, ifs.matrices)
@@ -87,8 +93,16 @@ def test_parse_file_validates(tmp_path):
     path.write_text(doc)
     with pytest.raises(IFSValidationError, match="map 0"):
         parse_ifs_file(path)
-    parsed = parse_ifs_file(path, require_valid=False)  # bypass for inspection
+    parsed = parse_ifs_text(path.read_text())  # no validation, for inspection
     assert parsed.n_maps == 2
+
+
+def test_parse_file_rejects_unsupported_dimension(tmp_path):
+    ifs = AffineIFS(5, [0.3 * np.eye(5), 0.4 * np.eye(5)], np.zeros((2, 5)), name="five")
+    path = tmp_path / "five.json"
+    write_ifs_file(ifs, path)
+    with pytest.raises(IFSValidationError, match=r"five\.json: dimension 5 is not supported"):
+        parse_ifs_file(path)
 
 
 def test_serialize_contains_schema_keys():

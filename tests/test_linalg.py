@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import log_svf_alpha_t, svf_exponents, words_of_length
 from systems import random_affine_ifs, random_contractive_matrix
 
 from selfaffine import (
@@ -10,16 +11,9 @@ from selfaffine import (
     NumericallySingularError,
     log_partition_sum,
     singular_values,
-    svf_alpha_t,
     word_matrix,
-    words_of_length,
 )
-from selfaffine.linalg import (
-    compound_matrix,
-    log_svf_alpha_t,
-    svf_exponents,
-    top_singular_values,
-)
+from selfaffine.linalg import compound_matrix, svf_compound_terms, top_singular_values
 
 
 def test_singular_values_identity():
@@ -84,6 +78,11 @@ def test_top_singular_value_submultiplicative():
         )
 
 
+def svf_alpha_t(A, t):
+    """alpha^t(A) as the natural potential of the one-map system {A} gives it."""
+    return math.exp(NaturalCylinderFunction(np.stack([A])).log_value(t, (0,)))
+
+
 def test_svf_diagonal_cases():
     A = np.diag([0.5, 1.0 / 3.0])
     assert svf_alpha_t(A, 1.5) == pytest.approx(0.5 * (1.0 / 3.0) ** 0.5, rel=1e-13)
@@ -131,12 +130,13 @@ def test_log_svf_matches_direct():
     for _ in range(50):
         A = random_contractive_matrix(rng, 3)
         t = float(rng.uniform(0, 4))
-        assert log_svf_alpha_t(A, t) == pytest.approx(math.log(svf_alpha_t(A, t)), abs=1e-12)
+        assert math.log(svf_alpha_t(A, t)) == pytest.approx(log_svf_alpha_t(A, t), abs=1e-12)
 
 
 def test_svf_exponents_reject_negative_t():
-    with pytest.raises(ValueError):
-        svf_exponents(-0.5, 2)
+    for exponents in (svf_exponents, svf_compound_terms):
+        with pytest.raises(ValueError):
+            exponents(-0.5, 2)
 
 
 def test_word_matrix():
@@ -228,3 +228,23 @@ def test_level_features_match_svd_reference(d):
         comps = np.stack([compound_matrix(A, k) for A in ifs.matrices])
         reference = np.log(_svd_top(np.stack([word_matrix(comps, w) for w in words])))
         assert np.max(np.abs(cf.log_value_block(float(k), (), 6) - reference)) <= 1e-13
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_log_value_block_matches_direct_svd_at_non_integer_t(d):
+    """Every word of levels 1..4 at non-integer t, and at t > d: the level sum
+    of compound features against ``svf_exponents . log(singular values)`` of
+    the word's matrix product.  LAPACK's smallest singular values are accurate
+    only to about eps * a_1, so the bound scales with the word's condition
+    number."""
+    ifs = random_affine_ifs(np.random.default_rng(40 + d), d, 3)
+    cf = NaturalCylinderFunction(ifs)
+    eps = np.finfo(float).eps
+    for n in range(1, 5):
+        words = list(words_of_length(3, n))
+        products = [word_matrix(ifs, w) for w in words]
+        cond = np.array([np.linalg.cond(A, 2) for A in products])
+        for t in (0.3, 1.5, 2.7, 3.2, d + 0.6):
+            reference = np.array([log_svf_alpha_t(A, t) for A in products])
+            error = np.abs(cf.log_value_block(t, (), n) - reference)
+            assert np.all(error <= 64 * d * eps * cond), (n, t, np.max(error / (d * eps * cond)))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import words_of_length
 from systems import (
     conformal_pair_ifs,
     generic_pair_ifs,
@@ -40,7 +41,6 @@ from selfaffine import (
     pressure_root,
     pressure_sequence,
     validate_ifs,
-    words_of_length,
 )
 from selfaffine.pressure import level_log_values
 
@@ -283,9 +283,9 @@ def test_budget_exceeded_flags_partial_report():
         log_partition_sum(cf, 1.0, 4)
     rep = pressure_sequence(cf, 1.0, 6)  # 3^4 = 81 > 80
     assert rep.truncated
-    assert rep.levels() == [1, 2, 3]
+    assert [n for n, _ in rep.per_level] == [1, 2, 3]
     dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=80)
-    assert dim.truncated and dim.levels() == [1, 2, 3]
+    assert dim.truncated and [n for n, _ in dim.roots] == [1, 2, 3]
 
 
 def _uniform(depth):
@@ -339,7 +339,7 @@ def test_sequence_and_dimension_share_one_truncation(budget, top):
     cf = NaturalCylinderFunction(triple_diag_ifs(), budget=budget)
     rep = pressure_sequence(cf, 1.0, 6)
     dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=budget)
-    assert rep.levels() == dim.levels() == list(range(1, top + 1))
+    assert [n for n, _ in rep.per_level] == [n for n, _ in dim.roots] == list(range(1, top + 1))
     assert rep.truncated == dim.truncated == (top < 6)
 
 
