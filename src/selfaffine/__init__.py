@@ -8,9 +8,7 @@ from .affine import (
     AffineIFS,
     BoxDimensionResult,
     ChaosGame,
-    PointCloud,
     ValidationReport,
-    attractor_points,
     box_dimension,
     render_pgm,
     sample_translations,

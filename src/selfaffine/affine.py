@@ -15,19 +15,19 @@ the chains are scheduled.  The uniforms are drawn into a block of
 ``BLOCK_CHUNKS`` chunks per chain, refilled when it runs out; a stream split
 across ``random`` calls gives the same doubles as one call.
 
-One stepping loop plays the game.  ``attractor_points`` writes its kept
-iterates into a cloud of 8 d bytes per point.  ``ChaosGame`` keeps no points:
-what grows with the number of points is a tape of the chains' symbols (1 byte
-per point for up to 256 maps) and each chain's state at the start of each
-chunk of steps (d / 8 bytes per point), from which it replays the points,
-many chunks at once.  Beside these the loop holds the block of uniforms, one
-chunk's symbols and states and one step's maps.  Box counting and rendering
-read a cloud ``CHUNK_POINTS`` rows at a time, or a replay ``CHUNK_POINTS //
-8`` lanes at a time, holding one chunk's temporaries and the occupied cells
-(box counting) or the hit counts (rendering).  On the 2,000,000-point
-equilibrium ``boxdim`` of the benchmark, with 512 chains, the play pass
-peaks at 5.4 MiB traced, the tape and checkpoints included, and box counting
-at 4.7 MiB.
+``ChaosGame`` plays the game in one stepping loop and keeps no points: what
+grows with the number of points is a tape of the chains' symbols (1 byte per
+point for up to 256 maps) and each chain's state at the start of each chunk
+of steps (d / 8 bytes per point), from which it replays the points, many
+chunks at once.  Beside these the loop holds the block of uniforms, one
+chunk's symbols and states and one step's maps.  ``ChaosGame.points``
+scatters one replay into the chain-major cloud, 8 d bytes per point, for a
+caller that needs the array.  Box counting and rendering read a point array
+``CHUNK_POINTS`` rows at a time, or a replay ``CHUNK_POINTS // 8`` lanes at
+a time, holding one chunk's temporaries and the occupied cells (box
+counting) or the hit counts (rendering).  On the 2,000,000-point equilibrium
+``boxdim`` of the benchmark, with 512 chains, the play pass peaks at 5.4 MiB
+traced, the tape and checkpoints included, and box counting at 4.7 MiB.
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c of a conditional driver walks the state c * (m + 1) through tables
@@ -56,8 +56,8 @@ from .linalg import MAX_DIM, singular_values
 #: it changes the sampled cloud, so it is fixed by default).
 DEFAULT_CHAINS = 512
 
-#: Lockstep chaos-game steps per chunk: one copy into the cloud, one tape
-#: record and, for an i.i.d. driver, one symbol draw serve this many steps.
+#: Lockstep chaos-game steps per chunk: one tape record and, for an i.i.d.
+#: driver, one symbol draw serve this many steps.
 CHUNK_STEPS = 64
 
 #: Chunks of uniforms drawn per refill of the chains' block: each refill is
@@ -72,6 +72,10 @@ CHUNK_POINTS = 2**16
 
 #: Smallest raster side ``render_pgm`` accepts.
 MIN_RESOLUTION = 16
+
+#: Largest raster side ``render_pgm`` accepts: 16 Mi pixels, whose int64 hit
+#: counts take 128 MiB.
+MAX_RESOLUTION = 4096
 
 
 @dataclass
@@ -180,13 +184,6 @@ def sample_translations(d: int, n_maps: int, count: int, radius: float, seed: in
     return rng.uniform(-radius, radius, size=(count, d * n_maps))
 
 
-@dataclass
-class PointCloud:
-    points: np.ndarray
-    seed: int
-    driver: str
-
-
 def _driver_tables(ifs: AffineIFS, driver):
     """Resolve a chaos-game driver into (iid cumulative probs, conditional
     cumulative masses, provenance tag).  The conditional table is
@@ -240,15 +237,29 @@ def _context_walk(cond_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return cum_rows, next_state.ravel(), np.tile(clamped, contexts)
 
 
-class _Game:
-    """A chaos game's checked arguments, its layout and its single stepping
-    loop, shared by ``attractor_points`` and ``ChaosGame``.
+class ChaosGame:
+    """The chaos game, played once and kept as a tape to replay.
 
-    ``count`` points split over ``n_chains`` chains: after ``burn_in``
-    iterates the first ``extra`` chains keep ``base + 1`` iterates and the
-    rest ``base``.  The chains move in lockstep, ``chunk`` steps at a time."""
+    ``chains`` independent chains start from the origin, each on its own
+    stream, and discard ``burn_in`` iterates; their tails are the ``count``
+    kept points, and the first ``count % chains`` chains keep one more than
+    the rest.  All points stay inside the invariant ball.
 
-    def __init__(self, ifs, count, burn_in, seed, driver, chains):
+    The play pass moves the chains in lockstep, ``CHUNK_STEPS`` steps at a
+    time.  For each chunk that keeps an iterate it records every chain's
+    symbols on a tape (the smallest unsigned dtype) and every chain's state
+    at the chunk's start, and it keeps each coordinate's least and greatest
+    kept iterate in ``mins`` and ``maxs``.  ``replay`` restarts all recorded
+    chunks from their checkpoints at once, one lane per (chunk, chain), in
+    groups of at most ``CHUNK_POINTS // 8`` lanes.  A group's step is one
+    gather of the maps' ``[A | a]`` and one einsum laid out as the play
+    pass's, so the lanes give the played points bit for bit.  At 8192 lanes
+    a group takes under 1 MiB in d = 2, and the benchmark's game is
+    box-counted as fast as with groups of 2^16 lanes, at under half the
+    traced peak.  ``points`` scatters one replay into the chain-major cloud."""
+
+    def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
+                 driver=None, chains: int = DEFAULT_CHAINS):
         if count < 1:
             raise ValueError("count must be >= 1")
         if burn_in < 0:
@@ -256,35 +267,69 @@ class _Game:
         if chains < 1:
             raise ValueError(f"chains must be >= 1, got {chains}")
         ifs.bounding_radius()  # raises if not contractive
-        self.ifs, self.seed, self.burn_in = ifs, seed, burn_in
-        self.n_chains = min(chains, count)
-        self.base, self.extra = divmod(count, self.n_chains)
-        self.total_steps = burn_in + self.base + (1 if self.extra else 0)
-        self.chunk = min(CHUNK_STEPS, self.total_steps)
-        self.iid_cum, self.cond_cum, self.tag = _driver_tables(ifs, driver)
+        d = ifs.dimension
+        self.count = count
+        n_chains = self._n_chains = min(chains, count)
+        base, extra = self._base, self._extra = divmod(count, n_chains)
+        total_steps = burn_in + base + (1 if extra else 0)
+        chunk = min(CHUNK_STEPS, total_steps)
+        iid_cum, cond_cum, self.driver = _driver_tables(ifs, driver)
         # [:, :, i] is the transpose of [A_i | a_i].  With the summed index j
         # outermost in the gathered maps, numpy's einsum adds the terms in
         # order of j for any number of chains; with j innermost it pairs them
         # when the chain axis has length 1
         columns = np.concatenate((ifs.matrices, ifs.translations[:, :, None]), axis=2)
-        self.columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
+        self._columns = np.ascontiguousarray(columns.transpose(2, 1, 0))
+        first = burn_in // chunk  # the first chunk that keeps an iterate
+        lanes = (-(-total_steps // chunk) - first) * n_chains
+        #: tail index of the iterate after step 0 of the first recorded chunk
+        self._lead = first * chunk - burn_in
+        # column (chunk - first) * n_chains + c is lane (chunk, chain c); the
+        # steps past the end of the game stay on symbol 0 and keep nothing
+        self._tape = np.zeros((chunk, lanes), dtype=np.min_scalar_type(ifs.n_maps - 1))
+        self._starts = np.empty((d, lanes))
+        # each chain's least and greatest kept coordinates; nan propagates
+        lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
+        for start, sym, states in self._play(seed, total_steps, chunk, iid_cum, cond_cum):
+            lane = (start // chunk - first) * n_chains
+            if lane < 0:
+                continue
+            self._tape[: len(sym), lane : lane + n_chains] = sym
+            self._starts[:, lane : lane + n_chains] = states[0, :d]
+            # the chunk's kept iterates, from tail index lo on: every chain
+            # keeps those before tail index base, the longer chains also base
+            steps = len(sym)
+            lo, hi = max(start - burn_in, 0), start + steps - burn_in
+            kept = states[steps + 1 - max(hi - lo, 0) :, :d]
+            every, longer_only = kept[: base - lo], kept[base - lo :, :, :extra]
+            for iterates, which in ((every, slice(None)), (longer_only, slice(extra))):
+                if len(iterates):
+                    low, high = lowest[:, which], highest[:, which]
+                    np.minimum(low, iterates.min(axis=0), out=low)
+                    np.maximum(high, iterates.max(axis=0), out=high)
+        self.mins = tuple(lowest.min(axis=1).tolist())
+        self.maxs = tuple(highest.max(axis=1).tolist())
 
-    def chunks(self):
+    @property
+    def dimension(self) -> int:
+        return len(self.mins)
+
+    def _play(self, seed, total_steps, chunk, iid_cum, cond_cum):
         """Play the game: for each chunk, yield its first step ``start``, its
         symbols (step, chain) and its states (step + 1, d + 1, chain).  Row 0
         of the states is the state carried into the chunk, row s + 1 the
         state after its step s, and coordinate row d stays 1.  The arrays are
         overwritten by the next chunk."""
-        m, d, n_chains, chunk, total_steps = (
-            self.ifs.n_maps, self.ifs.dimension, self.n_chains, self.chunk, self.total_steps)
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(self.seed).spawn(n_chains)]
+        n_chains, columns = self._n_chains, self._columns
+        _, d, m = columns.shape
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
         # chain-major: row c holds the next uniforms of chain c's stream
         uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
         states = np.ones((chunk + 1, d + 1, n_chains))
         states[0, :d] = 0.0
         maps = np.empty((d + 1, d, n_chains))  # one step's [A | a] columns
-        if self.cond_cum is not None:
-            cum_rows, next_state, symbol = _context_walk(self.cond_cum)
+        if cond_cum is not None:
+            cum_rows, next_state, symbol = _context_walk(cond_cum)
             state = np.zeros(n_chains, dtype=np.intp)
             cum_row = np.empty((m, n_chains))
             below = np.empty((m, n_chains), dtype=bool)
@@ -297,8 +342,8 @@ class _Game:
                 for row, rng in zip(uniforms, rngs):
                     rng.random(out=row[:width])
             u = uniforms[:, offset : offset + steps].T  # (step, chain)
-            if self.cond_cum is None:
-                sym = np.searchsorted(self.iid_cum, u, side="right")
+            if cond_cum is None:
+                sym = np.searchsorted(iid_cum, u, side="right")
                 np.minimum(sym, m - 1, out=sym)
             else:
                 moved = np.empty((steps, n_chains), dtype=np.intp)
@@ -312,124 +357,17 @@ class _Game:
                     next_state.take(z_s, out=state, mode="clip")
                 sym = symbol.take(moved)
             for s in range(steps):
-                self.columns.take(sym[s], axis=2, out=maps, mode="clip")
+                columns.take(sym[s], axis=2, out=maps, mode="clip")
                 np.einsum("jic,jc->ic", maps, states[s], out=states[s + 1, :d])
             yield start, sym, states[: steps + 1]
             states[0] = states[steps]
 
-    def kept(self, start, states):
-        """A chunk's kept iterates: the tail index ``lo`` of the first, the
-        states (step, d + 1, chain) that every chain keeps, from tail index
-        ``lo`` on, and those that only the longer chains keep (the iterate at
-        tail index ``base``, if the chunk has it)."""
-        steps = len(states) - 1
-        lo, hi = max(start, self.burn_in) - self.burn_in, start + steps - self.burn_in
-        kept = states[steps + 1 - max(hi - lo, 0) :]
-        return lo, kept[: self.base - lo], kept[self.base - lo :, :, : self.extra]
-
-
-def attractor_points(
-    ifs: AffineIFS,
-    count: int,
-    burn_in: int = 200,
-    seed: int = 0,
-    driver=None,
-    chains: int = DEFAULT_CHAINS,
-) -> PointCloud:
-    """Chaos-game realization of the attractor.
-
-    Runs ``chains`` independent chains from the origin, discards ``burn_in``
-    iterates per chain, and writes the chains' tails in place, chain-major,
-    into ``count`` points: the first ``count % chains`` chains keep one
-    iterate more than the rest.  All points stay inside the invariant ball.
-
-    The chains move in lockstep, ``CHUNK_STEPS`` steps at a time.  Each
-    chain's stream fills its own row of a block of ``BLOCK_CHUNKS`` chunks of
-    uniforms, refilled when the chunks reach its end, so beside the cloud the
-    game holds that block, one chunk's symbols and states and one step's
-    maps, whatever ``count`` is.  An i.i.d. driver picks a chunk's symbols in
-    one pass; a conditional driver walks each chain's context state one step
-    at a time, and the context carries the clamped symbol.  A chain's state is the
-    column ``(x, 1)``, so a step is one gather of the chains' ``[A | a]`` into
-    a buffer and one einsum, and each coordinate's sum runs left to right,
-    ``a * 1`` last.  ``ChaosGame`` plays the same game without the cloud."""
-    game = _Game(ifs, count, burn_in, seed, driver, chains)
-    d, base, extra = ifs.dimension, game.base, game.extra
-    keep = base + (1 if extra else 0)
-    points = np.empty((count, d))
-    longer = points[: extra * keep].reshape(extra, keep, d)  # (chain, step, d) views
-    shorter = points[extra * keep :].reshape(game.n_chains - extra, base, d)
-    for start, _, states in game.chunks():
-        lo, every, longer_only = game.kept(start, states)
-        for k in range(d):  # one coordinate at a time: long runs of reads
-            longer[:, lo : lo + len(every), k] = every[:, k, :extra].T
-            shorter[:, lo : lo + len(every), k] = every[:, k, extra:].T
-            longer[:, base : base + len(longer_only), k] = longer_only[:, k].T
-    return PointCloud(points=points, seed=seed, driver=game.tag)
-
-
-class ChaosGame:
-    """The chaos game of ``attractor_points``, played without keeping its
-    points and replayed chunk by chunk.
-
-    The play pass is ``attractor_points``' loop, with the same streams and
-    checks.  For each chunk of steps that keeps an iterate it records every
-    chain's symbols on a tape (the smallest unsigned dtype, 1 byte per step
-    and chain for up to 256 maps) and every chain's state at the chunk's
-    start, and it keeps each coordinate's least and greatest kept iterate in
-    ``mins`` and ``maxs``.  So what grows with ``count`` is the tape and the
-    checkpoints, about 1 + d / 8 bytes per point against the cloud's 8 d.
-
-    ``replay`` restarts all recorded chunks from their checkpoints at once,
-    one lane per (chunk, chain), in groups of at most ``CHUNK_POINTS // 8``
-    lanes.  A step of a group is one gather of the maps' ``[A | a]`` and one
-    einsum laid out as the play pass's, so the lanes give the cloud's points
-    bit for bit, in another order.  At 8192 lanes a group's maps, states and
-    lane indices take under 1 MiB in d = 2, and the benchmark's game is
-    box-counted as fast as with groups of 2^16 lanes, at under half the
-    traced peak."""
-
-    def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
-                 driver=None, chains: int = DEFAULT_CHAINS):
-        game = _Game(ifs, count, burn_in, seed, driver, chains)
-        d, n_chains, chunk = ifs.dimension, game.n_chains, game.chunk
-        self.count, self.driver = count, game.tag
-        self._game = game
-        first = burn_in // chunk  # the first chunk that keeps an iterate
-        lanes = (-(-game.total_steps // chunk) - first) * n_chains
-        #: tail index of the iterate after step 0 of the first recorded chunk
-        self._lead = first * chunk - burn_in
-        # column (chunk - first) * n_chains + c is lane (chunk, chain c); the
-        # steps past the end of the game stay on symbol 0 and keep nothing
-        self._tape = np.zeros((chunk, lanes), dtype=np.min_scalar_type(ifs.n_maps - 1))
-        self._starts = np.empty((d, lanes))
-        # each chain's least and greatest kept coordinates; nan propagates
-        lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
-        for start, sym, states in game.chunks():
-            lane = (start // chunk - first) * n_chains
-            if lane < 0:
-                continue
-            self._tape[: len(sym), lane : lane + n_chains] = sym
-            self._starts[:, lane : lane + n_chains] = states[0, :d]
-            _, every, longer_only = game.kept(start, states)
-            for kept, chains in ((every, slice(None)), (longer_only, slice(game.extra))):
-                if len(kept):
-                    low, high = lowest[:, chains], highest[:, chains]
-                    np.minimum(low, kept[:, :d].min(axis=0), out=low)
-                    np.maximum(high, kept[:, :d].max(axis=0), out=high)
-        self.mins = tuple(lowest.min(axis=1).tolist())
-        self.maxs = tuple(highest.max(axis=1).tolist())
-
-    @property
-    def dimension(self) -> int:
-        return len(self.mins)
-
-    def replay(self):
-        """Yield the kept iterates as (rows, d) arrays of at most
-        ``CHUNK_POINTS // 8`` rows, each a fresh array.  Together they are
-        the rows of the cloud ``attractor_points`` builds from the same
-        arguments, in an order of their own."""
-        game, d = self._game, self.dimension
+    def _replay(self):
+        """Replay the recorded chunks: for each step s of each lane group,
+        yield the lanes that keep their iterate after step s, one run
+        ``lane[begin:end]`` of the group's lane indices, with s and those
+        iterates, a fresh (rows, d) array."""
+        d, n_chains, columns = self.dimension, self._n_chains, self._columns
         chunk, lanes = self._tape.shape
         width = max(CHUNK_POINTS // 8, 1)  # lanes per group
         for offset in range(0, lanes, width):
@@ -440,19 +378,36 @@ class ChaosGame:
             # ``past_end`` that minus its chain's kept count.  Neither
             # decreases along the lanes, so the lanes kept at step s are one
             # run, between two binary searches
-            tail = lane // game.n_chains * chunk + self._lead
-            past_end = tail - np.where(lane % game.n_chains < game.extra, game.base + 1, game.base)
+            tail = lane // n_chains * chunk + self._lead
+            past_end = tail - np.where(lane % n_chains < self._extra, self._base + 1, self._base)
             state = np.ones((d + 1, len(lane)))
             state[:d] = self._starts[:, group]
             maps = np.empty((d + 1, d, len(lane)))
             for s, sym in enumerate(self._tape[:, group]):
-                game.columns.take(sym, axis=2, out=maps, mode="clip")
+                columns.take(sym, axis=2, out=maps, mode="clip")
                 state, carried = np.empty_like(state), state
                 state[d] = 1.0
                 np.einsum("jic,jc->ic", maps, carried, out=state[:d])
                 begin, end = np.searchsorted(tail, -s), np.searchsorted(past_end, -s)
                 if begin < end:
-                    yield state[:d, begin:end].T
+                    yield lane[begin:end], s, state[:d, begin:end].T
+
+    def replay(self):
+        """Yield the kept iterates as (rows, d) arrays of at most
+        ``CHUNK_POINTS // 8`` rows, each a fresh array.  Together they are
+        the rows of ``points()``, in an order of their own."""
+        return (rows for _, _, rows in self._replay())
+
+    def points(self) -> np.ndarray:
+        """The kept iterates as the chain-major (count, d) cloud, from one
+        replay: chain c's tail starts at row c * base + min(c, extra)."""
+        points = np.empty((self.count, self.dimension))
+        chunk, n_chains = len(self._tape), self._n_chains
+        for lane, s, rows in self._replay():
+            chain = lane % n_chains
+            points[chain * self._base + np.minimum(chain, self._extra)
+                   + lane // n_chains * chunk + (self._lead + s)] = rows
+        return points
 
 
 @dataclass
@@ -496,12 +451,11 @@ def _chunked(cloud):
     without points.
 
     A ``ChaosGame`` brings the corners of its play pass and is replayed by
-    each read.  A ``PointCloud`` or a point array is read in row slices, and
-    its corners are taken one column at a time; nan and inf propagate into
-    them."""
+    each read.  A point array is read in row slices, and its corners are
+    taken one column at a time; nan and inf propagate into them."""
     if isinstance(cloud, ChaosGame):
         return cloud.mins, cloud.maxs, cloud.replay
-    points = cloud.points if isinstance(cloud, PointCloud) else np.asarray(cloud, dtype=float)
+    points = np.asarray(cloud, dtype=float)
     if len(points) == 0:
         return None
     if points.ndim != 2:
@@ -552,15 +506,14 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     """Least-squares slope of log N(delta) against log(1/delta) over
     corner-anchored grid covers.
 
-    ``cloud`` is a point array, a ``PointCloud`` or a ``ChaosGame``.  An
-    array's lower corner and extent are taken one coordinate column at a
-    time; a ``ChaosGame`` keeps them from its play pass.  A cloud with a
-    non-finite coordinate is rejected, as is a scale at which an axis would
-    need 2^63 or more cells.  The scales
-    are counted from finest to coarsest.  A scale with the same float mantissa
-    as the next finer one is that scale times 2^s, and its occupied cells are
-    the finer grid's cells shifted right by s bits, so only the finer grid's
-    few occupied cells are read.  The count is the one a pass over the points
+    ``cloud`` is a point array or a ``ChaosGame``.  An array's lower corner
+    and extent are taken one coordinate column at a time; a ``ChaosGame``
+    keeps them from its play pass.  A cloud with a non-finite coordinate is
+    rejected, as is a scale at which an axis would need 2^63 or more cells.
+    The scales are counted from finest to coarsest.  A scale with the same
+    float mantissa as the next finer one is that scale times 2^s, and its
+    occupied cells are the finer grid's cells shifted right by s bits, so
+    only the finer grid's few occupied cells are read.  The count is the one a pass over the points
     would give: dividing by 2^s is exact in floating point (barring subnormal
     quotients, whose floors are 0 either way), so
     floor(u / (delta * 2^s)) == floor(u / delta) >> s for every coordinate
@@ -624,14 +577,17 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
     """Binary PGM (P5) raster of hit counts, log-scaled to 8 bits.
 
     Byte-exact for fixed inputs: header ``P5\\n<w> <h>\\n255\\n`` followed by
-    row-major bytes, top row = largest y.  ``cloud`` is a point array, a
-    ``PointCloud`` or a ``ChaosGame``, read as ``box_dimension`` reads it: the
-    bounds are an array's column extremes or the game's play-pass ones, and
-    the pixels are hit ``CHUNK_POINTS`` points at a time (a ``ChaosGame`` is
-    replayed once).  So beside the cloud, or the game's tape and checkpoints,
-    it holds the integer hit counts, the raster and one chunk's temporaries."""
-    if resolution < MIN_RESOLUTION:
-        raise ValueError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    row-major bytes, top row = largest y.  ``cloud`` is a point array or a
+    ``ChaosGame``, read as ``box_dimension`` reads it: the bounds are an
+    array's column extremes or the game's play-pass ones, and the pixels are
+    hit ``CHUNK_POINTS`` points at a time (a ``ChaosGame`` is replayed once).
+    So beside the cloud, or the game's tape and checkpoints, it holds the
+    integer hit counts, the raster and one chunk's temporaries.  The side
+    is ``MIN_RESOLUTION`` to ``MAX_RESOLUTION`` pixels."""
+    if not MIN_RESOLUTION <= resolution <= MAX_RESOLUTION:
+        raise ValueError(
+            f"resolution must be in {MIN_RESOLUTION}..{MAX_RESOLUTION}, got {resolution}"
+        )
     header = b"P5\n%d %d\n255\n" % (resolution, resolution)
     chunked = _chunked(cloud)
     if chunked is None:

@@ -22,9 +22,9 @@ from pathlib import Path
 from . import __version__
 from .affine import (
     DEFAULT_CHAINS,
+    MAX_RESOLUTION,
     MIN_RESOLUTION,
     ChaosGame,
-    attractor_points,
     box_dimension,
     check_scales,
     render_pgm,
@@ -135,8 +135,8 @@ def _cache(args):
 
 def _check_flags(args) -> None:
     """Each positive flag the subcommand has must be positive and finite,
-    ``--burn-in`` and ``--seed`` nonnegative, ``--resolution`` at least
-    ``MIN_RESOLUTION``, ``--t`` finite, and ``--depth`` at most ``--nmax``
+    ``--burn-in`` and ``--seed`` nonnegative, ``--resolution`` in
+    ``MIN_RESOLUTION..MAX_RESOLUTION``, ``--t`` finite, and ``--depth`` at most ``--nmax``
     wherever an equilibrium table is built."""
     for name in ("nmax", "tol", "workers", "budget", "depth", "samples", "count", "resolution",
                  "chains"):
@@ -147,8 +147,10 @@ def _check_flags(args) -> None:
         value = getattr(args, name, 0)
         if value < 0:
             raise CLIUsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-    if getattr(args, "resolution", MIN_RESOLUTION) < MIN_RESOLUTION:
-        raise CLIUsageError(f"--resolution must be >= {MIN_RESOLUTION}, got {args.resolution}")
+    if not MIN_RESOLUTION <= getattr(args, "resolution", MIN_RESOLUTION) <= MAX_RESOLUTION:
+        raise CLIUsageError(
+            f"--resolution must be in {MIN_RESOLUTION}..{MAX_RESOLUTION}, got {args.resolution}"
+        )
     t = getattr(args, "t", None)
     if t is not None and not math.isfinite(t):
         raise CLIUsageError(f"--t must be finite, got {t}")
@@ -197,7 +199,7 @@ def cmd_pressure(args) -> int:
             ("levels_computed", len(rep.per_level)),
             ("truncated", rep.truncated),
             ("fekete_upper", rep.fekete_upper),
-            ("fekete_label", "rigorous upper bound" if rep.k_t_is_one else "estimate"),
+            ("fekete_label", "rigorous upper bound"),
             ("extrapolated", rep.extrapolated),
             ("extrapolated_label", "estimate"),
             ("extrapolation_method", rep.extrapolation_method),
@@ -278,8 +280,8 @@ def cmd_verify(args) -> int:
 
 
 def _make_cloud(args, ifs):
-    """The chaos game of ``render`` and ``boxdim``: a cloud only when its
-    points are saved, else a ``ChaosGame`` that is replayed in chunks."""
+    """The ``ChaosGame`` of ``render`` and ``boxdim`` and the ``t`` of its
+    equilibrium driver (None for the uniform one)."""
     driver = None
     t_used = None
     if args.driver == "equilibrium":
@@ -288,17 +290,15 @@ def _make_cloud(args, ifs):
         if t_used is None:
             t_used = pressure_root(cf, args.nmax, args.tol)
         driver = mu_cesaro(cf, t_used, args.nmax, args.depth)
-    play = attractor_points if args.save_points else ChaosGame
-    cloud = play(
+    game = ChaosGame(
         ifs, args.count, burn_in=args.burn_in, seed=args.seed, driver=driver, chains=args.chains
     )
-    return cloud, t_used
+    return game, t_used
 
 
-def _save_points(out: Path, cloud) -> None:
-    d = cloud.points.shape[1]
-    header = ",".join(f"x{i}" for i in range(d))
-    _write_csv(out / "points.csv", header, cloud.points)
+def _save_points(out: Path, game) -> None:
+    header = ",".join(f"x{i}" for i in range(game.dimension))
+    _write_csv(out / "points.csv", header, game.points())
 
 
 def _cloud_config(args) -> dict:
@@ -317,16 +317,16 @@ def _cloud_config(args) -> dict:
 
 def cmd_render(args) -> int:
     ifs = _load_ifs(args)
-    cloud, t_used = _make_cloud(args, ifs)
-    pgm = render_pgm(cloud, args.resolution)
+    game, t_used = _make_cloud(args, ifs)
+    pgm = render_pgm(game, args.resolution)
     out = _out_dir(args)
     (out / "attractor.pgm").write_bytes(pgm)
     if args.save_points:
-        _save_points(out, cloud)
+        _save_points(out, game)
     config = dict(_cloud_config(args), resolution=args.resolution)
     body = [
         ("points", args.count),
-        ("cloud_driver", cloud.driver),
+        ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
     _write_report(out / "render_report.txt", "render", ifs, config, body)
@@ -337,17 +337,17 @@ def cmd_render(args) -> int:
 def cmd_boxdim(args) -> int:
     ifs = _load_ifs(args)
     scales = parse_scales(args.scales)
-    cloud, t_used = _make_cloud(args, ifs)
-    result = box_dimension(cloud, scales)
+    game, t_used = _make_cloud(args, ifs)
+    result = box_dimension(game, scales)
     out = _out_dir(args)
     if args.save_points:
-        _save_points(out, cloud)
+        _save_points(out, game)
     _write_csv(out / "boxdim_counts.csv", "scale,count", zip(result.scales, result.counts))
     config = dict(_cloud_config(args), scales=args.scales)
     body = [
         ("estimate", result.estimate),
         ("fit_residual", result.residual),
-        ("cloud_driver", cloud.driver),
+        ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
     _write_report(out / "boxdim_report.txt", "boxdim", ifs, config, body)

@@ -1,20 +1,19 @@
 """Cylinder functions: positive word-indexed potentials with certified constants.
 
 A cylinder function assigns every nonempty word ``w`` and parameter ``t >= 0``
-a log-value and certifies three constants: a distortion bound ``K_t`` (how much
-the value may vary over infinite tails), and parameter bounds
-``0 < s_lo <= s_hi < 1`` controlling the response to a shift ``t -> t + delta``
+a log-value and certifies parameter bounds ``0 < s_lo <= s_hi < 1``
+controlling the response to a shift ``t -> t + delta``
 (``value = exp(log_value)``):
 
     value(t, w) * s_lo^(delta * |w|)  <=  value(t + delta, w)
                                       <=  value(t, w) * s_hi^(delta * |w|)
 
-A value never exceeds the product of the values of its parts,
-``value(t, ij) <= K_t * value(t, i) * value(t, j)`` (submultiplicativity), and
-``verify_axioms`` spot-checks all three properties on random words.  Both
-potentials here are constant in the tail (``K_t = 1``).  The word budget
-``budget``, the most words a level may have, limits work, not values, so
-``content_hash`` ignores it.
+Both potentials here are constant in the tail: a word's value does not vary
+over the infinite words it begins.  A value never exceeds the product of the
+values of its parts, ``value(t, ij) <= value(t, i) * value(t, j)``
+(submultiplicativity), and ``verify_axioms`` spot-checks all three properties
+on random words.  The word budget ``budget``, the most words a level may
+have, limits work, not values, so ``content_hash`` ignores it.
 
 A potential is exponents times level features: ``log_value(t, w)`` is the sum
 of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t)``, and
@@ -86,8 +85,8 @@ class CylinderFunction:
     def log_value(self, t: float, w: Word) -> float:
         raise NotImplementedError
 
-    def constants(self, t: float) -> tuple[float, float, float]:
-        """Certified (K_t, s_lo, s_hi)."""
+    def constants(self, t: float) -> tuple[float, float]:
+        """Certified (s_lo, s_hi)."""
         raise NotImplementedError
 
     def content_hash(self) -> str:
@@ -113,7 +112,7 @@ class CylinderFunction:
 
 class NaturalCylinderFunction(CylinderFunction):
     """Singular-value-function potential of an affine IFS: alpha^t of the word's
-    matrix product.  Submultiplicativity of alpha^t makes K_t = 1.  alpha^t is
+    matrix product, which is submultiplicative.  alpha^t is
     read off top singular values of compound (exterior-power) products, never
     off the small singular values of the product itself, which lose relative
     accuracy with its condition number, exponential in the word length."""
@@ -187,7 +186,7 @@ class NaturalCylinderFunction(CylinderFunction):
         return feats
 
     def constants(self, t):
-        return 1.0, float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
+        return float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
 
     def content_hash(self):
         h = hashlib.sha256(b"natural-cylinder-function")
@@ -230,7 +229,7 @@ class ProductCylinderFunction(CylinderFunction):
         return 0.0 + t * float(np.cumsum(self._log_weights[list(w)])[-1])
 
     def constants(self, t):
-        return 1.0, float(self.weights.min()), float(self.weights.max())
+        return float(self.weights.min()), float(self.weights.max())
 
     def content_hash(self):
         h = hashlib.sha256(b"product-cylinder-function")
@@ -253,11 +252,11 @@ class AxiomReport:
     samples: int
     seed: int
     t_grid: tuple[float, ...] = field(default=())
-    k_t: float = 1.0
 
     def max_slack(self) -> float:
+        """The worst slack, at least 0: the log of ``bvp_max_ratio`` >= 1."""
         return max(
-            math.log(self.bvp_max_ratio) - math.log(self.k_t),
+            math.log(self.bvp_max_ratio),
             self.worst_subchain_violation,
             self.worst_param_violation,
         )
@@ -290,7 +289,6 @@ def verify_axioms(
 
     worst_subchain = -math.inf
     worst_param = -math.inf
-    k_t = max(cf.constants(t)[0] for t in t_grid)
 
     streams = np.random.SeedSequence(seed).spawn(samples)
     for stream in streams:
@@ -307,7 +305,7 @@ def verify_axioms(
 
         # (2) subchain rule on the split w = w[:j] + w[j:]
         slack = cf.log_value(t, w) - cf.log_value(t, w[:j]) - cf.log_value(t, w[j:])
-        worst_subchain = max(worst_subchain, slack - math.log(k_t))
+        worst_subchain = max(worst_subchain, slack)
 
         # (3) two-sided parameter bound at a grid-spacing increment
         if len(t_grid) >= 2:
@@ -315,7 +313,7 @@ def verify_axioms(
             t0, delta = t_grid[gi], t_grid[gi + 1] - t_grid[gi]
         else:
             t0, delta = t, 0.25
-        _, s_lo, s_hi = cf.constants(t0)
+        s_lo, s_hi = cf.constants(t0)
         base = cf.log_value(t0, w)
         shifted = cf.log_value(t0 + delta, w)
         worst_param = max(
@@ -331,5 +329,4 @@ def verify_axioms(
         samples=samples,
         seed=seed,
         t_grid=tuple(t_grid),
-        k_t=k_t,
     )

@@ -4,10 +4,10 @@ The level-n pressure of a cylinder function is
 
     P_n(t) = (1/n) * log( sum over all words w of length n of value(t, w) ),
 
-computed entirely in log space.  For tail-constant potentials (K_t = 1) the
-subchain rule makes ``log S_n`` subadditive, so the limit pressure P(t) equals
-``inf_n P_n(t)``: every computed level is a rigorous upper bound, and the
-running minimum (the Fekete envelope) is the best one.  No finite-level lower
+computed entirely in log space.  Both potentials here are constant in the
+tail, so the subchain rule makes ``log S_n`` subadditive and the limit
+pressure P(t) equals ``inf_n P_n(t)``: every computed level is a rigorous
+upper bound, and the running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
 estimate, never a bound.
 
@@ -107,8 +107,8 @@ def _extrapolate(ns: Sequence[int], values: Sequence[float]) -> tuple[float, str
 class PressureReport:
     """Per-level pressure values at a fixed parameter.
 
-    ``fekete_upper`` is the minimum over computed levels; it is a rigorous
-    upper bound on the limit pressure exactly when ``k_t_is_one``.  The
+    ``fekete_upper`` is the minimum over computed levels, a rigorous upper
+    bound on the limit pressure (the potentials are tail-constant).  The
     extrapolated value is a point estimate only."""
 
     t: float
@@ -116,7 +116,6 @@ class PressureReport:
     fekete_upper: float
     extrapolated: float
     extrapolation_method: str
-    k_t_is_one: bool
     truncated: bool = False
 
 
@@ -131,7 +130,6 @@ def pressure_sequence(cf, t, n_max, cache=None) -> PressureReport:
         fekete_upper=min(values),
         extrapolated=extrapolated,
         extrapolation_method=method,
-        k_t_is_one=(cf.constants(t)[0] == 1.0),
         truncated=truncated,
     )
 

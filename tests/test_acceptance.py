@@ -21,10 +21,10 @@ from systems import (
 )
 
 from selfaffine import (
+    ChaosGame,
     CylinderMeasure,
     NaturalCylinderFunction,
     affinity_dimension,
-    attractor_points,
     box_dimension,
     invariance_defect,
     jensen_residual,
@@ -149,7 +149,7 @@ def test_c06_parameter_bound_suite():
             w = tuple(rng.integers(0, 2, size=int(rng.integers(1, 10))))
             t = float(rng.uniform(0, 2.5))
             delta = float(rng.uniform(0.05, 1.0))
-            _, s_lo, s_hi = cf.constants(t)
+            s_lo, s_hi = cf.constants(t)
             lo = math.exp(cf.log_value(t, w)) * s_lo ** (delta * len(w))
             hi = math.exp(cf.log_value(t, w)) * s_hi ** (delta * len(w))
             shifted = math.exp(cf.log_value(t + delta, w))
@@ -213,10 +213,10 @@ def test_c10_full_dimension_cross_check():
         passes = 0
         for i, bundle in enumerate(translations):
             start = time.perf_counter()
-            cloud = attractor_points(
+            game = ChaosGame(
                 ifs.with_translations(bundle), 10**6, burn_in=300, seed=100 + i, driver=driver
             )
-            estimate = box_dimension(cloud, scales).estimate
+            estimate = box_dimension(game, scales).estimate
             elapsed = time.perf_counter() - start
             ok = abs(estimate - target) <= 0.2
             print(

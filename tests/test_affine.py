@@ -16,7 +16,6 @@ from selfaffine import (
     CylinderMeasure,
     DegenerateCloudError,
     IFSValidationError,
-    attractor_points,
     box_dimension,
     mu_cesaro,
     NaturalCylinderFunction,
@@ -137,13 +136,12 @@ class TestAttractorPoints:
     def test_single_map_converges_to_fixed_point(self):
         # degenerate system, validation deliberately bypassed
         ifs = AffineIFS(2, [0.5 * np.eye(2)], [[1.0, 0.0]], name="single")
-        cloud = attractor_points(ifs, 300, burn_in=200, seed=1)
+        points = ChaosGame(ifs, 300, burn_in=200, seed=1).points()
         fixed_point = np.array([2.0, 0.0])
-        assert np.abs(cloud.points - fixed_point).max() <= 1e-9
+        assert np.abs(points - fixed_point).max() <= 1e-9
 
     def test_cantor_middle_gap(self):
-        cloud = attractor_points(cantor_ifs(), 100000, burn_in=200, seed=3)
-        xs = cloud.points[:, 0]
+        xs = ChaosGame(cantor_ifs(), 100000, burn_in=200, seed=3).points()[:, 0]
         assert xs.min() >= -1e-9 and xs.max() <= 1 + 1e-9
         eps = 1e-6
         assert np.sum((xs > 1 / 3 + eps) & (xs < 2 / 3 - eps)) == 0
@@ -152,59 +150,60 @@ class TestAttractorPoints:
         rng = np.random.default_rng(42)
         for _ in range(3):
             ifs = random_affine_ifs(rng, 2, 3)
-            cloud = attractor_points(ifs, 5000, burn_in=100, seed=9)
-            radii = np.linalg.norm(cloud.points, axis=1)
+            points = ChaosGame(ifs, 5000, burn_in=100, seed=9).points()
+            radii = np.linalg.norm(points, axis=1)
             assert radii.max() <= ifs.bounding_radius() + 1e-9
 
     def test_deterministic_and_count(self):
         ifs = cantor_ifs()
-        a = attractor_points(ifs, 1001, burn_in=50, seed=5, chains=16)
-        b = attractor_points(ifs, 1001, burn_in=50, seed=5, chains=16)
-        assert np.array_equal(a.points, b.points)
-        assert a.points.shape == (1001, 1)
+        a = ChaosGame(ifs, 1001, burn_in=50, seed=5, chains=16).points()
+        b = ChaosGame(ifs, 1001, burn_in=50, seed=5, chains=16).points()
+        assert np.array_equal(a, b)
+        assert a.shape == (1001, 1)
 
     def test_measure_driver(self):
         ifs = generic_pair_ifs()
         cf = NaturalCylinderFunction(ifs)
         measure = mu_cesaro(cf, 0.86, 8, 3)
-        cloud = attractor_points(ifs, 2000, burn_in=100, seed=2, driver=measure)
-        assert cloud.points.shape == (2000, 2)
-        assert cloud.driver == measure.provenance
-        again = attractor_points(ifs, 2000, burn_in=100, seed=2, driver=measure)
-        assert np.array_equal(cloud.points, again.points)
+        game = ChaosGame(ifs, 2000, burn_in=100, seed=2, driver=measure)
+        assert game.points().shape == (2000, 2)
+        assert game.driver == measure.provenance
+        again = ChaosGame(ifs, 2000, burn_in=100, seed=2, driver=measure)
+        assert np.array_equal(game.points(), again.points())
 
     def test_negative_burn_in_rejected(self):
         with pytest.raises(ValueError, match="burn_in"):
-            attractor_points(cantor_ifs(), 100, burn_in=-3)
-        assert len(attractor_points(cantor_ifs(), 100, burn_in=0).points) == 100
+            ChaosGame(cantor_ifs(), 100, burn_in=-3)
+        assert len(ChaosGame(cantor_ifs(), 100, burn_in=0).points()) == 100
 
     def test_non_positive_chains_rejected(self):
         for chains in (0, -5):
             with pytest.raises(ValueError, match="chains"):
-                attractor_points(cantor_ifs(), 100, chains=chains)
-        assert len(attractor_points(cantor_ifs(), 100, chains=1).points) == 100
+                ChaosGame(cantor_ifs(), 100, chains=chains)
+        assert len(ChaosGame(cantor_ifs(), 100, chains=1).points()) == 100
 
     def test_weight_driver_and_mismatch(self):
         ifs = cantor_ifs()
-        cloud = attractor_points(ifs, 500, burn_in=50, seed=1, driver=[0.9, 0.1])
-        assert cloud.points.shape == (500, 1)
+        game = ChaosGame(ifs, 500, burn_in=50, seed=1, driver=[0.9, 0.1])
+        assert game.points().shape == (500, 1)
         with pytest.raises(ValueError):
-            attractor_points(ifs, 100, driver=[1.0, 1.0, 1.0])
+            ChaosGame(ifs, 100, driver=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError):
-            attractor_points(ifs, 100, driver=[0.0, 0.0])
+            ChaosGame(ifs, 100, driver=[0.0, 0.0])
         for weights in ([math.nan, 1.0], [math.inf, 1.0]):
             with pytest.raises(ValueError, match="finite"):
-                attractor_points(ifs, 100, driver=weights)
+                ChaosGame(ifs, 100, driver=weights)
         # finite weights whose sum overflows, with no overflow warning
         with np.errstate(all="raise"), pytest.raises(ValueError, match="finite sum"):
-            attractor_points(ifs, 100, driver=[1e308, 1e308])
+            ChaosGame(ifs, 100, driver=[1e308, 1e308])
 
 
 def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
                                 chains=DEFAULT_CHAINS):
-    """The chaos game one lockstep step at a time, with the per-chain
-    uniforms in a step-major array and the context carrying the clamped
-    symbol: the loop ``attractor_points`` ran before it stepped in chunks."""
+    """The chain-major cloud and driver tag of the chaos game played one
+    lockstep step at a time, with the per-chain uniforms in a step-major
+    array and the context carrying the clamped symbol: the loop the chaos
+    game ran before it stepped in chunks."""
     m = ifs.n_maps
     n_chains = min(chains, count)
     base, extra = divmod(count, n_chains)
@@ -234,7 +233,18 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
             longer[:, i] = x[:extra]
             if i < base:
                 shorter[:, i] = x[extra:]
-    return affine.PointCloud(points=points, seed=seed, driver=tag)
+    return points, tag
+
+
+def _assert_reference_rows(points, reference):
+    """Bit-equal rows for d <= 2; for d >= 3 the chaos game sums a row of
+    ``[A | a]`` in another order than the reference, so only rounding may
+    differ."""
+    if points.shape[1] <= 2:
+        assert points.tobytes() == reference.tobytes()
+    else:
+        scale = np.abs(reference).max()
+        assert np.abs(points - reference).max() <= 4 * np.finfo(float).eps * scale
 
 
 def _sweep_driver(rng, kind, m):
@@ -264,24 +274,20 @@ class TestChunkedChaosGame:
     # one chain: numpy's einsum reduces innermost over a summed axis, pairing terms
     @example(seed=0, d=2, m=1, chains=1, count=2, burn_in=CHUNK_STEPS - 1, kind="uniform")
     def test_matches_step_at_a_time_loop(self, seed, d, m, chains, count, burn_in, kind):
-        """Bit-equal clouds for d <= 2; for d >= 3 the sum over a row of
-        ``[A | a]`` runs in another order, so only rounding may differ."""
+        """``points()`` is the reference cloud (see ``_assert_reference_rows``)."""
         rng = np.random.default_rng(seed)
         ifs = random_affine_ifs(rng, d, m)
         driver = _sweep_driver(rng, kind, m)
         kwargs = dict(burn_in=burn_in, seed=seed, driver=driver, chains=chains)
-        cloud = attractor_points(ifs, count, **kwargs)
+        game = ChaosGame(ifs, count, **kwargs)
+        points = game.points()
         with pytest.MonkeyPatch.context() as patch:  # a refill of uniforms at every chunk
             patch.setattr(affine, "BLOCK_CHUNKS", 1)
-            assert attractor_points(ifs, count, **kwargs).points.tobytes() == cloud.points.tobytes()
-        reference = _reference_attractor_points(ifs, count, **kwargs)
-        assert cloud.driver == reference.driver
-        assert cloud.points.shape == reference.points.shape == (count, d)
-        if d <= 2:
-            assert cloud.points.tobytes() == reference.points.tobytes()
-        else:
-            scale = np.abs(reference.points).max()
-            assert np.abs(cloud.points - reference.points).max() <= 4 * np.finfo(float).eps * scale
+            assert ChaosGame(ifs, count, **kwargs).points().tobytes() == points.tobytes()
+        reference, tag = _reference_attractor_points(ifs, count, **kwargs)
+        assert game.driver == tag
+        assert points.shape == reference.shape == (count, d)
+        _assert_reference_rows(points, reference)
 
     def test_context_carries_the_clamped_symbol(self, monkeypatch):
         """A uniform at or above a context row's last cumulative mass emits
@@ -310,25 +316,24 @@ class TestChunkedChaosGame:
                 return out
 
         monkeypatch.setattr(affine.np.random, "default_rng", Stream)
-        cloud = attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
-        reference = _reference_attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
-        assert cloud.points.tobytes() == reference.points.tobytes()
-        x = np.concatenate(([0.0], cloud.points[:, 0]))
+        points = ChaosGame(ifs, 3, burn_in=0, driver=driver, chains=1).points()
+        reference, _ = _reference_attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
+        assert points.tobytes() == reference.tobytes()
+        x = np.concatenate(([0.0], points[:, 0]))
         symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
         assert symbols[:2] == [4, 0]  # context 4 sends all its mass to symbol 0
         assert driver.masses[pack_word(symbols[1:3], 5)] > 0
 
 
 def _sorted_rows(points):
-    """The rows of a point array as a sorted multiset, in bytes."""
-    rows = np.ascontiguousarray(points)
-    return np.sort(rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()).tobytes()
+    """The rows of a point array in lexicographic order."""
+    return points[np.lexsort(points.T[::-1])]
 
 
 class TestReplayedChaosGame:
-    """A ``ChaosGame`` replays the cloud of ``attractor_points`` bit for bit.
-    Box counts alone are a weak oracle: a replay with a broken walk can still
-    give a cloud's counts."""
+    """A ``ChaosGame`` replays the step-at-a-time reference cloud, in an order
+    of its own.  Box counts alone are a weak oracle: a replay with a broken
+    walk can still give a cloud's counts."""
 
     @pytest.mark.parametrize("kind", ["uniform", "weights", "depth-2"])
     @pytest.mark.parametrize("burn_in", [0, CHUNK_STEPS + 3])
@@ -347,30 +352,34 @@ class TestReplayedChaosGame:
             masses = rng.random(9) + 0.05
             driver = CylinderMeasure(3, 2, masses / masses.sum())
         kwargs = dict(burn_in=burn_in, seed=int(rng.integers(2**32)), driver=driver, chains=chains)
-        cloud = attractor_points(ifs, count, **kwargs)
+        reference, tag = _reference_attractor_points(ifs, count, **kwargs)
         scales = [1.0, 0.5, 0.3, 0.25, 0.125, 0.1, 0.0625]  # passes and shifted grids
-        boxes, raster = box_dimension(cloud, scales), render_pgm(cloud, 64)
+        boxes, raster = box_dimension(reference, scales), render_pgm(reference, 64)
         # lane groups that split the chains and straddle chunks
         for patched in ({}, {"CHUNK_STEPS": 7, "CHUNK_POINTS": 37}):
             with pytest.MonkeyPatch.context() as patch:
                 for name, value in patched.items():
                     patch.setattr(affine, name, value)
                 game = ChaosGame(ifs, count, **kwargs)
-                assert (game.count, game.dimension, game.driver) == (count, d, cloud.driver)
-                assert game.mins == tuple(cloud.points.min(axis=0).tolist())
-                assert game.maxs == tuple(cloud.points.max(axis=0).tolist())
+                assert (game.count, game.dimension, game.driver) == (count, d, tag)
                 chunks = list(game.replay())
                 assert max(map(len, chunks)) <= affine.CHUNK_POINTS
-                assert _sorted_rows(np.concatenate(chunks)) == _sorted_rows(cloud.points)
+                replayed = np.concatenate(chunks)
+                assert game.mins == tuple(replayed.min(axis=0).tolist())
+                assert game.maxs == tuple(replayed.max(axis=0).tolist())
+                _assert_reference_rows(_sorted_rows(replayed), _sorted_rows(reference))
+                _assert_reference_rows(game.points(), reference)
                 assert box_dimension(game, scales) == boxes
                 assert render_pgm(game, 64) == raster
 
     def test_scales_off_the_shift_path_share_one_replay(self, monkeypatch):
         """Every scale that is not a power-of-two multiple of the next finer
-        one is counted in a single replay, and the counts are the cloud's."""
+        one is counted in a single replay, and the counts are the reference
+        cloud's."""
         ifs = random_affine_ifs(np.random.default_rng(3), 3, 3)
         kwargs = dict(burn_in=200, seed=0)
-        game, cloud = ChaosGame(ifs, 20000, **kwargs), attractor_points(ifs, 20000, **kwargs)
+        game = ChaosGame(ifs, 20000, **kwargs)
+        reference, _ = _reference_attractor_points(ifs, 20000, **kwargs)
         replays = []
         replay = ChaosGame.replay
 
@@ -381,10 +390,10 @@ class TestReplayedChaosGame:
         monkeypatch.setattr(ChaosGame, "replay", counted)
         for scales in ([0.3, 0.1, 0.03, 0.01], SCALE_LISTS["mixed"]):
             replays.clear()
-            assert box_dimension(game, scales) == box_dimension(cloud, scales)
+            assert box_dimension(game, scales) == box_dimension(reference, scales)
             assert replays == [game]
-        assert box_dimension(cloud, SCALE_LISTS["mixed"]).counts == per_scale_counts(
-            cloud.points, SCALE_LISTS["mixed"]
+        assert box_dimension(reference, SCALE_LISTS["mixed"]).counts == per_scale_counts(
+            reference, SCALE_LISTS["mixed"]
         )
 
     def test_same_checks_as_the_cloud(self):
@@ -466,10 +475,11 @@ PINNED_CLOUDS = {
 @pytest.mark.parametrize("name", sorted(PINNED_CLOUDS))
 def test_chaos_game_bits_pinned(name):
     ifs, count, kwargs = _pin_case(name)
-    cloud = attractor_points(ifs, count, **kwargs)
-    assert cloud.points.shape == (count, ifs.dimension)
-    digest = hashlib.sha256(cloud.points.tobytes()).hexdigest()
-    assert (digest, cloud.driver) == PINNED_CLOUDS[name]
+    game = ChaosGame(ifs, count, **kwargs)
+    points = game.points()
+    assert points.shape == (count, ifs.dimension)
+    digest = hashlib.sha256(points.tobytes()).hexdigest()
+    assert (digest, game.driver) == PINNED_CLOUDS[name]
 
 
 class TestBoxDimension:
@@ -480,8 +490,8 @@ class TestBoxDimension:
         assert 1.85 <= result.estimate <= 2.0
 
     def test_cantor_cloud(self):
-        cloud = attractor_points(cantor_ifs(), 100000, burn_in=200, seed=3)
-        result = box_dimension(cloud, [3.0**-k for k in range(1, 7)])
+        game = ChaosGame(cantor_ifs(), 100000, burn_in=200, seed=3)
+        result = box_dimension(game, [3.0**-k for k in range(1, 7)])
         assert abs(result.estimate - math.log(2) / math.log(3)) <= 0.1
 
     def test_degenerate_cloud(self):
@@ -591,8 +601,8 @@ class TestBoxCountNesting:
         bundle = sample_translations(2, 2, 1, radius=0.6, seed=7)[0]
         ifs = generic_pair_ifs().with_translations(bundle)
         driver = mu_cesaro(NaturalCylinderFunction(ifs), 1.3, 8, 3)
-        cloud = attractor_points(ifs, 200000, burn_in=300, seed=7, driver=driver)
-        result = box_dimension(cloud, [2.0**-k for k in range(3, 11)])
+        game = ChaosGame(ifs, 200000, burn_in=300, seed=7, driver=driver)
+        result = box_dimension(game, [2.0**-k for k in range(3, 11)])
         assert result.counts == (12, 20, 35, 61, 113, 189, 343, 604)
 
 
@@ -655,10 +665,10 @@ class TestWorkingMemory:
         assert peak - game._tape.nbytes - game._starts.nbytes < 4 * 2**20
 
     def test_chaos_game_draws_uniforms_in_blocks(self):
-        cloud, peak = _traced_peak(attractor_points, generic_pair_ifs(), 10**6, seed=3)
-        assert cloud.points.shape == (10**6, 2)
-        # 512 chains: all uniforms at once took 12.5 MiB beside the cloud
-        assert peak - cloud.points.nbytes < 8 * 2**20
+        game, peak = _traced_peak(ChaosGame, generic_pair_ifs(), 10**6, seed=3)
+        assert (game.count, game.dimension) == (10**6, 2)
+        # 512 chains: all uniforms at once took 12.5 MiB beside the points
+        assert peak - game._tape.nbytes - game._starts.nbytes < 8 * 2**20
 
 
 class TestCloudInvariance:
@@ -668,10 +678,10 @@ class TestCloudInvariance:
         from scipy.spatial import cKDTree
 
         ifs = generic_pair_ifs()
-        cloud = attractor_points(ifs, 20000, burn_in=300, seed=17)
-        tree = cKDTree(cloud.points)
-        probe = cloud.points[::40]
-        cover_scale = cKDTree(cloud.points[::2]).query(cloud.points[1::2][:500])[0].max()
+        points = ChaosGame(ifs, 20000, burn_in=300, seed=17).points()
+        tree = cKDTree(points)
+        probe = points[::40]
+        cover_scale = cKDTree(points[::2]).query(points[1::2][:500])[0].max()
         for i in range(ifs.n_maps):
             mapped = probe @ ifs.matrices[i].T + ifs.translations[i]
             dist = tree.query(mapped)[0].max()
@@ -689,14 +699,13 @@ class TestRenderPGM:
         assert sum(1 for b in body if b != 0) == 1
 
     def test_header_and_size(self):
-        cloud = attractor_points(cantor_ifs(), 5000, burn_in=100, seed=3)
-        raster = render_pgm(cloud, 256)
+        raster = render_pgm(ChaosGame(cantor_ifs(), 5000, burn_in=100, seed=3), 256)
         assert raster.startswith(b"P5\n256 256\n255\n")
         assert len(raster) == len(b"P5\n256 256\n255\n") + 256 * 256
 
     def test_checksum_stable_across_runs(self):
-        a = attractor_points(cantor_ifs(), 50000, burn_in=200, seed=11)
-        b = attractor_points(cantor_ifs(), 50000, burn_in=200, seed=11)
+        a = ChaosGame(cantor_ifs(), 50000, burn_in=200, seed=11)
+        b = ChaosGame(cantor_ifs(), 50000, burn_in=200, seed=11)
         digest_a = hashlib.sha256(render_pgm(a, 256)).hexdigest()
         digest_b = hashlib.sha256(render_pgm(b, 256)).hexdigest()
         assert digest_a == digest_b
@@ -704,7 +713,7 @@ class TestRenderPGM:
     def test_chunked_hits_match_one_pass(self):
         """Hits counted chunk by chunk give the bytes of one pass over the
         cloud, for 2-D and 1-D clouds, with and without bounds."""
-        cloud = attractor_points(generic_pair_ifs(), 3000, burn_in=50, seed=4).points
+        cloud = ChaosGame(generic_pair_ifs(), 3000, burn_in=50, seed=4).points()
         for points in (cloud, cloud[:, :1]):
             for bounds in (None, ((-0.2, 0.9), (0.1, 0.6))):
                 raster = render_pgm(points, 64, bounds)
@@ -714,8 +723,12 @@ class TestRenderPGM:
                 assert raster == _one_pass_pgm(points, 64, bounds)
 
     def test_resolution_floor(self):
-        with pytest.raises(ValueError):
-            render_pgm(np.array([[0.0, 0.0]]), 8)
+        """A side below ``MIN_RESOLUTION`` or above ``MAX_RESOLUTION`` is
+        rejected before the hit counts are allocated (10^6 pixels a side
+        would take 7.3 TiB)."""
+        for resolution in (8, affine.MAX_RESOLUTION + 1, 10**6):
+            with pytest.raises(ValueError, match="resolution"):
+                render_pgm(np.array([[0.0, 0.0]]), resolution)
 
 
 def _one_pass_pgm(points, resolution, bounds):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -112,6 +113,7 @@ def test_pressure_sequence_csv(triple_path, tmp_path):
     lines = (out / "pressure.csv").read_text().splitlines()
     assert lines[0] == "t,n,P_n"
     assert len(lines) == 5
+    assert "fekete_label = rigorous upper bound\n" in (out / "pressure_report.txt").read_text()
     # P_n = log(3/2) at every level for this system
     for line in lines[1:]:
         assert float(line.split(",")[2]) == pytest.approx(np.log(1.5), rel=1e-12)
@@ -203,6 +205,37 @@ def test_render_writes_pgm(cantor_path, tmp_path):
     assert len(points) == 20001
 
 
+@pytest.mark.parametrize(
+    "system, argv, artifacts, digest",
+    [
+        (cantor_ifs, ["render", "--count", "20000", "--resolution", "64"],
+         ["attractor.pgm", "render_report.txt"],
+         "92f17afd0e042598dbe93cb1a5338e0772850a2b5d9dd7267108c8d7216c1780"),
+        # 30001 points over the default 512 chains: the first 305 keep one more
+        (generic_pair_ifs, ["boxdim", "--driver", "equilibrium", "--count", "30001",
+                            "--nmax", "6", "--depth", "3"],
+         ["boxdim_counts.csv", "boxdim_report.txt"],
+         "e34d768668b360bdbf6a9eb49c058ae3c3aa28b113a73fdca52035faf0601abd"),
+    ],
+    ids=["render-cantor-d1", "boxdim-equilibrium-d2"],
+)
+def test_save_points_pinned(tmp_path, system, argv, artifacts, digest):
+    """``points.csv`` keeps the bytes it had when the CLI wrote the chain-major
+    cloud of the play pass, and the flag changes no other artifact."""
+    path = tmp_path / "system.json"
+    write_ifs_file(system(), path)
+    runs = {}
+    for flag in ([], ["--save-points"]):
+        out = tmp_path / ("saved" if flag else "plain")
+        assert main(argv + flag + ["--ifs", str(path), "--out", str(out)]) == 0
+        runs[bool(flag)] = out
+    assert not (runs[False] / "points.csv").exists()
+    for artifact in artifacts:
+        assert (runs[True] / artifact).read_bytes() == (runs[False] / artifact).read_bytes()
+    points = (runs[True] / "points.csv").read_bytes()
+    assert hashlib.sha256(points).hexdigest() == digest
+
+
 def test_boxdim_report(cantor_path, tmp_path):
     out = tmp_path / "out"
     assert main(["boxdim", "--ifs", str(cantor_path), "--count", "50000",
@@ -286,12 +319,13 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["boxdim", "--count", "100", "--burn-in", "-300"],
         ["render", "--count", "100", "--burn-in", "-1"],
         ["render", "--count", "100", "--driver", "equilibrium", "--resolution", "8"],
+        ["render", "--count", "100", "--resolution", "1000000"],  # 7.3 TiB of hit counts
         ["boxdim", "--count", "100", "--seed", "-1"],
         ["measure", "--nmax", "3", "--tail-mode", "pad"],  # one Cesaro convention, no knob
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
-         "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "boxdim-seed",
-         "measure-tail-mode"],
+         "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
+         "boxdim-seed", "measure-tail-mode"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"

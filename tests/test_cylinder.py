@@ -9,6 +9,7 @@ from selfaffine import cylinder
 
 from selfaffine import (
     DEFAULT_WORD_BUDGET,
+    AxiomReport,
     NaturalCylinderFunction,
     ProductCylinderFunction,
     log_partition_sum,
@@ -50,16 +51,15 @@ def test_value_rejects_bad_words():
 
 
 def test_constants_product():
-    assert ProductCylinderFunction([0.3, 0.5]).constants(1.7) == (1.0, 0.3, 0.5)
+    assert ProductCylinderFunction([0.3, 0.5]).constants(1.7) == (0.3, 0.5)
 
 
 def test_constants_natural():
-    k_t, s_lo, s_hi = swap_pair_cf().constants(1.0)
-    assert k_t == 1.0
+    s_lo, s_hi = swap_pair_cf().constants(1.0)
     assert s_lo == pytest.approx(0.25, abs=1e-14)
     assert s_hi == pytest.approx(0.5, abs=1e-14)
     conformal = NaturalCylinderFunction(np.stack([0.5 * np.eye(2)]))
-    assert conformal.constants(2.0) == pytest.approx((1.0, 0.5, 0.5), abs=1e-14)
+    assert conformal.constants(2.0) == pytest.approx((0.5, 0.5), abs=1e-14)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3])
@@ -177,7 +177,7 @@ def test_parameter_bound_two_sided():
         for _ in range(200):
             w = tuple(rng.integers(0, 2, size=rng.integers(1, 8)))
             t = float(rng.uniform(0, 2.5))
-            _, s_lo, s_hi = cf.constants(t)
+            s_lo, s_hi = cf.constants(t)
             base = cf.log_value(t, w)
             shifted = cf.log_value(t + delta, w)
             assert shifted >= base + delta * len(w) * math.log(s_lo) - 1e-10
@@ -190,6 +190,15 @@ def test_verify_axioms_product_chain_rule_is_tight():
     assert abs(report.worst_subchain_violation) <= 1e-12
     assert report.worst_param_violation <= 1e-10
     assert report.passed()
+
+
+def test_max_slack_is_at_least_zero():
+    """The value ratio over tails is 1, so the worst slack is 0 when both
+    sampled axioms hold with margin."""
+    report = AxiomReport(1.0, -0.5, -0.25, samples=10, seed=0)
+    assert report.max_slack() == 0.0
+    assert math.copysign(1.0, report.max_slack()) == 1.0
+    assert AxiomReport(1.0, 2e-9, -0.25, samples=10, seed=0).max_slack() == 2e-9
 
 
 def test_verify_axioms_rejects_unsorted_grid():

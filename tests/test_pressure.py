@@ -80,7 +80,6 @@ def test_pressure_sequence_product():
     rep = pressure_sequence(half_product_cf(), 1.0, 6)
     assert all(abs(p) <= 1e-12 for _, p in rep.per_level)
     assert abs(rep.fekete_upper) <= 1e-12
-    assert rep.k_t_is_one
     assert not rep.truncated
 
 
@@ -118,7 +117,7 @@ def test_parameter_bound_transfers_to_partition_sums():
         t = float(rng.uniform(0, 2))
         delta = float(rng.uniform(0.05, 0.8))
         n = int(rng.integers(1, 8))
-        _, s_lo, s_hi = cf.constants(t)
+        s_lo, s_hi = cf.constants(t)
         base = log_partition_sum(cf, t, n)
         shifted = log_partition_sum(cf, t + delta, n)
         assert shifted >= base + delta * n * math.log(s_lo) - 1e-10
@@ -200,7 +199,7 @@ def test_root_brackets_sign_change():
     b=st.integers(1, 3),
 )
 def test_fekete_subadditivity_random_systems(seed, d, t, a, b):
-    """log S_{a+b} <= log S_a + log S_b for the natural potential (K_t = 1)."""
+    """log S_{a+b} <= log S_a + log S_b for the natural potential."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(seed), d, 3))
     lhs = log_partition_sum(cf, t, a + b)
     assert lhs <= log_partition_sum(cf, t, a) + log_partition_sum(cf, t, b) + 1e-12
