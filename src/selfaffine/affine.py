@@ -16,9 +16,10 @@ the chains are scheduled.  The uniforms are drawn into a block of
 across ``random`` calls gives the same doubles as one call.
 
 ``ChaosGame`` plays the game in one stepping loop and keeps no points: what
-grows with the number of points is a tape of the chains' symbols (1 byte per
-point for up to 256 maps) and each chain's state at the start of each chunk
-of steps (d / 8 bytes per point), from which it replays the points, many
+grows with the number of points is a tape of the chains' symbols (b bits per
+point, for the least power of two b with 2^b >= m: one bit for two maps, a
+byte for 17 to 256) and each chain's state at the start of each chunk of
+steps (d / 8 bytes per point), from which it replays the points, many
 chunks at once.  Beside these the loop holds the block of uniforms, one
 chunk's symbols and states and one step's maps.  ``ChaosGame.points``
 scatters one replay into the chain-major cloud, 8 d bytes per point, for a
@@ -26,8 +27,9 @@ caller that needs the array.  Box counting and rendering read a point array
 ``CHUNK_POINTS`` rows at a time, or a replay ``CHUNK_POINTS // 8`` lanes at
 a time, holding one chunk's temporaries and the occupied cells (box
 counting) or the hit counts (rendering).  On the 2,000,000-point equilibrium
-``boxdim`` of the benchmark, with 512 chains, the play pass peaks at 5.4 MiB
-traced, the tape and checkpoints included, and box counting at 4.7 MiB.
+``boxdim`` of the benchmark, with 512 chains, the tape takes 0.25 MB and the
+checkpoints 0.51 MB; the play pass peaks at 3.8 MiB traced, these included,
+and box counting at 3.0 MiB (5.4 and 4.7 MiB with a byte per symbol).
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c of a conditional driver walks the state c * (m + 1) through tables
@@ -247,16 +249,20 @@ class ChaosGame:
 
     The play pass moves the chains in lockstep, ``CHUNK_STEPS`` steps at a
     time.  For each chunk that keeps an iterate it records every chain's
-    symbols on a tape (the smallest unsigned dtype) and every chain's state
-    at the chunk's start, and it keeps each coordinate's least and greatest
-    kept iterate in ``mins`` and ``maxs``.  ``replay`` restarts all recorded
-    chunks from their checkpoints at once, one lane per (chunk, chain), in
-    groups of at most ``CHUNK_POINTS // 8`` lanes.  A group's step is one
-    gather of the maps' ``[A | a]`` and one einsum laid out as the play
-    pass's, so the lanes give the played points bit for bit.  At 8192 lanes
-    a group takes under 1 MiB in d = 2, and the benchmark's game is
-    box-counted as fast as with groups of 2^16 lanes, at under half the
-    traced peak.  ``points`` scatters one replay into the chain-major cloud."""
+    symbols on a tape and every chain's state at the chunk's start, and it
+    keeps each coordinate's least and greatest kept iterate in ``mins`` and
+    ``maxs``.  A symbol takes b bits, the least power of two with 2^b >= m,
+    and the tape packs a chain's steps 8 / b to a byte (b = 16 and up take
+    a word of b bits each): the play pass ORs each chunk's symbols, shifted
+    into place, onto the tape.  ``replay`` restarts all recorded chunks from
+    their checkpoints at once, one lane per (chunk, chain), in groups of at
+    most ``CHUNK_POINTS // 8`` lanes.  A group's step shifts and masks one
+    tape row into the step's symbols, then makes one gather of the maps'
+    ``[A | a]`` and one einsum laid out as the play pass's, so the lanes give
+    the played points bit for bit.  At 8192 lanes a group takes under 1 MiB
+    in d = 2, and the benchmark's game is box-counted as fast as with groups
+    of 2^16 lanes, at under half the traced peak.  ``points`` scatters one
+    replay into the chain-major cloud."""
 
     def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
                  driver=None, chains: int = DEFAULT_CHAINS):
@@ -284,9 +290,14 @@ class ChaosGame:
         lanes = (-(-total_steps // chunk) - first) * n_chains
         #: tail index of the iterate after step 0 of the first recorded chunk
         self._lead = first * chunk - burn_in
-        # column (chunk - first) * n_chains + c is lane (chunk, chain c); the
-        # steps past the end of the game stay on symbol 0 and keep nothing
-        self._tape = np.zeros((chunk, lanes), dtype=np.min_scalar_type(ifs.n_maps - 1))
+        # column (chunk - first) * n_chains + c is lane (chunk, chain c), and
+        # its step s is in row s // per, from bit s % per * bits up; the steps
+        # past the end of the game stay on symbol 0 and keep nothing
+        bits = self._bits = 1 << (max(ifs.n_maps - 1, 1).bit_length() - 1).bit_length()
+        word = np.dtype(f"uint{max(bits, 8)}")
+        per = word.itemsize * 8 // bits
+        self._chunk = chunk
+        self._tape = np.zeros((-(-chunk // per), lanes), dtype=word)
         self._starts = np.empty((d, lanes))
         # each chain's least and greatest kept coordinates; nan propagates
         lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
@@ -294,7 +305,10 @@ class ChaosGame:
             lane = (start // chunk - first) * n_chains
             if lane < 0:
                 continue
-            self._tape[: len(sym), lane : lane + n_chains] = sym
+            packed, sym = self._tape[:, lane : lane + n_chains], sym.astype(word)
+            for j in range(min(per, len(sym))):  # steps j, j + per, ... at bit j * b
+                rows = sym[j::per]
+                packed[: len(rows)] |= rows << j * bits
             self._starts[:, lane : lane + n_chains] = states[0, :d]
             # the chunk's kept iterates, from tail index lo on: every chain
             # keeps those before tail index base, the longer chains also base
@@ -368,7 +382,8 @@ class ChaosGame:
         ``lane[begin:end]`` of the group's lane indices, with s and those
         iterates, a fresh (rows, d) array."""
         d, n_chains, columns = self.dimension, self._n_chains, self._columns
-        chunk, lanes = self._tape.shape
+        chunk, bits, (_, lanes) = self._chunk, self._bits, self._tape.shape
+        per, mask = self._tape.itemsize * 8 // bits, (1 << bits) - 1
         width = max(CHUNK_POINTS // 8, 1)  # lanes per group
         for offset in range(0, lanes, width):
             lane = np.arange(offset, min(offset + width, lanes))
@@ -383,7 +398,11 @@ class ChaosGame:
             state = np.ones((d + 1, len(lane)))
             state[:d] = self._starts[:, group]
             maps = np.empty((d + 1, d, len(lane)))
-            for s, sym in enumerate(self._tape[:, group]):
+            sym = np.empty(len(lane), dtype=self._tape.dtype)
+            for s in range(chunk):
+                row, slot = divmod(s, per)
+                np.right_shift(self._tape[row, group], slot * bits, out=sym)
+                np.bitwise_and(sym, mask, out=sym)
                 columns.take(sym, axis=2, out=maps, mode="clip")
                 state, carried = np.empty_like(state), state
                 state[d] = 1.0
@@ -402,7 +421,7 @@ class ChaosGame:
         """The kept iterates as the chain-major (count, d) cloud, from one
         replay: chain c's tail starts at row c * base + min(c, extra)."""
         points = np.empty((self.count, self.dimension))
-        chunk, n_chains = len(self._tape), self._n_chains
+        chunk, n_chains = self._chunk, self._n_chains
         for lane, s, rows in self._replay():
             chain = lane % n_chains
             points[chain * self._base + np.minimum(chain, self._extra)

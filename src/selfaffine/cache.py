@@ -3,15 +3,15 @@
 Each record is a line ``<cf-hash> <t-bits> <n> <value-bits>`` where the floats
 are stored via ``float.hex`` so a round trip reproduces the exact bits.
 Corrupted lines (a torn append, manual edits) are skipped with a warning;
-everything before them stays usable.
+everything before them stays usable.  The warning goes to the
+``selfaffine.cache`` logger, and ``logging`` is imported only to send it;
+with no handler configured, logging's last-resort handler prints the bare
+message on stderr.
 """
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
-
-log = logging.getLogger(__name__)
 
 _HEADER = "# selfaffine pressure cache v1"
 
@@ -41,7 +41,11 @@ class PartitionSumCache:
                 key = (cf_hash, float.fromhex(t_hex), int(n_str))
                 self._mem[key] = float.fromhex(v_hex)
             except ValueError:
-                log.warning("ignoring corrupted cache record at %s:%d", self.path, lineno)
+                import logging  # only here: a run without a torn record never loads it
+
+                logging.getLogger(__name__).warning(
+                    "ignoring corrupted cache record at %s:%d", self.path, lineno
+                )
 
     def get(self, key: Key) -> float | None:
         return self._mem.get(key)

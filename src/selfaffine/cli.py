@@ -13,7 +13,6 @@ Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 from __future__ import annotations
 
 import argparse
-import logging
 import math
 import sys
 import time
@@ -423,7 +422,6 @@ HANDLERS = {
 
 
 def main(argv=None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -44,14 +44,14 @@ def log_sum_exp(values: np.ndarray) -> float:
 def log_partition_sum(cf: CylinderFunction, t: float, n: int, cache=None) -> float:
     """log of the level-n partition sum."""
     check_budget(cf.n_symbols, n, cf.budget)  # also on a cache hit
+    if cache is None:
+        return level_log_values(cf, t, n)[0]
     key = (cf.content_hash(), float(t), int(n))
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
     out = level_log_values(cf, t, n)[0]
-    if cache is not None:
-        cache.put(key, out)
+    cache.put(key, out)
     return out
 
 

@@ -289,6 +289,26 @@ class TestChunkedChaosGame:
         assert points.shape == reference.shape == (count, d)
         _assert_reference_rows(points, reference)
 
+    @pytest.mark.parametrize("kind", ["uniform", "weights", "depth-2"])
+    @pytest.mark.parametrize("m, bits", [(2, 1), (3, 2), (5, 4), (17, 8), (257, 16)])
+    def test_every_tape_width_replays_the_reference(self, monkeypatch, m, bits, kind):
+        """A symbol takes the least of 1, 2, 4, 8 and 16 bits that holds m
+        symbols.  With chunks of 7 steps a chunk ends inside a tape word, and
+        ``replay()`` and ``points()`` are still the reference cloud."""
+        monkeypatch.setattr(affine, "CHUNK_STEPS", 7)
+        rng = np.random.default_rng([m, len(kind)])
+        ifs = random_affine_ifs(rng, 2, m)
+        kwargs = dict(burn_in=5, seed=int(rng.integers(2**32)), driver=_sweep_driver(rng, kind, m),
+                      chains=3)
+        count = 3 * 40 + 2  # two longer chains
+        game = ChaosGame(ifs, count, **kwargs)
+        assert game._tape.nbytes == game._tape.shape[1] * -(-7 * bits // 8)
+        reference, tag = _reference_attractor_points(ifs, count, **kwargs)
+        assert game.driver == tag
+        _assert_reference_rows(game.points(), reference)
+        replayed = np.concatenate(list(game.replay()))
+        _assert_reference_rows(_sorted_rows(replayed), _sorted_rows(reference))
+
     def test_context_carries_the_clamped_symbol(self, monkeypatch):
         """A uniform at or above a context row's last cumulative mass emits
         the last symbol, and the next context is that symbol's, not a carry
@@ -663,6 +683,12 @@ class TestWorkingMemory:
         (game, result), peak = _traced_peak(streamed)
         assert len(result.counts) == len(scales)
         assert peak - game._tape.nbytes - game._starts.nbytes < 4 * 2**20
+
+    def test_two_map_tape_takes_a_bit_a_step(self):
+        """10^6 points of a two-map game keep a 0.13 MB tape (1.0 MB at a
+        byte a step)."""
+        game = ChaosGame(generic_pair_ifs(), 10**6, seed=3)
+        assert game._tape.nbytes <= game._tape.shape[1] * -(-CHUNK_STEPS // 8)
 
     def test_chaos_game_draws_uniforms_in_blocks(self):
         game, peak = _traced_peak(ChaosGame, generic_pair_ifs(), 10**6, seed=3)

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -426,3 +430,35 @@ def test_reports_embed_version_config_hash(triple_path, tmp_path):
     assert report.startswith("tool = selfaffine 0.1.0\n")
     assert "config.nmax = 4" in report
     assert "ifs_hash = " in report
+
+
+def _fresh_cli(*args):
+    """``selfaffine.cli.main(args)`` in a fresh interpreter on this checkout's
+    ``src``, as the console script runs it, with no logging handler set up;
+    its last stdout line says whether ``logging`` was imported."""
+    script = ("import sys, selfaffine.cli; code = selfaffine.cli.main(sys.argv[1:]); "
+              "print('logging' in sys.modules); sys.exit(code)")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+                         capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1] == "True", run.stderr
+
+
+def test_logging_loaded_only_for_a_torn_cache_record(tmp_path, cantor_path):
+    """A boxdim run never imports ``logging``; a torn cache record still
+    reaches stderr, through logging's last-resort handler, without a prefix."""
+    path = tmp_path / "gp.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    loaded, _ = _fresh_cli("boxdim", "--ifs", path, "--count", "3000", "--driver", "equilibrium",
+                           "--nmax", "4", "--depth", "2", "--out", tmp_path / "boxdim")
+    assert not loaded
+    cache = tmp_path / "cache.txt"
+    args = ["pressure", "--ifs", cantor_path, "--t", "0.5", "--nmax", "3", "--cache", cache]
+    assert main([*map(str, args), "--out", str(tmp_path / "first")]) == 0
+    with cache.open("a") as fh:
+        fh.write("cccc 0x1.0p+0 9 trunca")  # torn append
+    loaded, stderr = _fresh_cli(*args, "--out", tmp_path / "second")
+    assert loaded
+    torn = len(cache.read_text().splitlines())
+    assert stderr.splitlines()[0] == f"ignoring corrupted cache record at {cache}:{torn}"

@@ -456,3 +456,21 @@ def test_cache_round_trip_and_reuse():
     assert log_partition_sum(cf, 1.23, 5, cache=cache) == first
     key = (cf.content_hash(), 1.23, 5)
     assert cache.get(key) == first
+
+
+def test_uncached_root_hashes_nothing(monkeypatch):
+    """The cache key, a hash of the potential, is built only for a cache:
+    an uncached root search on generic-pair hashed 31 times."""
+    hashes = []
+    content_hash = NaturalCylinderFunction.content_hash
+
+    def counted(self):
+        hashes.append(self)
+        return content_hash(self)
+
+    monkeypatch.setattr(NaturalCylinderFunction, "content_hash", counted)
+    cf = NaturalCylinderFunction(generic_pair_ifs())
+    pressure_root(cf, 10, 1e-9)
+    assert hashes == []
+    log_partition_sum(cf, 1.0, 3, cache=PartitionSumCache())
+    assert hashes == [cf]
