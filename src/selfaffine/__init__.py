@@ -15,13 +15,7 @@ from .affine import (
     validate_ifs,
 )
 from .cache import PartitionSumCache
-from .cylinder import (
-    AxiomReport,
-    CylinderFunction,
-    NaturalCylinderFunction,
-    ProductCylinderFunction,
-    verify_axioms,
-)
+from .cylinder import AxiomReport, NaturalCylinderFunction, verify_axioms
 from .equilibrium import (
     CylinderMeasure,
     EquilibriumDiagnostics,

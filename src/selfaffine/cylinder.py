@@ -1,40 +1,43 @@
-"""Cylinder functions: positive word-indexed potentials with certified constants.
+"""The natural cylinder function: a positive word-indexed potential with
+certified constants.
 
-A cylinder function assigns every nonempty word ``w`` and parameter ``t >= 0``
-a log-value and certifies parameter bounds ``0 < s_lo <= s_hi < 1``
-controlling the response to a shift ``t -> t + delta``
-(``value = exp(log_value)``):
+The potential assigns every nonempty word ``w`` and parameter ``t >= 0`` a
+log-value, the log of the singular value function of the word's matrix
+product, and certifies parameter bounds ``0 < s_lo <= s_hi < 1`` controlling
+the response to a shift ``t -> t + delta`` (``value = exp(log_value)``):
 
     value(t, w) * s_lo^(delta * |w|)  <=  value(t + delta, w)
                                       <=  value(t, w) * s_hi^(delta * |w|)
 
-Both potentials here are constant in the tail: a word's value does not vary
-over the infinite words it begins.  A value never exceeds the product of the
-values of its parts, ``value(t, ij) <= value(t, i) * value(t, j)``
-(submultiplicativity), and ``verify_axioms`` spot-checks all three properties
-on random words.  The word budget ``budget``, the most words a level may
-have, limits work, not values, so ``content_hash`` ignores it.
+It is constant in the tail: a word's value does not vary over the infinite
+words it begins.  A value never exceeds the product of the values of its
+parts, ``value(t, ij) <= value(t, i) * value(t, j)`` (submultiplicativity),
+and ``verify_axioms`` spot-checks all three properties on random words.  On a
+1-D system the value is the product ``prod_i |a_{w_i}|^t``, which is
+multiplicative.  The word budget ``budget``, the most words a level may have,
+limits work, not values, so ``content_hash`` ignores it.
 
-A potential is exponents times level features: ``log_value(t, w)`` is the sum
-of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t)``, and
-``level_features(k, n)`` is the read-only ``F_k`` of every level-n word in
-packed-index order.  ``CylinderFunction.log_value_block`` takes that sum from
-zeros, in ``terms`` order, over the slice of a level that a prefix spans.
-``log_value`` evaluates one word without building its level.
+The potential is exponents times level features: ``log_value(t, w)`` is the
+sum of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t) = svf_compound_terms(t,
+d)``, and ``level_features(k, n)`` is the read-only ``F_k = log(a_1...a_k)`` of
+every level-n word in packed-index order, built per ``k`` as the terms ask.
+``log_value_block`` takes that sum from zeros, in ``terms`` order, over the
+slice of a level that a prefix spans.  ``log_value`` evaluates one word
+without building its level, with the same bits as its level entry.
 
-The natural potential's terms are ``svf_compound_terms(t, d)`` and its
-features ``log(a_1...a_k)``, built per ``k`` as the terms ask.  It keeps the
-features of each ``(k, n)``, so a level's singular values are computed once
-however many parameters are asked for.  The kept bytes are capped by
-``FEATURE_MEMO_BYTES``: the memo is cleared when storing a level would pass the
-cap, and a level larger than the cap is never kept, so it is rebuilt at every
-parameter.  The compound products behind a level take ``C(d, k)^2`` floats per
-word, so they are formed at most ``PRODUCT_CHUNK_WORDS`` words at a time.  A
-feature is the log of the top singular value of a compound product, from
-``top_singular_values`` (closed forms within a few ulps of LAPACK's a_1 up to
-3 x 3, LAPACK above).  A product that underflows to the zero matrix has
-feature ``-inf``, and its level or word raises ``NumericallySingularError``.
-The product potential's one term is ``(1, t)``, its feature ``sum_i log s_{w_i}``.
+The k = d feature is additive: ``log|det A_w|`` is the left-to-right sum from
+0 of the per-map ``log|det A_{w_i}|``, taken once with ``slogdet``, so it
+never underflows.  A k < d feature is the log of the top singular value of a
+product of k-th compounds, from ``top_singular_values`` (closed forms within a
+few ulps of LAPACK's a_1 up to 3 x 3, LAPACK above).  The compound products
+behind a level take ``C(d, k)^2`` floats per word, so they are formed at most
+``PRODUCT_CHUNK_WORDS`` words at a time.  A product that underflows to the
+zero matrix has feature ``-inf``, and its level or word raises
+``NumericallySingularError``.  The potential keeps the features of each
+``(k, n)``, so a level's features are computed once however many parameters
+are asked for.  The kept bytes are capped by ``FEATURE_MEMO_BYTES``: the memo
+is cleared when storing a level would pass the cap, and a level larger than
+the cap is never kept, so it is rebuilt at every parameter.
 """
 
 from __future__ import annotations
@@ -62,66 +65,23 @@ FEATURE_MEMO_BYTES = 64 << 20
 PRODUCT_CHUNK_WORDS = 1 << 12
 
 
-class CylinderFunction:
-    """Interface: positive potential on words, with certified constants.  A
-    potential defines the methods that raise ``NotImplementedError``."""
+class NaturalCylinderFunction:
+    """Singular-value-function potential of an affine IFS: alpha^t of the word's
+    matrix product, which is submultiplicative.  alpha^t is read off the
+    maps' determinants and top singular values of compound (exterior-power)
+    products, never off the small singular values of the product itself,
+    which lose relative accuracy with its condition number, exponential in
+    the word length."""
 
-    #: number of symbols in the underlying alphabet
-    n_symbols: int
-
-    def __init__(self, budget: int | None = None):
+    def __init__(self, maps, budget: int | None = None):
         self.budget = DEFAULT_WORD_BUDGET if budget is None else budget
         if self.budget < 1:
             raise ValueError(f"word budget must be >= 1, got {budget}")
-
-    def terms(self, t: float) -> list[tuple[int, float]]:
-        """The exponents ``[(k, c_k(t))]`` of ``log_value = sum_k c_k * F_k``."""
-        raise NotImplementedError
-
-    def level_features(self, k: int, n: int) -> np.ndarray:
-        """Read-only ``F_k`` of every level-n word, in packed-index order."""
-        raise NotImplementedError
-
-    def log_value(self, t: float, w: Word) -> float:
-        raise NotImplementedError
-
-    def constants(self, t: float) -> tuple[float, float]:
-        """Certified (s_lo, s_hi)."""
-        raise NotImplementedError
-
-    def content_hash(self) -> str:
-        raise NotImplementedError
-
-    def log_value_block(self, t: float, prefix: Word, depth: int) -> np.ndarray:
-        """Log-values of all words ``prefix + suffix``, suffixes of the given
-        depth in lexicographic order; the prefix may be empty."""
-        size = self.n_symbols**depth
-        start = pack_word(prefix, self.n_symbols) * size  # checks the prefix's symbols
-        out = np.zeros(size)
-        for k, coeff in self.terms(t):
-            out += coeff * self.level_features(k, len(prefix) + depth)[start:start + size]
-        return out
-
-    def _check_word(self, w: Word) -> None:
-        if len(w) < 1:
-            raise ValueError("cylinder functions are defined on nonempty words")
-        for s in w:
-            if not 0 <= s < self.n_symbols:
-                raise ValueError(f"invalid symbol {s} for alphabet of size {self.n_symbols}")
-
-
-class NaturalCylinderFunction(CylinderFunction):
-    """Singular-value-function potential of an affine IFS: alpha^t of the word's
-    matrix product, which is submultiplicative.  alpha^t is
-    read off top singular values of compound (exterior-power) products, never
-    off the small singular values of the product itself, which lose relative
-    accuracy with its condition number, exponential in the word length."""
-
-    def __init__(self, maps, budget: int | None = None):
-        super().__init__(budget)
         mats = np.asarray(getattr(maps, "matrices", maps), dtype=float)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError(f"expected a stack of square matrices, got shape {mats.shape}")
+        if mats.ndim != 3 or len(mats) < 1 or mats.shape[1] != mats.shape[2]:
+            raise ValueError(
+                f"expected a nonempty stack of square matrices, got shape {mats.shape}"
+            )
         svals = [singular_values(A) for A in mats]  # raises on singular input
         for i, sv in enumerate(svals):
             if sv[0] >= 1.0:
@@ -130,19 +90,37 @@ class NaturalCylinderFunction(CylinderFunction):
         self.n_symbols = mats.shape[0]
         self.dimension = mats.shape[1]
         self._map_svals = np.array(svals)
+        self._log_dets = np.linalg.slogdet(mats)[1]  # the k = d feature of each map
         self._compounds = {
-            k: np.stack([compound_matrix(A, k) for A in mats])
-            for k in range(1, self.dimension + 1)
+            k: np.stack([compound_matrix(A, k) for A in mats]) for k in range(1, self.dimension)
         }
         self._features: dict[tuple[int, int], np.ndarray] = {}
         self._feature_bytes = 0
 
-    def terms(self, t):
+    def terms(self, t: float) -> list[tuple[int, float]]:
+        """The exponents ``[(k, c_k(t))]`` of ``log_value = sum_k c_k * F_k``."""
         return svf_compound_terms(t, self.dimension)
 
-    def level_features(self, k, n):
+    def level_features(self, k: int, n: int) -> np.ndarray:
+        """Read-only ``F_k`` of every level-n word, in packed-index order."""
         if (k, n) in self._features:
             return self._features[k, n]
+        if k == self.dimension:  # sum_i log|det A_{w_i}|
+            feats = np.zeros(1)
+            for _ in range(n):
+                feats = (feats[:, None] + self._log_dets[None, :]).reshape(-1)
+        else:
+            feats = self._compound_features(k, n)
+        feats.flags.writeable = False
+        if feats.nbytes <= FEATURE_MEMO_BYTES:
+            if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
+                self._features.clear()
+                self._feature_bytes = 0
+            self._features[k, n] = feats
+            self._feature_bytes += feats.nbytes
+        return feats
+
+    def _compound_features(self, k, n):
         comps = self._compounds[k]
 
         def extend(prods, levels):
@@ -157,22 +135,30 @@ class NaturalCylinderFunction(CylinderFunction):
         feats = np.empty((len(heads), self.n_symbols**inner))
         for head, row in zip(heads, feats):
             row[:] = self._log_top(extend(head[None, :, :], inner), k, n)
-        feats = feats.reshape(-1)
-        feats.flags.writeable = False
-        if feats.nbytes <= FEATURE_MEMO_BYTES:
-            if self._feature_bytes + feats.nbytes > FEATURE_MEMO_BYTES:
-                self._features.clear()
-                self._feature_bytes = 0
-            self._features[k, n] = feats
-            self._feature_bytes += feats.nbytes
-        return feats
+        return feats.reshape(-1)
 
-    def log_value(self, t, w):
+    def log_value(self, t: float, w: Word) -> float:
         self._check_word(w)
         out = 0.0
         for k, coeff in self.terms(t):
-            out += coeff * self._log_top(word_matrix(self._compounds[k], w)[None], k, len(w))[0]
+            if k == self.dimension:
+                feat = 0.0
+                for s in w:  # left to right from 0, as in level_features
+                    feat += self._log_dets[s]
+            else:
+                feat = self._log_top(word_matrix(self._compounds[k], w)[None], k, len(w))[0]
+            out += coeff * feat
         return float(out)
+
+    def log_value_block(self, t: float, prefix: Word, depth: int) -> np.ndarray:
+        """Log-values of all words ``prefix + suffix``, suffixes of the given
+        depth in lexicographic order; the prefix may be empty."""
+        size = self.n_symbols**depth
+        start = pack_word(prefix, self.n_symbols) * size  # checks the prefix's symbols
+        out = np.zeros(size)
+        for k, coeff in self.terms(t):
+            out += coeff * self.level_features(k, len(prefix) + depth)[start:start + size]
+        return out
 
     @staticmethod
     def _log_top(prods, k, n):  # log(a_1...a_k) of the words of level n
@@ -185,56 +171,22 @@ class NaturalCylinderFunction(CylinderFunction):
             )
         return feats
 
-    def constants(self, t):
+    def _check_word(self, w: Word) -> None:
+        if len(w) < 1:
+            raise ValueError("cylinder functions are defined on nonempty words")
+        for s in w:
+            if not 0 <= s < self.n_symbols:
+                raise ValueError(f"invalid symbol {s} for alphabet of size {self.n_symbols}")
+
+    def constants(self, t: float) -> tuple[float, float]:
+        """Certified (s_lo, s_hi)."""
         return float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
 
-    def content_hash(self):
+    def content_hash(self) -> str:
         h = hashlib.sha256(b"natural-cylinder-function")
         h.update(np.int64(self.n_symbols).tobytes())
         h.update(np.int64(self.dimension).tobytes())
         h.update(self.matrices.tobytes())
-        return h.hexdigest()
-
-
-class ProductCylinderFunction(CylinderFunction):
-    """Similarity-weight potential: value(t, w) = prod_k s_{w_k}^t.
-
-    Satisfies the chain rule with equality, so it doubles as the additive
-    reference case (classical similarity pressure)."""
-
-    def __init__(self, weights, budget: int | None = None):
-        super().__init__(budget)
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 1 or len(weights) < 1:
-            raise ValueError("weights must be a nonempty 1-D sequence")
-        if not np.all((weights > 0) & (weights < 1)):
-            raise ValueError("weights must lie strictly inside (0, 1)")
-        self.weights = weights
-        self.n_symbols = len(weights)
-        self._log_weights = np.log(weights)
-
-    def terms(self, t):
-        return [(1, t)]
-
-    def level_features(self, k, n):
-        feats = np.zeros(1)  # sum_i log s_{w_i}, the one feature (k = 1)
-        for _ in range(n):
-            feats = (feats[:, None] + self._log_weights[None, :]).reshape(-1)
-        feats.flags.writeable = False
-        return feats
-
-    def log_value(self, t, w):
-        self._check_word(w)
-        # summed left to right and from zeros, in the order of a level's sum
-        return 0.0 + t * float(np.cumsum(self._log_weights[list(w)])[-1])
-
-    def constants(self, t):
-        return float(self.weights.min()), float(self.weights.max())
-
-    def content_hash(self):
-        h = hashlib.sha256(b"product-cylinder-function")
-        h.update(np.int64(self.n_symbols).tobytes())
-        h.update(self.weights.tobytes())
         return h.hexdigest()
 
 
@@ -244,7 +196,7 @@ class AxiomReport:
 
     Slacks are in log scale; a value <= 0 means the axiom held with margin on
     every sample.  ``bvp_max_ratio`` is the largest value ratio over pairs of
-    tails: 1, since both potentials are constant in the tail."""
+    tails: 1, since the potential is constant in the tail."""
 
     bvp_max_ratio: float
     worst_subchain_violation: float
@@ -266,7 +218,7 @@ class AxiomReport:
 
 
 def verify_axioms(
-    cf: CylinderFunction,
+    cf: NaturalCylinderFunction,
     t_grid,
     n_max: int = 8,
     samples: int = 1000,

@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cylinder import CylinderFunction
+from .cylinder import NaturalCylinderFunction
+from .errors import LevelOverflowError
 from .pressure import level_log_values, pressure_level
 from .symbolic import word_str
 
@@ -73,12 +74,23 @@ class CylinderMeasure:
             yield word_str(w, self.n_symbols), mass
 
 
-def _nu(cf: CylinderFunction, t: float, n: int, log_s: float, lv: np.ndarray) -> CylinderMeasure:
-    """The level-n weights from ``level_log_values(cf, t, n)``."""
-    return CylinderMeasure(cf.n_symbols, n, np.exp(lv - log_s), provenance=f"nu(n={n},t={t:g})")
+def _nu(
+    cf: NaturalCylinderFunction, t: float, n: int, log_s: float, lv: np.ndarray
+) -> CylinderMeasure:
+    """The level-n weights from ``level_log_values(cf, t, n)``.  At large
+    ``t``, ``log S_n`` is rounded to an ulp of the largest log-value, and the
+    weights ``exp(v - log S_n)`` no longer sum to 1."""
+    masses = np.exp(lv - log_s)
+    try:
+        return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
+    except ValueError as exc:  # the masses are finite and nonnegative: it is their sum
+        raise LevelOverflowError(
+            f"level {n} at t = {t!r}: log S_n = {log_s!r} is too coarse to normalize "
+            f"the word weights ({exc})"
+        ) from exc
 
 
-def nu_weights(cf: CylinderFunction, t: float, n: int) -> CylinderMeasure:
+def nu_weights(cf: NaturalCylinderFunction, t: float, n: int) -> CylinderMeasure:
     """Level-n weights with mass proportional to value(t, w), normalized in
     log space."""
     return _nu(cf, t, n, *level_log_values(cf, t, n))
@@ -111,7 +123,7 @@ def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
     return CylinderMeasure(m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k})")
 
 
-def mu_cesaro(cf: CylinderFunction, t: float, n: int, k: int) -> CylinderMeasure:
+def mu_cesaro(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> CylinderMeasure:
     """Depth-k table of the Cesaro average of the shifted level-n weights."""
     _check_depth(n, k)
     return _cesaro(nu_weights(cf, t, n), t, k)
@@ -134,12 +146,12 @@ def _energy(m: CylinderMeasure, lv: np.ndarray) -> float:
     return float(m.masses @ lv) / m.depth
 
 
-def energy_depth(cf: CylinderFunction, t: float, m: CylinderMeasure) -> float:
+def energy_depth(cf: NaturalCylinderFunction, t: float, m: CylinderMeasure) -> float:
     """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
     return _energy(m, level_log_values(cf, t, m.depth)[1])
 
 
-def jensen_residual(cf: CylinderFunction, t: float, n: int, m: CylinderMeasure) -> float:
+def jensen_residual(cf: NaturalCylinderFunction, t: float, n: int, m: CylinderMeasure) -> float:
     """P_n(t) - entropy - energy at depth n; >= 0 for every probability
     assignment, = 0 at the nu weights."""
     if m.depth != n:
@@ -156,7 +168,7 @@ def _defect(deep: CylinderMeasure) -> float:
     return float(np.abs(direct - preimage).max())
 
 
-def invariance_defect(cf: CylinderFunction, t: float, n: int, k: int) -> float:
+def invariance_defect(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> float:
     """max over level-k words of |mu_n([i]) - mu_n(shift^-1 [i])|, both sides
     read from one depth-(k+1) table, for 1 <= k <= n.
 
@@ -177,7 +189,7 @@ class LocalDimensionSamples:
 
 
 def local_dimension_samples(
-    cf: CylinderFunction, t_star: float, n: int, count: int, seed: int
+    cf: NaturalCylinderFunction, t_star: float, n: int, count: int, seed: int
 ) -> LocalDimensionSamples:
     """Monte Carlo check of the local-dimension ratio at a pressure root.
 
@@ -196,7 +208,7 @@ def local_dimension_samples(
 
 
 def bernoulli_lower_estimate(
-    cf: CylinderFunction, t: float, k: int, iterations: int = 50
+    cf: NaturalCylinderFunction, t: float, k: int, iterations: int = 50
 ) -> tuple[np.ndarray, float]:
     """Best product (Bernoulli) measure for the depth-k score h(p) + E_k(p).
 
@@ -252,7 +264,7 @@ class EquilibriumDiagnostics:
     nu: CylinderMeasure
 
 
-def diagnostics(cf: CylinderFunction, t: float, n: int, k: int) -> EquilibriumDiagnostics:
+def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> EquilibriumDiagnostics:
     """The depth-k Cesaro table of the level-n weights at ``t``, with its
     entropy and energy quotients, the Fekete upper bound on the pressure
     through level n, the gap between that bound and h + E, and the

@@ -9,7 +9,9 @@ partial products of its singular values a_1 >= ... >= a_d > 0:
 with the convention that the value at t = 0 is 1 (empty product), so the
 level-n partition sum at t = 0 equals the number of words.  All evaluation is
 done in log space; products of contractive matrices at useful depths would
-otherwise underflow.
+otherwise underflow.  For k < d the partial product a_1...a_k is the top
+singular value of the k-th compound (``compound_matrix``), read off a batch
+by ``top_singular_values``; a_1...a_d is |det A|, which needs no compound.
 """
 
 from __future__ import annotations
@@ -58,11 +60,10 @@ def singular_values(A: np.ndarray) -> np.ndarray:
 def top_singular_values(mats: np.ndarray) -> np.ndarray:
     """Largest singular value of each matrix of an (N, m, m) stack.
 
-    Closed forms serve m <= 3, each within a few ulps of LAPACK's value, and
-    LAPACK serves m >= 4.  A zero matrix gives 0, with no floating-point
-    warning.
+    Closed forms serve m = 2 and 3, each within a few ulps of LAPACK's value,
+    and LAPACK serves every other m.  A zero matrix gives 0, with no
+    floating-point warning.
 
-    - m = 1: ``|a|``, the same bits as the 1 x 1 SVD.
     - m = 2: ``(hypot(a + d, b - c) + hypot(a - d, b + c)) / 2``.  The two
       hypotenuses are a_1 + a_2 and a_1 - a_2.  The sums a + d, ..., b + c
       are rounded by at most an ulp of a_1, ``hypot`` squares nothing (so
@@ -74,8 +75,6 @@ def top_singular_values(mats: np.ndarray) -> np.ndarray:
     """
     mats = np.asarray(mats, dtype=float)
     n, m = mats.shape[:2]
-    if m == 1:
-        return np.abs(mats[:, 0, 0])
     if m == 2:
         a, b, c, d = mats.reshape(n, 4).T
         return (np.hypot(a + d, b - c) + np.hypot(a - d, b + c)) / 2

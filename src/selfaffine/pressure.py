@@ -4,8 +4,8 @@ The level-n pressure of a cylinder function is
 
     P_n(t) = (1/n) * log( sum over all words w of length n of value(t, w) ),
 
-computed entirely in log space.  Both potentials here are constant in the
-tail, so the subchain rule makes ``log S_n`` subadditive and the limit
+computed entirely in log space.  The potential is constant in the tail,
+so the subchain rule makes ``log S_n`` subadditive and the limit
 pressure P(t) equals ``inf_n P_n(t)``: every computed level is a rigorous
 upper bound, and the running minimum (the Fekete envelope) is the best one.  No finite-level lower
 bound is available, so the 1/n extrapolation attached to reports is labeled an
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .cylinder import CylinderFunction, NaturalCylinderFunction
+from .cylinder import NaturalCylinderFunction
 from .errors import BudgetExceededError, LevelOverflowError
 from .symbolic import check_budget
 
@@ -41,7 +41,7 @@ def log_sum_exp(values: np.ndarray) -> float:
     return m + math.log(float(np.exp(terms, out=terms).sum()))
 
 
-def log_partition_sum(cf: CylinderFunction, t: float, n: int, cache=None) -> float:
+def log_partition_sum(cf: NaturalCylinderFunction, t: float, n: int, cache=None) -> float:
     """log of the level-n partition sum."""
     check_budget(cf.n_symbols, n, cf.budget)  # also on a cache hit
     if cache is None:
@@ -108,7 +108,7 @@ class PressureReport:
     """Per-level pressure values at a fixed parameter.
 
     ``fekete_upper`` is the minimum over computed levels, a rigorous upper
-    bound on the limit pressure (the potentials are tail-constant).  The
+    bound on the limit pressure (the potential is tail-constant).  The
     extrapolated value is a point estimate only."""
 
     t: float
@@ -202,7 +202,7 @@ def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionR
     extrapolated, method = _extrapolate([n for n, _ in roots], values)
     upper = min(values)
     d = cf.dimension
-    norm_half = bool(np.all(cf._map_svals[:, 0] < 0.5))
+    norm_half = cf.constants(upper)[1] < 0.5
     return DimensionReport(
         dimension=d,
         roots=roots,

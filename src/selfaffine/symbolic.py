@@ -3,7 +3,7 @@
 Finite words are plain tuples of symbol indices.  A word of length k over an
 alphabet of m symbols is also addressable as a packed integer in [0, m^k)
 (base-m, most significant digit first), so lexicographic order coincides with
-numeric order of the packed index.  The potentials are constant in the tail,
+numeric order of the packed index.  The potential is constant in the tail,
 so no infinite word is ever represented.
 """
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from selfaffine import AffineIFS, NaturalCylinderFunction, ProductCylinderFunction
+from selfaffine import AffineIFS, NaturalCylinderFunction
 
 
 def random_contractive_matrix(rng, d, lo=0.15, hi=0.6):
@@ -54,6 +54,12 @@ def similar_ifs_06():
     return AffineIFS(1, [A, A, A], [[0.0], [0.2], [0.4]], name="similar-0.6")
 
 
+def tiny_pair_ifs(d):
+    """Two copies of 1e-150 times the reversed identity: ratio 1e-150 passes
+    validation, but level-3 word products underflow to 0."""
+    return AffineIFS(d, [1e-150 * np.eye(d)[::-1]] * 2, np.zeros((2, d)), name="tiny")
+
+
 def generic_pair_ifs():
     """Fixed non-commuting 2x2 pair with operator norms below 1/2."""
     mats = [
@@ -67,9 +73,15 @@ def swap_pair_cf():
     return NaturalCylinderFunction(swap_pair_ifs())
 
 
+def product_cf(weights, budget=None):
+    """The product potential prod_i s_{w_i}^t: the natural potential of the
+    1-D maps x -> s_i x."""
+    return NaturalCylinderFunction(np.reshape(weights, (-1, 1, 1)), budget)
+
+
 def half_product_cf():
-    return ProductCylinderFunction([0.5, 0.5])
+    return product_cf([0.5, 0.5])
 
 
 def third_product_cf():
-    return ProductCylinderFunction([1.0 / 3.0, 1.0 / 3.0])
+    return product_cf([1.0 / 3.0, 1.0 / 3.0])

@@ -9,7 +9,6 @@ import selfaffine
 #: Exported names that nothing inside the library calls: the library's own
 #: entry points, for callers and for the tests' cross-checks.
 ENTRY_POINTS = (
-    "ProductCylinderFunction",
     "bernoulli_lower_estimate",
     "invariance_defect",
     "jensen_residual",

@@ -7,7 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from systems import cantor_ifs, conformal_pair_ifs, generic_pair_ifs, swap_pair_ifs, triple_diag_ifs
+from systems import (
+    cantor_ifs,
+    conformal_pair_ifs,
+    generic_pair_ifs,
+    swap_pair_ifs,
+    tiny_pair_ifs,
+    triple_diag_ifs,
+)
 
 from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, nu_weights
 from selfaffine.affine import DEFAULT_CHAINS
@@ -359,14 +366,31 @@ def test_boxdim_scale_too_fine_is_named_error(cantor_path, tmp_path, capsys):
     assert not out.exists()
 
 
+def _tiny_pair_path(tmp_path, d):
+    path = tmp_path / f"tiny{d}.json"
+    write_ifs_file(tiny_pair_ifs(d), path)
+    return path
+
+
 def test_dim_underflow_is_named_error(tmp_path, capsys):
-    path = tmp_path / "tiny.json"
-    write_ifs_file(AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny"), path)
     out = tmp_path / "out"
-    assert main(["dim", "--ifs", str(path), "--nmax", "3", "--out", str(out)]) == 1
+    assert main(["dim", "--ifs", str(_tiny_pair_path(tmp_path, 2)), "--nmax", "3",
+                 "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "level 3" in err
     assert not (out / "roots.csv").exists()
+
+
+def test_dim_of_tiny_one_dimensional_pair_is_closed_form(tmp_path):
+    """At d = 1 no word product is formed: every level root lies within --tol
+    above log 2 / (150 log 10)."""
+    out = tmp_path / "out"
+    assert main(["dim", "--ifs", str(_tiny_pair_path(tmp_path, 1)), "--nmax", "3",
+                 "--tol", "1e-9", "--out", str(out)]) == 0
+    rows = (out / "roots.csv").read_text().splitlines()[1:]
+    root = math.log(2) / (150 * math.log(10))
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    assert all(root <= float(row.split(",")[1]) <= root + 1e-9 for row in rows)
 
 
 def test_dim_root_search_ends_at_float_spacing(triple_path, tmp_path, level_call_limit):
@@ -399,6 +423,27 @@ def test_pressure_overflow_is_named_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "level 3" in err and "1e+308" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["measure", "--nmax", "4", "--depth", "2", "--t", "1e10"],
+        ["boxdim", "--driver", "equilibrium", "--nmax", "10", "--depth", "3", "--t", "1e9",
+         "--count", "1000"],
+    ],
+    ids=["measure", "boxdim"],
+)
+def test_weights_past_double_precision_are_named_error(tmp_path, capsys, argv):
+    """The level's weights exp(v - log S_n) stopped summing to 1, and the run
+    failed with "masses must sum to 1", naming neither the level nor t."""
+    path = tmp_path / "generic.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    out = tmp_path / "out"
+    assert main([argv[0], "--ifs", str(path), *argv[1:], "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    level, t = argv[argv.index("--nmax") + 1], float(argv[argv.index("--t") + 1])
+    assert f"error: level {level} at t = {t!r}" in err and "Traceback" not in err
 
 
 def test_budget_truncates_dim(triple_path, tmp_path):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 from oracles import words_of_length
-from systems import generic_pair_ifs, random_affine_ifs, swap_pair_cf, triple_diag_ifs
+from systems import (
+    generic_pair_ifs,
+    product_cf,
+    random_affine_ifs,
+    swap_pair_cf,
+    triple_diag_ifs,
+)
 
 from selfaffine import cylinder
 
@@ -11,7 +17,6 @@ from selfaffine import (
     DEFAULT_WORD_BUDGET,
     AxiomReport,
     NaturalCylinderFunction,
-    ProductCylinderFunction,
     log_partition_sum,
     pack_word,
     verify_axioms,
@@ -24,14 +29,14 @@ def test_natural_rejects_expanding_maps():
 
 
 def test_product_rejects_bad_weights():
-    with pytest.raises(ValueError):
-        ProductCylinderFunction([0.5, 1.0])
-    with pytest.raises(ValueError):
-        ProductCylinderFunction([])
+    with pytest.raises(ValueError, match="not contractive"):
+        product_cf([0.5, 1.0])
+    with pytest.raises(ValueError, match="nonempty"):
+        product_cf([])
 
 
 def test_product_value():
-    cf = ProductCylinderFunction([0.5, 0.5])
+    cf = product_cf([0.5, 0.5])
     assert math.exp(cf.log_value(1.0, (0, 1, 0, 1, 1))) == pytest.approx(2.0**-5, rel=1e-14)
 
 
@@ -43,7 +48,7 @@ def test_natural_value_diag():
 
 
 def test_value_rejects_bad_words():
-    cf = ProductCylinderFunction([0.5, 0.5])
+    cf = product_cf([0.5, 0.5])
     with pytest.raises(ValueError):
         cf.log_value(1.0, ())
     with pytest.raises(ValueError):
@@ -51,7 +56,7 @@ def test_value_rejects_bad_words():
 
 
 def test_constants_product():
-    assert ProductCylinderFunction([0.3, 0.5]).constants(1.7) == (0.3, 0.5)
+    assert product_cf([0.3, 0.5]).constants(1.7) == (0.3, 0.5)
 
 
 def test_constants_natural():
@@ -64,7 +69,7 @@ def test_constants_natural():
 
 @pytest.mark.parametrize("depth", [0, 1, 3])
 def test_block_values_match_per_word(depth):
-    for cf in (swap_pair_cf(), ProductCylinderFunction([0.3, 0.6])):
+    for cf in (swap_pair_cf(), product_cf([0.3, 0.6])):
         for prefix in [(0,), (1, 0)]:
             block = cf.log_value_block(1.3, prefix, depth)
             direct = [cf.log_value(1.3, prefix + s) for s in words_of_length(2, depth)]
@@ -72,7 +77,7 @@ def test_block_values_match_per_word(depth):
 
 
 @pytest.mark.parametrize(
-    "cf", [ProductCylinderFunction([0.3, 0.5]), swap_pair_cf()], ids=["product", "natural"]
+    "cf", [product_cf([0.3, 0.5]), swap_pair_cf()], ids=["product", "natural"]
 )
 def test_block_rejects_bad_prefix(cf):
     """A prefix is checked as a word is: ``(-1,)`` wrapped round to the block
@@ -85,10 +90,11 @@ def test_block_rejects_bad_prefix(cf):
     assert len(cf.log_value_block(1.0, (), 1)) == 2  # the empty prefix stays valid
 
 
-#: Both potentials, at d = 1 through 4 (d = 4 reaches LAPACK), as factories so
-#: that each test starts from an empty feature memo.
+#: The potential at d = 1 through 4 (d = 4 reaches LAPACK), the 1-D product
+#: potential included, as factories so that each test starts from an empty
+#: feature memo.
 POTENTIALS = {
-    "product": lambda: ProductCylinderFunction([0.3, 0.5, 0.15]),
+    "product": lambda: product_cf([0.3, 0.5, 0.15]),
     "natural-d1": lambda: NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(1), 1, 3)),
     "generic-pair": lambda: NaturalCylinderFunction(generic_pair_ifs()),
     "natural-d3": lambda: NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(3), 3, 3)),
@@ -133,21 +139,21 @@ def test_prefix_block_is_a_slice_of_its_level(make):
     cf = make()
     for t in (0.6, 2.5):
         level = cf.log_value_block(t, (), 5)
-        kept = dict(getattr(cf, "_features", {}))
+        kept = dict(cf._features)
         for prefix in [(0,), (1, 0), (1, 1, 0), (0, 1, 1, 0, 1)]:
             depth = 5 - len(prefix)
             start = pack_word(prefix, cf.n_symbols) * cf.n_symbols**depth
             block = cf.log_value_block(t, prefix, depth)
             assert block.tobytes() == level[start:start + cf.n_symbols**depth].tobytes()
-        assert getattr(cf, "_features", {}).keys() == kept.keys()
+        assert cf._features.keys() == kept.keys()
         assert all(cf._features[key] is feats for key, feats in kept.items())
-    if isinstance(cf, NaturalCylinderFunction):  # built per k, as the terms ask
-        assert sorted(kept) == [(k, 5) for k in range(1, min(cf.dimension, 3) + 1)]
+    # built per k, as the terms ask
+    assert sorted(kept) == [(k, 5) for k in range(1, min(cf.dimension, 3) + 1)]
 
 
 def test_chain_rule_equality_product():
     rng = np.random.default_rng(10)
-    cf = ProductCylinderFunction([0.3, 0.5, 0.7])
+    cf = product_cf([0.3, 0.5, 0.7])
     for _ in range(300):
         i = tuple(rng.integers(0, 3, size=rng.integers(1, 6)))
         j = tuple(rng.integers(0, 3, size=rng.integers(1, 6)))
@@ -173,7 +179,7 @@ def test_subchain_rule_natural():
 def test_parameter_bound_two_sided():
     rng = np.random.default_rng(12)
     delta = 0.25
-    for cf in (swap_pair_cf(), ProductCylinderFunction([0.3, 0.6])):
+    for cf in (swap_pair_cf(), product_cf([0.3, 0.6])):
         for _ in range(200):
             w = tuple(rng.integers(0, 2, size=rng.integers(1, 8)))
             t = float(rng.uniform(0, 2.5))
@@ -185,7 +191,7 @@ def test_parameter_bound_two_sided():
 
 
 def test_verify_axioms_product_chain_rule_is_tight():
-    report = verify_axioms(ProductCylinderFunction([0.4, 0.6]), [0.5, 1.0, 1.5], samples=400, seed=3)
+    report = verify_axioms(product_cf([0.4, 0.6]), [0.5, 1.0, 1.5], samples=400, seed=3)
     assert report.bvp_max_ratio == 1.0
     assert abs(report.worst_subchain_violation) <= 1e-12
     assert report.worst_param_violation <= 1e-10
@@ -204,7 +210,7 @@ def test_max_slack_is_at_least_zero():
 def test_verify_axioms_rejects_unsorted_grid():
     """A descending grid took negative increments and reported a parameter
     violation of 1.419 where the ascending grid passes."""
-    cf = ProductCylinderFunction([0.4, 0.6])
+    cf = product_cf([0.4, 0.6])
     for grid in ([1.5, 1.0, 0.5], [0.5, 1.0, 1.0], [1.0, 0.5, 1.5]):
         with pytest.raises(ValueError, match="strictly ascending"):
             verify_axioms(cf, grid, samples=400, seed=3)
@@ -228,10 +234,10 @@ def test_verify_axioms_deterministic():
 
 
 def test_content_hash_distinguishes_content():
-    a = ProductCylinderFunction([0.5, 0.5])
-    b = ProductCylinderFunction([0.5, 0.25])
+    a = product_cf([0.5, 0.5])
+    b = product_cf([0.5, 0.25])
     assert a.content_hash() != b.content_hash()
-    assert a.content_hash() == ProductCylinderFunction([0.5, 0.5]).content_hash()
+    assert a.content_hash() == product_cf([0.5, 0.5]).content_hash()
     n1 = NaturalCylinderFunction(triple_diag_ifs())
     assert n1.content_hash() == NaturalCylinderFunction(triple_diag_ifs()).content_hash()
     assert n1.content_hash() != a.content_hash()
@@ -321,7 +327,7 @@ def test_single_word_values_do_not_fill_memo():
     "make",
     [
         lambda budget: NaturalCylinderFunction(triple_diag_ifs(), budget=budget),
-        lambda budget: ProductCylinderFunction([0.5, 0.25], budget=budget),
+        lambda budget: product_cf([0.5, 0.25], budget=budget),
     ],
     ids=["natural", "product"],
 )

@@ -8,6 +8,7 @@ from oracles import marginal, unpack_word
 from systems import (
     generic_pair_ifs,
     half_product_cf,
+    product_cf,
     random_affine_ifs,
     swap_pair_cf,
     third_product_cf,
@@ -16,8 +17,8 @@ from systems import (
 
 from selfaffine import (
     CylinderMeasure,
+    LevelOverflowError,
     NaturalCylinderFunction,
-    ProductCylinderFunction,
     bernoulli_lower_estimate,
     diagnostics,
     energy_depth,
@@ -87,6 +88,15 @@ class TestNuWeights:
         nu = nu_weights(cf, 1.0, 3)
         assert nu.masses.shape == (1,)
         assert nu.masses[0] == pytest.approx(1.0, abs=1e-15)
+
+    def test_weights_past_double_precision_raise_named_error(self):
+        """At t = 1e10, log S_4 of generic-pair is about -3.5e10, a multiple of
+        7.6e-6, and the weights summed to 0.9999980850345835."""
+        cf = NaturalCylinderFunction(generic_pair_ifs())
+        for consumer in (nu_weights, lambda *a: mu_cesaro(*a, 2), lambda *a: diagnostics(*a, 2)):
+            with pytest.raises(LevelOverflowError, match=r"level 4 at t = 10000000000\.0"):
+                consumer(cf, 1e10, 4)
+        assert abs(nu_weights(cf, 1e8, 4).masses.sum() - 1.0) <= 1e-8
 
     def test_sums_to_one_and_matches_direct_ratio(self):
         rng = np.random.default_rng(30)
@@ -395,7 +405,7 @@ class TestLocalDimension:
 
 class TestBernoulliEstimate:
     def test_product_closed_form(self):
-        cf = ProductCylinderFunction([0.3, 0.5])
+        cf = product_cf([0.3, 0.5])
         for t in (0.7, 1.0, 2.2):
             p, score = bernoulli_lower_estimate(cf, t, 5, iterations=5)
             st = np.array([0.3, 0.5]) ** t

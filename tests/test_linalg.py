@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 from oracles import log_svf_alpha_t, svf_exponents, words_of_length
-from systems import random_affine_ifs, random_contractive_matrix
+from systems import random_affine_ifs, random_contractive_matrix, tiny_pair_ifs
 
 from selfaffine import (
-    AffineIFS,
     NaturalCylinderFunction,
     NumericallySingularError,
     log_partition_sum,
@@ -208,11 +207,19 @@ def test_top_singular_value_of_zero_matrix_is_zero(m):
 def test_underflowing_closed_form_products_raise_named_error(d):
     """Level-3 products of 1e-150 times a permutation underflow to the zero
     matrix; levels 1 and 2 must not."""
-    ifs = AffineIFS(d, [1e-150 * np.eye(d)[::-1]] * 2, np.zeros((2, d)), name="tiny")
-    cf = NaturalCylinderFunction(ifs)
+    cf = NaturalCylinderFunction(tiny_pair_ifs(d))
     assert math.isfinite(log_partition_sum(cf, 1.0, 2))
     with pytest.raises(NumericallySingularError, match="level 3"):
         log_partition_sum(cf, 1.0, 3)
+
+
+def test_underflowing_products_are_not_formed_for_the_determinant():
+    """At t = d the one term is the additive k = d feature, the sum of the maps'
+    log|det|: the level-3 products of the system above are never formed, and
+    P_n(3) = log 2 + 3 log 1e-150 at every level."""
+    cf = NaturalCylinderFunction(tiny_pair_ifs(3))
+    for n in (1, 3, 5):
+        assert log_partition_sum(cf, 3.0, n) / n == math.log(2) + 3 * math.log(1e-150)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

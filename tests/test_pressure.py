@@ -10,10 +10,12 @@ from systems import (
     conformal_pair_ifs,
     generic_pair_ifs,
     half_product_cf,
+    product_cf,
     random_affine_ifs,
     similar_ifs_06,
     swap_pair_cf,
     swap_pair_ifs,
+    tiny_pair_ifs,
     triple_diag_ifs,
 )
 
@@ -25,7 +27,6 @@ from selfaffine import (
     NaturalCylinderFunction,
     NumericallySingularError,
     PartitionSumCache,
-    ProductCylinderFunction,
     affinity_dimension,
     bernoulli_lower_estimate,
     diagnostics,
@@ -131,7 +132,7 @@ def test_pressure_root_product_half():
 
 
 def test_pressure_root_product_thirds():
-    cf = ProductCylinderFunction([1 / 3, 1 / 3])
+    cf = product_cf([1 / 3, 1 / 3])
     expected = math.log(2) / math.log(3)
     assert pressure_root(cf, 4, 1e-10) == pytest.approx(expected, abs=1e-10)
 
@@ -374,10 +375,9 @@ def test_root_search_has_no_parameter_cap(level_call_limit):
     "cf,t,n",
     [
         (NaturalCylinderFunction(generic_pair_ifs()), 1e308, 3),
-        (ProductCylinderFunction([0.3, 0.5]), 1e308, 2),
-        (ProductCylinderFunction([0.3, 0.5]), -1e308, 4),
+        (product_cf([0.3, 0.5]), 1e308, 2),
     ],
-    ids=["natural", "product", "product-negative-t"],
+    ids=["natural", "product"],
 )
 def test_overflowing_level_raises_named_error(cf, t, n):
     """Log-values past double precision raise an error naming the level and
@@ -408,9 +408,9 @@ def test_deterministic_cold_and_warm():
 
 
 def test_underflowing_word_products_raise_named_error():
-    """Ratio 1e-150 passes validation, but level-3 products underflow to 0; the
+    """At d = 2 the k = 1 feature reads level-3 products, which underflow; the
     partition sum must fail with a named error instead of returning nan."""
-    ifs = AffineIFS(1, [[[1e-150]], [[1e-150]]], [[0.0], [0.5]], name="tiny")
+    ifs = tiny_pair_ifs(2)
     assert not validate_ifs(ifs).errors
     cf = NaturalCylinderFunction(ifs)
     assert math.isfinite(log_partition_sum(cf, 1.0, 2))
@@ -420,12 +420,27 @@ def test_underflowing_word_products_raise_named_error():
         affinity_dimension(ifs, 3, 1e-6)
 
 
+def test_tiny_one_dimensional_pair_has_closed_form_root():
+    """At d = 1 every feature is the additive k = d one, so the word products
+    that underflow are never formed: P_n(t) = log 2 + t log 1e-150 at every
+    level, with root log 2 / (150 log 10)."""
+    ifs = tiny_pair_ifs(1)
+    root = math.log(2) / (150 * math.log(10))
+    cf = NaturalCylinderFunction(ifs)
+    for n in (1, 3, 6):
+        assert pressure_level(cf, 1.0, n) == pytest.approx(math.log(2) + math.log(1e-150), rel=1e-15)
+    report = affinity_dimension(ifs, 3, 1e-9)
+    assert [n for n, _ in report.roots] == [1, 2, 3]
+    for _, r in report.roots:
+        assert root <= r <= root + 1e-9
+
+
 @pytest.mark.parametrize("n", [1, 3, 6])
 @pytest.mark.parametrize(
     "cf",
     [
         NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(29), 2, 3)),
-        ProductCylinderFunction([0.3, 0.5, 0.15]),
+        product_cf([0.3, 0.5, 0.15]),
     ],
     ids=["natural", "product"],
 )
@@ -435,6 +450,13 @@ def test_level_table_matches_streamed_sum(cf, n):
     log_s, values = level_log_values(cf, 1.37, n)
     assert log_s == log_partition_sum(cf, 1.37, n)
     assert values.tobytes() == cf.log_value_block(1.37, (), n).tobytes()
+
+
+def test_negative_parameters_rejected():
+    """alpha^t is defined for t >= 0, the 1-D product potential included."""
+    for cf in (half_product_cf(), swap_pair_cf()):
+        with pytest.raises(ValueError, match="nonnegative"):
+            level_log_values(cf, -1e308, 4)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
