@@ -265,7 +265,6 @@ def cmd_verify(args) -> int:
         "seed": args.seed,
     }
     body = [
-        ("bvp_max_ratio", rep.bvp_max_ratio),
         ("worst_subchain_violation", rep.worst_subchain_violation),
         ("worst_param_violation", rep.worst_param_violation),
         ("max_slack", rep.max_slack()),

@@ -92,17 +92,26 @@ def test_verify_natural_exits_zero(triple_path, tmp_path):
 def test_verify_exit_two_on_violation(triple_path, tmp_path, monkeypatch):
     import selfaffine.cli as cli_mod
 
-    bad = AxiomReport(
-        bvp_max_ratio=1.0,
-        worst_subchain_violation=1e-3,
-        worst_param_violation=0.0,
-        samples=10,
-        seed=0,
-    )
+    bad = AxiomReport(worst_subchain_violation=1e-3, worst_param_violation=0.0)
     monkeypatch.setattr(cli_mod, "verify_axioms", lambda *a, **k: bad)
     code = main(["verify", "--ifs", str(triple_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "verdict = fail" in (tmp_path / "o" / "verify_report.txt").read_text()
+
+
+@pytest.mark.parametrize("make", [cantor_ifs, generic_pair_ifs])
+def test_verify_overflowing_log_value_is_named_error(make, tmp_path, capsys):
+    """The Cantor system passed with a -inf subchain slack and generic-pair
+    failed with a false parameter slack of 0.361."""
+    path = tmp_path / "ifs.json"
+    write_ifs_file(make(), path)
+    out = tmp_path / "out"
+    argv = ["verify", "--ifs", str(path), "--t-grid", "1e308:1.7e308:1e308", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "error: word of length" in err
+    assert "at t = 1e+308" in err
+    assert not out.exists()
 
 
 def test_pressure_requires_exactly_one_t(triple_path, tmp_path):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import words_of_length
 from systems import (
+    cantor_ifs,
     generic_pair_ifs,
     product_cf,
     random_affine_ifs,
@@ -12,10 +15,12 @@ from systems import (
 )
 
 from selfaffine import cylinder
+from selfaffine.cli import parse_t_grid
 
 from selfaffine import (
     DEFAULT_WORD_BUDGET,
     AxiomReport,
+    LevelOverflowError,
     NaturalCylinderFunction,
     log_partition_sum,
     pack_word,
@@ -192,19 +197,18 @@ def test_parameter_bound_two_sided():
 
 def test_verify_axioms_product_chain_rule_is_tight():
     report = verify_axioms(product_cf([0.4, 0.6]), [0.5, 1.0, 1.5], samples=400, seed=3)
-    assert report.bvp_max_ratio == 1.0
     assert abs(report.worst_subchain_violation) <= 1e-12
     assert report.worst_param_violation <= 1e-10
     assert report.passed()
 
 
 def test_max_slack_is_at_least_zero():
-    """The value ratio over tails is 1, so the worst slack is 0 when both
-    sampled axioms hold with margin."""
-    report = AxiomReport(1.0, -0.5, -0.25, samples=10, seed=0)
+    """The worst slack is +0.0 when both sampled axioms hold with margin."""
+    report = AxiomReport(-0.5, -0.25)
     assert report.max_slack() == 0.0
     assert math.copysign(1.0, report.max_slack()) == 1.0
-    assert AxiomReport(1.0, 2e-9, -0.25, samples=10, seed=0).max_slack() == 2e-9
+    assert AxiomReport(2e-9, -0.25).max_slack() == 2e-9
+    assert AxiomReport(-0.5, 3e-9).max_slack() == 3e-9
 
 
 def test_verify_axioms_rejects_unsorted_grid():
@@ -223,7 +227,55 @@ def test_verify_axioms_natural_random_maps():
     assert report.worst_subchain_violation <= 1e-12
     assert report.worst_param_violation <= 1e-10
     assert report.passed()
-    assert report.samples == 1000
+
+
+def test_verify_axioms_param_bound_uses_evaluated_increment():
+    """At t0 = 1e16 rounding absorbs a one-point grid's increment of 0.25, so
+    both parameter slacks are taken at a zero shift.  Checking the nominal
+    increment reported a violation of 1.444."""
+    cf = NaturalCylinderFunction(generic_pair_ifs())
+    report = verify_axioms(cf, [1e16], samples=50)
+    assert report.worst_param_violation <= 0
+
+
+def test_log_value_overflow_raises_named_error():
+    """A word log-value that overflows was -inf with a RuntimeWarning; it
+    now names the word length and t, as a level does."""
+    for ifs in (generic_pair_ifs(), cantor_ifs()):
+        cf = NaturalCylinderFunction(ifs)
+        assert math.isfinite(cf.log_value(1e307, (0,)))
+        with pytest.raises(LevelOverflowError, match=r"word of length 8 at t = 1e\+308"):
+            cf.log_value(1e308, (0,) * 8)
+        with pytest.raises(LevelOverflowError, match=r"at t = 1e\+308"):
+            verify_axioms(cf, [1e308], samples=5)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    n_maps=st.integers(2, 3),
+    system_seed=st.integers(0, 2**32 - 1),
+    a=st.floats(0.0, 1.7e308),
+    b=st.floats(0.0, 1.7e308),
+    points=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_verify_axioms_slacks_finite_or_named_overflow(d, n_maps, system_seed, a, b, points, seed):
+    """On any grid that ``parse_t_grid`` accepts up to 1.7e308, both worst
+    slacks are finite or the overflow is named."""
+    a, b = min(a, b), max(a, b)
+    if points == 1 or a == b:
+        b, step = a, 1.0
+    else:
+        step = (b - a) / (points - 1)
+    grid = parse_t_grid(f"{a!r}:{b!r}:{step!r}")
+    cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(system_seed), d, n_maps))
+    try:
+        report = verify_axioms(cf, grid, n_max=6, samples=20, seed=seed)
+    except LevelOverflowError:
+        return
+    assert math.isfinite(report.worst_subchain_violation)
+    assert math.isfinite(report.worst_param_violation)
 
 
 def test_verify_axioms_deterministic():
