@@ -128,8 +128,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _cache(args):
-    return PartitionSumCache(args.cache) if getattr(args, "cache", None) else None
+def _potential(args, ifs) -> NaturalCylinderFunction:
+    """The potential of ``ifs`` with the run's ``--budget`` and ``--cache``."""
+    cache = PartitionSumCache(args.cache) if getattr(args, "cache", None) else None
+    return NaturalCylinderFunction(ifs, args.budget, cache)
 
 
 def _check_flags(args) -> None:
@@ -162,7 +164,7 @@ def _check_flags(args) -> None:
 
 def cmd_dim(args) -> int:
     ifs = _load_ifs(args)
-    rep = affinity_dimension(ifs, args.nmax, args.tol, budget=args.budget, cache=_cache(args))
+    rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
     out = _out_dir(args)
     _write_csv(out / "roots.csv", "n,t_n", rep.roots)
     config = {"nmax": args.nmax, "tol": args.tol, "budget": args.budget}
@@ -189,9 +191,9 @@ def cmd_pressure(args) -> int:
         raise CLIUsageError("pass exactly one of --t and --t-grid")
     grid = None if args.t_grid is None else parse_t_grid(args.t_grid)
     ifs = _load_ifs(args)
-    cf = NaturalCylinderFunction(ifs, args.budget)
+    cf = _potential(args, ifs)
     if grid is None:
-        rep = pressure_sequence(cf, args.t, args.nmax, cache=_cache(args))
+        rep = pressure_sequence(cf, args.t, args.nmax)
         rows = [(rep.t, n, p) for n, p in rep.per_level]
         config = {"t": args.t, "nmax": args.nmax, "budget": args.budget}
         body = [
@@ -204,7 +206,7 @@ def cmd_pressure(args) -> int:
             ("extrapolation_method", rep.extrapolation_method),
         ]
     else:
-        curve = pressure_curve(cf, grid, args.nmax, cache=_cache(args))
+        curve = pressure_curve(cf, grid, args.nmax)
         rows = [(t, args.nmax, p) for t, p in curve]
         config = {"t_grid": args.t_grid, "nmax": args.nmax, "budget": args.budget}
         body = [
@@ -221,11 +223,10 @@ def cmd_pressure(args) -> int:
 
 def cmd_measure(args) -> int:
     ifs = _load_ifs(args)
-    cf = NaturalCylinderFunction(ifs, args.budget)
-    cache = _cache(args)
+    cf = _potential(args, ifs)
     t = args.t
     if t is None:
-        t = pressure_root(cf, args.nmax, args.tol, cache=cache)
+        t = pressure_root(cf, args.nmax, args.tol)
     diag = diagnostics(cf, t, args.nmax, args.depth)
     measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
@@ -254,7 +255,7 @@ def cmd_measure(args) -> int:
 
 def cmd_verify(args) -> int:
     ifs = _load_ifs(args)
-    cf = NaturalCylinderFunction(ifs)
+    cf = _potential(args, ifs)
     grid = parse_t_grid(args.t_grid)
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
     ok = rep.passed(VERIFY_SLACK_THRESHOLD)
@@ -283,7 +284,7 @@ def _make_cloud(args, ifs):
     driver = None
     t_used = None
     if args.driver == "equilibrium":
-        cf = NaturalCylinderFunction(ifs, args.budget)
+        cf = _potential(args, ifs)
         t_used = args.t
         if t_used is None:
             t_used = pressure_root(cf, args.nmax, args.tol)

@@ -16,8 +16,8 @@ the subchain rule).  ``verify_axioms`` spot-checks the parameter bounds and
 the subchain rule on random words; constancy in the tail holds by
 construction.  On a 1-D system the value is the product
 ``prod_i |a_{w_i}|^t``, which is multiplicative.  The word budget ``budget``,
-the most words a level may have, limits work, not values, so
-``content_hash`` ignores it.
+the most words a level may have, and the partition-sum ``cache`` ride on the
+potential; they change work, not values, so ``content_hash`` ignores both.
 
 The potential is exponents times level features: ``log_value(t, w)`` is the
 sum of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t) = svf_compound_terms(t,
@@ -76,10 +76,11 @@ class NaturalCylinderFunction:
     which lose relative accuracy with its condition number, exponential in
     the word length."""
 
-    def __init__(self, maps, budget: int | None = None):
+    def __init__(self, maps, budget: int | None = None, cache=None):
         self.budget = DEFAULT_WORD_BUDGET if budget is None else budget
         if self.budget < 1:
             raise ValueError(f"word budget must be >= 1, got {budget}")
+        self.cache = cache
         mats = np.asarray(getattr(maps, "matrices", maps), dtype=float)
         if mats.ndim != 3 or len(mats) < 1 or mats.shape[1] != mats.shape[2]:
             raise ValueError(
@@ -183,7 +184,7 @@ class NaturalCylinderFunction:
             if not 0 <= s < self.n_symbols:
                 raise ValueError(f"invalid symbol {s} for alphabet of size {self.n_symbols}")
 
-    def constants(self, t: float) -> tuple[float, float]:
+    def constants(self) -> tuple[float, float]:
         """Certified (s_lo, s_hi)."""
         return float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
 
@@ -238,9 +239,12 @@ def verify_axioms(
         raise ValueError("t_grid must be strictly ascending")
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
 
     worst_subchain = -math.inf
     worst_param = -math.inf
+    log_lo, log_hi = (math.log(s) for s in cf.constants())
 
     rng = np.random.default_rng(seed)
     for _ in range(samples):
@@ -261,13 +265,12 @@ def verify_axioms(
             t0, delta = t, 0.25
         t1 = t0 + delta
         delta = t1 - t0  # the increment evaluated; rounding may absorb some of it
-        s_lo, s_hi = cf.constants(t0)
         base = cf.log_value(t0, w)
         shifted = cf.log_value(t1, w)
         worst_param = max(
             worst_param,
-            base + delta * length * math.log(s_lo) - shifted,
-            shifted - base - delta * length * math.log(s_hi),
+            base + delta * length * log_lo - shifted,
+            shifted - base - delta * length * log_hi,
         )
 
     return AxiomReport(worst_subchain, worst_param)

@@ -24,9 +24,10 @@ Entropy and energy are the finite-depth quotients (natural log throughout);
 ``jensen_residual`` is the finite-level slack P_n - h - E, nonnegative for
 every probability assignment and zero exactly at the nu weights.
 Each consumer of level-n word values reads them, and ``log S_n``, from one
-``pressure.level_log_values`` sweep; ``diagnostics`` builds its depth-k and
-depth-(k+1) tables from one ``nu``, takes the level-n pressure of its Fekete
-envelope from that sweep, and at k = n takes the energy from it too.
+``pressure.level_log_values`` sweep, which reads no cache.  ``diagnostics``
+builds its depth-k and depth-(k+1) tables from one ``nu`` and sweeps each
+level 1..n once: each sweep gives a term of the Fekete envelope, and level
+k's sweep also gives the depth-k energy.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ import numpy as np
 
 from .cylinder import NaturalCylinderFunction
 from .errors import LevelOverflowError
-from .pressure import level_log_values, pressure_level
+from .pressure import level_log_values
 from .symbolic import word_str
 
 
@@ -101,14 +102,15 @@ def _check_depth(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
+def _cesaro(nu: CylinderMeasure, t: float, k: int, rho=None) -> CylinderMeasure:
     """The depth-k cyclic Cesaro table of the level-n weights ``nu``, for
-    1 <= k <= n + 1."""
+    1 <= k <= n + 1; at k = n + 1 it is read off the depth-n table ``rho``,
+    built here unless given."""
     m_sym, n = nu.n_symbols, nu.depth
     table = np.zeros(m_sym**k)
     if k == n + 1:
         # each window is the rotated word followed by its own first symbol
-        rho = _cesaro(nu, t, n).masses
+        rho = (_cesaro(nu, t, n) if rho is None else rho).masses
         r = np.arange(rho.size)
         table[r * m_sym + r // m_sym ** (n - 1)] = rho
     else:
@@ -252,9 +254,6 @@ class EquilibriumDiagnostics:
     ``measure`` is the depth-k Cesaro table the snapshot was computed from
     and ``nu`` the level-n weights it averages."""
 
-    t: float
-    level: int
-    depth: int
     entropy_k: float
     energy_k: float
     pressure_upper: float
@@ -273,16 +272,18 @@ def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> Equili
     log_s, lv = level_log_values(cf, t, n)
     nu = _nu(cf, t, n, log_s, lv)
     mu = _cesaro(nu, t, k)
-    defect = _defect(_cesaro(nu, t, k + 1))
+    defect = _defect(_cesaro(nu, t, k + 1, mu))
     h = entropy_depth(mu)
-    e = _energy(mu, lv) if k == n else energy_depth(cf, t, mu)
+    e = _energy(mu, lv) if k == n else None
     del lv  # not held while the lower levels are swept
-    # the Fekete envelope through level n, level n from the sweep above
-    upper = min([pressure_level(cf, t, j) for j in range(1, n)] + [log_s / n])
+    envelope = []  # P_1 .. P_n, the last from the sweep above
+    for j in range(1, n):
+        log_s_j, lv = level_log_values(cf, t, j)
+        envelope.append(log_s_j / j)
+        if j == k:
+            e = _energy(mu, lv)
+    upper = min(envelope + [log_s / n])
     return EquilibriumDiagnostics(
-        t=float(t),
-        level=n,
-        depth=k,
         entropy_k=h,
         energy_k=e,
         pressure_upper=upper,

@@ -17,7 +17,9 @@ A level is the flat array ``cf.log_value_block(t, (), n)`` of word log-values
 bit-for-bit reproducible.  ``level_log_values`` returns the array with
 ``log S_n``, for consumers that need every word's value as well.  A level of
 more than ``cf.budget`` words raises ``BudgetExceededError``, and one whose
-log-values overflow double precision raises ``LevelOverflowError``.
+log-values overflow double precision raises ``LevelOverflowError``.  Every
+function takes the potential and its mathematical arguments only; the one
+reader of the potential's partition-sum cache is ``log_partition_sum``.
 """
 
 from __future__ import annotations
@@ -41,17 +43,17 @@ def log_sum_exp(values: np.ndarray) -> float:
     return m + math.log(float(np.exp(terms, out=terms).sum()))
 
 
-def log_partition_sum(cf: NaturalCylinderFunction, t: float, n: int, cache=None) -> float:
-    """log of the level-n partition sum."""
+def log_partition_sum(cf: NaturalCylinderFunction, t: float, n: int) -> float:
+    """log of the level-n partition sum, through ``cf.cache`` when it has one."""
     check_budget(cf.n_symbols, n, cf.budget)  # also on a cache hit
-    if cache is None:
+    if cf.cache is None:
         return level_log_values(cf, t, n)[0]
     key = (cf.content_hash(), float(t), int(n))
-    hit = cache.get(key)
+    hit = cf.cache.get(key)
     if hit is not None:
         return hit
     out = level_log_values(cf, t, n)[0]
-    cache.put(key, out)
+    cf.cache.put(key, out)
     return out
 
 
@@ -72,9 +74,9 @@ def level_log_values(cf, t, n) -> tuple[float, np.ndarray]:
     return log_s, values
 
 
-def pressure_level(cf, t, n, cache=None) -> float:
+def pressure_level(cf, t, n) -> float:
     """P_n(t) = (1/n) log S_n(t)."""
-    return log_partition_sum(cf, t, n, cache) / n
+    return log_partition_sum(cf, t, n) / n
 
 
 def _budget_levels(cf, n_max) -> tuple[range, bool]:
@@ -119,9 +121,9 @@ class PressureReport:
     truncated: bool = False
 
 
-def pressure_sequence(cf, t, n_max, cache=None) -> PressureReport:
+def pressure_sequence(cf, t, n_max) -> PressureReport:
     levels, truncated = _budget_levels(cf, n_max)
-    per_level = [(n, pressure_level(cf, t, n, cache)) for n in levels]
+    per_level = [(n, pressure_level(cf, t, n)) for n in levels]
     values = [v for _, v in per_level]
     extrapolated, method = _extrapolate([n for n, _ in per_level], values)
     return PressureReport(
@@ -134,7 +136,7 @@ def pressure_sequence(cf, t, n_max, cache=None) -> PressureReport:
     )
 
 
-def pressure_root(cf, n, t_tol, cache=None) -> float:
+def pressure_root(cf, n, t_tol) -> float:
     """The zero of t -> P_n(t), located by bisection to bracket width t_tol.
 
     P_n is strictly decreasing with P_n(0) = log #I > 0, and the parameter
@@ -149,7 +151,7 @@ def pressure_root(cf, n, t_tol, cache=None) -> float:
         raise ValueError("pressure root needs at least two symbols")
 
     def P(t):
-        return pressure_level(cf, t, n, cache)
+        return pressure_level(cf, t, n)
 
     lo, hi = 0.0, 1.0
     p_hi = P(hi)
@@ -181,45 +183,36 @@ class DimensionReport:
     ambient dimension, which is the generic Hausdorff dimension of the
     attractor when the norm-1/2 hypothesis holds."""
 
-    dimension: int
     roots: list[tuple[int, float]]
     upper_bound: float
     extrapolated: float
     extrapolation_method: str
     prediction: float
     norm_half_satisfied: bool
-    t_tol: float
-    n_max: int
     truncated: bool = False
 
 
-def affinity_dimension(ifs, n_max, t_tol, budget=None, cache=None) -> DimensionReport:
-    """Roots of the level pressures of the natural potential with word budget ``budget``."""
-    cf = NaturalCylinderFunction(ifs, budget)
+def affinity_dimension(cf: NaturalCylinderFunction, n_max, t_tol) -> DimensionReport:
+    """Roots of the level pressures of the potential ``cf``."""
     levels, truncated = _budget_levels(cf, n_max)
-    roots = [(n, pressure_root(cf, n, t_tol, cache)) for n in levels]
+    roots = [(n, pressure_root(cf, n, t_tol)) for n in levels]
     values = [r for _, r in roots]
     extrapolated, method = _extrapolate([n for n, _ in roots], values)
     upper = min(values)
-    d = cf.dimension
-    norm_half = cf.constants(upper)[1] < 0.5
     return DimensionReport(
-        dimension=d,
         roots=roots,
         upper_bound=upper,
         extrapolated=extrapolated,
         extrapolation_method=method,
-        prediction=min(float(d), upper),
-        norm_half_satisfied=norm_half,
-        t_tol=t_tol,
-        n_max=n_max,
+        prediction=min(float(cf.dimension), upper),
+        norm_half_satisfied=cf.constants()[1] < 0.5,
         truncated=truncated,
     )
 
 
-def pressure_curve(cf, t_grid, n, cache=None) -> list[tuple[float, float]]:
+def pressure_curve(cf, t_grid, n) -> list[tuple[float, float]]:
     """P_n sampled on an ascending parameter grid."""
     t_grid = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly ascending")
-    return [(t, pressure_level(cf, t, n, cache)) for t in t_grid]
+    return [(t, pressure_level(cf, t, n)) for t in t_grid]

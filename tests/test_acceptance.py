@@ -54,7 +54,7 @@ def criterion(num, name):
 def test_c01_conformal_exactness():
     with criterion(1, "conformal exactness"):
         start = time.perf_counter()
-        rep = affinity_dimension(conformal_pair_ifs(), 10, 1e-9)
+        rep = affinity_dimension(NaturalCylinderFunction(conformal_pair_ifs()), 10, 1e-9)
         elapsed = time.perf_counter() - start
         assert [n for n, _ in rep.roots] == list(range(1, 11))
         for _, t_n in rep.roots:
@@ -99,7 +99,7 @@ def test_c02_diagonal_closed_form():
                 )
             assert hand_root_triple(n) == pytest.approx(expected, abs=1e-12)
             assert abs(pressure_root(cf, n, 1e-8) - hand_root_triple(n)) <= 1e-7
-        rep = affinity_dimension(triple_diag_ifs(), 8, 1e-8)
+        rep = affinity_dimension(NaturalCylinderFunction(triple_diag_ifs()), 8, 1e-8)
         for _, t_n in rep.roots:
             assert abs(t_n - expected) <= 1e-6
         assert time.perf_counter() - start < 5.0
@@ -107,7 +107,7 @@ def test_c02_diagonal_closed_form():
 
 def test_c03_clamp():
     with criterion(3, "similarity clamp"):
-        rep = affinity_dimension(similar_ifs_06(), 4, 1e-7)
+        rep = affinity_dimension(NaturalCylinderFunction(similar_ifs_06()), 4, 1e-7)
         assert rep.upper_bound == pytest.approx(math.log(3) / math.log(5 / 3), abs=1e-6)
         assert rep.prediction == 1.0
 
@@ -149,7 +149,7 @@ def test_c06_parameter_bound_suite():
             w = tuple(rng.integers(0, 2, size=int(rng.integers(1, 10))))
             t = float(rng.uniform(0, 2.5))
             delta = float(rng.uniform(0.05, 1.0))
-            s_lo, s_hi = cf.constants(t)
+            s_lo, s_hi = cf.constants()
             lo = math.exp(cf.log_value(t, w)) * s_lo ** (delta * len(w))
             hi = math.exp(cf.log_value(t, w)) * s_hi ** (delta * len(w))
             shifted = math.exp(cf.log_value(t + delta, w))
@@ -183,7 +183,7 @@ def test_c08_fekete_and_monotonicity():
                     assert logs[n + m] <= logs[n] + logs[m] + 1e-10
         # reported upper bound is a lower envelope of the roots
         for ifs in (triple_diag_ifs(), random_affine_ifs(rng, 2, 2)):
-            rep = affinity_dimension(ifs, 6, 1e-7)
+            rep = affinity_dimension(NaturalCylinderFunction(ifs), 6, 1e-7)
             assert all(rep.upper_bound <= t_n for _, t_n in rep.roots)
 
 
@@ -205,7 +205,7 @@ def test_c10_full_dimension_cross_check():
         ifs = generic_pair_ifs()
         report = validate_ifs(ifs)
         assert report.ok and not report.warnings  # operator norms < 1/2
-        rep = affinity_dimension(ifs, 10, 1e-6)
+        rep = affinity_dimension(NaturalCylinderFunction(ifs), 10, 1e-6)
         target = min(float(ifs.dimension), rep.upper_bound)
         driver = mu_cesaro(NaturalCylinderFunction(ifs), rep.upper_bound, 10, 4)
         translations = sample_translations(2, ifs.n_maps, 3, radius=0.6, seed=42)

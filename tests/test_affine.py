@@ -773,3 +773,30 @@ def _one_pass_pgm(points, resolution, bounds):
     hits = np.bincount((resolution - 1 - py) * resolution + px, minlength=resolution**2)
     img = np.rint(255.0 * np.log1p(hits) / np.log1p(hits.max())).astype(np.uint8)
     return b"P5\n%d %d\n255\n" % (resolution, resolution) + img.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda: AffineIFS(1, np.empty((0, 1, 1)), np.empty((0, 1))),
+            "an IFS needs at least one map",
+        ),
+        (
+            lambda: ChaosGame(cantor_ifs(), 10, driver=CylinderMeasure(3, 1, np.full(3, 1 / 3))),
+            "driver measure is over a different alphabet",
+        ),
+        (
+            lambda: box_dimension(np.zeros((4, 2, 1)), [0.5, 0.25, 0.125]),
+            re.escape("expected an (N, d) point array, got shape (4, 2, 1)"),
+        ),
+        (
+            lambda: box_dimension(np.empty((0, 2)), [0.5, 0.25, 0.125]),
+            "cannot box-count a cloud without points",
+        ),
+    ],
+    ids=["no-maps", "driver-alphabet", "point-shape", "no-points"],
+)
+def test_affine_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,6 +10,7 @@ import selfaffine
 #: entry points, for callers and for the tests' cross-checks.
 ENTRY_POINTS = (
     "bernoulli_lower_estimate",
+    "energy_depth",
     "invariance_defect",
     "jensen_residual",
     "local_dimension_samples",

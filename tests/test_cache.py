@@ -1,5 +1,7 @@
 import logging
 
+import pytest
+
 from selfaffine import PartitionSumCache
 
 
@@ -58,3 +60,13 @@ def test_file_in_new_directory(tmp_path):
     path = tmp_path / "new" / "cache.txt"
     PartitionSumCache(path).put(("aaaa", 0.5, 2), -1.25)
     assert PartitionSumCache(path).get(("aaaa", 0.5, 2)) == -1.25
+
+
+@pytest.mark.parametrize("record", ["aaaa 0x1.0p+0 2", "aaaa 0x1.0p+0 2 0x1.0p+0 extra"])
+def test_record_with_wrong_field_count_is_skipped(tmp_path, caplog, record):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"# selfaffine pressure cache v1\n{record}\nbbbb 0x1.0p+1 7 0x1.cp+1\n")
+    with caplog.at_level(logging.WARNING, logger="selfaffine.cache"):
+        cache = PartitionSumCache(path)
+    assert caplog.messages == [f"ignoring corrupted cache record at {path}:2"]
+    assert len(cache) == 1 and cache.get(("bbbb", 2.0, 7)) == 3.5

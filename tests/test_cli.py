@@ -516,3 +516,9 @@ def test_logging_loaded_only_for_a_torn_cache_record(tmp_path, cantor_path):
     assert loaded
     torn = len(cache.read_text().splitlines())
     assert stderr.splitlines()[0] == f"ignoring corrupted cache record at {cache}:{torn}"
+
+
+@pytest.mark.parametrize("spec", ["a:1:0.5", "0:b:0.5", "0:1:step"])
+def test_parse_t_grid_rejects_non_numbers(spec):
+    with pytest.raises(CLIUsageError, match=f"bad t-grid '{spec}'; entries must be numbers"):
+        parse_t_grid(spec)

@@ -61,15 +61,15 @@ def test_value_rejects_bad_words():
 
 
 def test_constants_product():
-    assert product_cf([0.3, 0.5]).constants(1.7) == (0.3, 0.5)
+    assert product_cf([0.3, 0.5]).constants() == (0.3, 0.5)
 
 
 def test_constants_natural():
-    s_lo, s_hi = swap_pair_cf().constants(1.0)
+    s_lo, s_hi = swap_pair_cf().constants()
     assert s_lo == pytest.approx(0.25, abs=1e-14)
     assert s_hi == pytest.approx(0.5, abs=1e-14)
     conformal = NaturalCylinderFunction(np.stack([0.5 * np.eye(2)]))
-    assert conformal.constants(2.0) == pytest.approx((0.5, 0.5), abs=1e-14)
+    assert conformal.constants() == pytest.approx((0.5, 0.5), abs=1e-14)
 
 
 @pytest.mark.parametrize("depth", [0, 1, 3])
@@ -188,7 +188,7 @@ def test_parameter_bound_two_sided():
         for _ in range(200):
             w = tuple(rng.integers(0, 2, size=rng.integers(1, 8)))
             t = float(rng.uniform(0, 2.5))
-            s_lo, s_hi = cf.constants(t)
+            s_lo, s_hi = cf.constants()
             base = cf.log_value(t, w)
             shifted = cf.log_value(t + delta, w)
             assert shifted >= base + delta * len(w) * math.log(s_lo) - 1e-10
@@ -390,3 +390,22 @@ def test_potential_holds_its_word_budget(make):
     for bad in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             make(bad)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"t_grid": []}, "t_grid must be nonempty"),
+        ({"t_grid": [1.0], "n_max": 1}, "n_max must be at least 2"),
+    ],
+)
+def test_verify_axioms_rejects_bad_arguments(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        verify_axioms(swap_pair_cf(), **kwargs)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_verify_axioms_needs_a_sample(samples):
+    """With nothing sampled the report was (-inf, -inf), which passed."""
+    with pytest.raises(ValueError, match=f"samples must be >= 1, got {samples}"):
+        verify_axioms(swap_pair_cf(), [1.0], samples=samples)

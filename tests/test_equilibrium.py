@@ -19,6 +19,7 @@ from selfaffine import (
     CylinderMeasure,
     LevelOverflowError,
     NaturalCylinderFunction,
+    PartitionSumCache,
     bernoulli_lower_estimate,
     diagnostics,
     energy_depth,
@@ -33,7 +34,7 @@ from selfaffine import (
     pressure_level,
     pressure_root,
 )
-from selfaffine import pressure
+from selfaffine import equilibrium, pressure
 from selfaffine.symbolic import pack_word, word_str
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
@@ -556,3 +557,62 @@ def test_diagnostics_at_full_depth_reads_top_level_once():
     assert levels.count(4) == 1
     assert diag.energy_k == energy_depth(swap_pair_cf(), 1.4, diag.measure)
     assert diag.nu.masses.tobytes() == nu_weights(swap_pair_cf(), 1.4, 4).masses.tobytes()
+
+
+def test_diagnostics_reads_each_level_once_and_no_cache():
+    """Every level 1..n is swept once: level k gives the energy as well as its
+    envelope term (levels read for n = 8, k = 3 were [8, 3, 1, 2, ..., 7]).
+    The sweeps bypass the potential's cache, which keeps no record."""
+    cache = PartitionSumCache()
+    cf = NaturalCylinderFunction(generic_pair_ifs(), cache=cache)
+    levels = []
+    block = cf.log_value_block
+
+    def counting(t, prefix, depth):
+        levels.append(len(prefix) + depth)
+        return block(t, prefix, depth)
+
+    cf.log_value_block = counting
+    diag = diagnostics(cf, 0.9, 8, 3)
+    assert sorted(levels) == list(range(1, 9))
+    assert len(cache) == 0
+    fresh = NaturalCylinderFunction(generic_pair_ifs())
+    assert diag.energy_k == energy_depth(fresh, 0.9, diag.measure)
+    assert diag.pressure_upper == pressure.pressure_sequence(fresh, 0.9, 8).fekete_upper
+
+
+def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
+    """At k = n the depth-(n+1) table is read off the depth-n one (the builds
+    at n = k = 4 were [4, 5, 4]), with the same bits as a fresh build."""
+    cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(31), 2, 3))
+    defect = invariance_defect(cf, 1.2, 4, 4)
+    measure = mu_cesaro(cf, 1.2, 4, 4)
+    builds = []
+    build = equilibrium._cesaro
+
+    def counting(nu, t, k, *rest):
+        builds.append(k)
+        return build(nu, t, k, *rest)
+
+    monkeypatch.setattr(equilibrium, "_cesaro", counting)
+    diag = diagnostics(cf, 1.2, 4, 4)
+    assert builds == [4, 5]
+    assert diag.invariance_defect_max == defect
+    assert diag.measure.masses.tobytes() == measure.masses.tobytes()
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (
+            lambda cf: jensen_residual(cf, 1.0, 3, CylinderMeasure(2, 2, np.full(4, 0.25))),
+            "measure depth 2 != level 3",
+        ),
+        (lambda cf: local_dimension_samples(cf, 1.0, 3, 0, 0), "count must be >= 1"),
+        (lambda cf: bernoulli_lower_estimate(cf, 1.0, 0), "depth must be >= 1"),
+    ],
+    ids=["jensen-depth", "samples-count", "bernoulli-depth"],
+)
+def test_equilibrium_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(swap_pair_cf())

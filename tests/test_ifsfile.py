@@ -1,3 +1,7 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from systems import swap_pair_ifs
@@ -109,3 +113,33 @@ def test_serialize_contains_schema_keys():
     text = serialize_ifs(swap_pair_ifs())
     assert '"dimension": 2' in text
     assert '"matrix"' in text and '"translation"' in text
+
+
+def _doc(**fields):
+    doc = {"dimension": 1, "maps": [{"matrix": [[0.5]], "translation": [0.0]}]}
+    doc.update(fields)
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        (_doc(maps=[]), "'maps' must be a nonempty list"),
+        (_doc(maps={"matrix": [[0.5]]}), "'maps' must be a nonempty list"),
+        (_doc(maps=[{"matrix": [[0.5]]}]), "map 0: needs 'matrix' and 'translation'"),
+        (_doc(maps=[[0.5]]), "map 0: needs 'matrix' and 'translation'"),
+        (
+            _doc(maps=[{"matrix": [[0.5], [0.5]], "translation": [0.0]}]),
+            "map 0: matrix must have 1 rows",
+        ),
+        (_doc(maps=[{"matrix": 0.5, "translation": [0.0]}]), "map 0: matrix must have 1 rows"),
+        (_doc(name=7), "'name' must be a string"),
+        (
+            _doc(maps=[{"matrix": [[math.nan]], "translation": [0.0]}]),
+            "IFS entries must be finite",
+        ),
+    ],
+)
+def test_parse_rejects_malformed_documents(text, message):
+    with pytest.raises(IFSFormatError, match=re.escape(f"<ifs>: {message}")):
+        parse_ifs_text(text)

@@ -261,3 +261,20 @@ def test_log_value_block_matches_direct_svd_at_non_integer_t(d):
             reference = np.array([log_svf_alpha_t(A, t) for A in products])
             error = np.abs(cf.log_value_block(t, (), n) - reference)
             assert np.all(error <= 64 * d * eps * cond), (n, t, np.max(error / (d * eps * cond)))
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: singular_values(np.ones(3)), r"expected a square matrix, got shape \(3,\)"),
+        (lambda: singular_values(np.ones((2, 3))), r"expected a square matrix, got shape \(2, 3\)"),
+        (lambda: singular_values(0.5 * np.eye(5)), "supported dimensions are 1..4, got 5"),
+        (lambda: singular_values(np.array([[math.nan]])), "matrix has non-finite entries"),
+        (lambda: compound_matrix(np.eye(2), 0), "compound order must be in 1..2, got 0"),
+        (lambda: compound_matrix(np.eye(2), 3), "compound order must be in 1..2, got 3"),
+        (lambda: word_matrix(np.eye(2), (0,)), r"expected a stack of matrices, got shape \(2, 2\)"),
+    ],
+)
+def test_linalg_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

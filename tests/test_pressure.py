@@ -118,7 +118,7 @@ def test_parameter_bound_transfers_to_partition_sums():
         t = float(rng.uniform(0, 2))
         delta = float(rng.uniform(0.05, 0.8))
         n = int(rng.integers(1, 8))
-        s_lo, s_hi = cf.constants(t)
+        s_lo, s_hi = cf.constants()
         base = log_partition_sum(cf, t, n)
         shifted = log_partition_sum(cf, t + delta, n)
         assert shifted >= base + delta * n * math.log(s_lo) - 1e-10
@@ -219,14 +219,14 @@ def test_root_is_upper_end_of_bracket(system):
 
 
 def test_affinity_dimension_conformal():
-    rep = affinity_dimension(conformal_pair_ifs(), 8, 1e-9)
+    rep = affinity_dimension(NaturalCylinderFunction(conformal_pair_ifs()), 8, 1e-9)
     for _, t_n in rep.roots:
         assert abs(t_n - 1.0) <= 1e-9
     assert rep.prediction == pytest.approx(1.0, abs=1e-9)
 
 
 def test_affinity_dimension_clamps_at_ambient_dimension():
-    rep = affinity_dimension(similar_ifs_06(), 4, 1e-7)
+    rep = affinity_dimension(NaturalCylinderFunction(similar_ifs_06()), 4, 1e-7)
     expected_root = math.log(3) / math.log(5 / 3)
     assert rep.upper_bound == pytest.approx(expected_root, abs=1e-6)
     assert rep.prediction == 1.0
@@ -234,19 +234,20 @@ def test_affinity_dimension_clamps_at_ambient_dimension():
 
 def test_affinity_dimension_upper_bound_and_ordering():
     rng = np.random.default_rng(25)
-    rep = affinity_dimension(random_affine_ifs(rng, 2, 2), 6, 1e-7)
+    rep = affinity_dimension(NaturalCylinderFunction(random_affine_ifs(rng, 2, 2)), 6, 1e-7)
     assert all(rep.upper_bound <= t_n for _, t_n in rep.roots)
     # for a product-like (conformal) system all roots coincide
-    conf = affinity_dimension(conformal_pair_ifs(), 6, 1e-7)
+    conf = affinity_dimension(NaturalCylinderFunction(conformal_pair_ifs()), 6, 1e-7)
     roots = [t for _, t in conf.roots]
     assert max(roots) - min(roots) <= 2e-7
 
 
 def test_affinity_dimension_norm_half_flag():
     rng = np.random.default_rng(26)
-    small = affinity_dimension(random_affine_ifs(rng, 2, 2, lo=0.2, hi=0.45), 3, 1e-6)
+    small_cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2, lo=0.2, hi=0.45))
+    small = affinity_dimension(small_cf, 3, 1e-6)
     assert small.norm_half_satisfied
-    big = affinity_dimension(triple_diag_ifs(), 3, 1e-6)
+    big = affinity_dimension(NaturalCylinderFunction(triple_diag_ifs()), 3, 1e-6)
     assert not big.norm_half_satisfied
 
 
@@ -284,7 +285,7 @@ def test_budget_exceeded_flags_partial_report():
     rep = pressure_sequence(cf, 1.0, 6)  # 3^4 = 81 > 80
     assert rep.truncated
     assert [n for n, _ in rep.per_level] == [1, 2, 3]
-    dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=80)
+    dim = affinity_dimension(cf, 6, 1e-6)
     assert dim.truncated and [n for n, _ in dim.roots] == [1, 2, 3]
 
 
@@ -322,13 +323,14 @@ def test_level_consumers_hold_the_potential_budget(name):
 
 def test_budget_holds_on_a_cache_hit():
     cache = PartitionSumCache()
-    full = NaturalCylinderFunction(triple_diag_ifs())
-    small = NaturalCylinderFunction(triple_diag_ifs(), budget=80)
+    full = NaturalCylinderFunction(triple_diag_ifs(), cache=cache)
+    small = NaturalCylinderFunction(triple_diag_ifs(), budget=80, cache=cache)
     assert small.content_hash() == full.content_hash()
-    log_partition_sum(full, 1.0, 4, cache=cache)
+    log_partition_sum(full, 1.0, 4)
     with pytest.raises(BudgetExceededError):
-        log_partition_sum(small, 1.0, 4, cache=cache)
-    assert log_partition_sum(small, 1.0, 3, cache=cache) == log_partition_sum(full, 1.0, 3)
+        log_partition_sum(small, 1.0, 4)
+    uncached = NaturalCylinderFunction(triple_diag_ifs())
+    assert log_partition_sum(small, 1.0, 3) == log_partition_sum(uncached, 1.0, 3)
 
 
 @pytest.mark.parametrize(
@@ -338,7 +340,7 @@ def test_sequence_and_dimension_share_one_truncation(budget, top):
     """Both sweep the levels whose 3^n words fit the budget."""
     cf = NaturalCylinderFunction(triple_diag_ifs(), budget=budget)
     rep = pressure_sequence(cf, 1.0, 6)
-    dim = affinity_dimension(triple_diag_ifs(), 6, 1e-6, budget=budget)
+    dim = affinity_dimension(cf, 6, 1e-6)
     assert [n for n, _ in rep.per_level] == [n for n, _ in dim.roots] == list(range(1, top + 1))
     assert rep.truncated == dim.truncated == (top < 6)
 
@@ -348,7 +350,7 @@ def test_no_level_within_budget_raises():
     with pytest.raises(BudgetExceededError):
         pressure_sequence(cf, 1.0, 3)
     with pytest.raises(BudgetExceededError):
-        affinity_dimension(triple_diag_ifs(), 3, 1e-6, budget=2)
+        affinity_dimension(cf, 3, 1e-6)
 
 
 def test_root_search_ends_at_float_spacing(level_call_limit):
@@ -417,7 +419,7 @@ def test_underflowing_word_products_raise_named_error():
     with pytest.raises(NumericallySingularError, match="level 3"):
         log_partition_sum(cf, 1.0, 3)
     with pytest.raises(NumericallySingularError, match="level 3"):
-        affinity_dimension(ifs, 3, 1e-6)
+        affinity_dimension(cf, 3, 1e-6)
 
 
 def test_tiny_one_dimensional_pair_has_closed_form_root():
@@ -429,7 +431,7 @@ def test_tiny_one_dimensional_pair_has_closed_form_root():
     cf = NaturalCylinderFunction(ifs)
     for n in (1, 3, 6):
         assert pressure_level(cf, 1.0, n) == pytest.approx(math.log(2) + math.log(1e-150), rel=1e-15)
-    report = affinity_dimension(ifs, 3, 1e-9)
+    report = affinity_dimension(cf, 3, 1e-9)
     assert [n for n, _ in report.roots] == [1, 2, 3]
     for _, r in report.roots:
         assert root <= r <= root + 1e-9
@@ -471,11 +473,11 @@ def test_non_finite_parameters_rejected(bad):
 
 
 def test_cache_round_trip_and_reuse():
-    cf = swap_pair_cf()
     cache = PartitionSumCache()
-    first = log_partition_sum(cf, 1.23, 5, cache=cache)
+    cf = NaturalCylinderFunction(swap_pair_ifs(), cache=cache)
+    first = log_partition_sum(cf, 1.23, 5)
     assert len(cache) == 1
-    assert log_partition_sum(cf, 1.23, 5, cache=cache) == first
+    assert log_partition_sum(cf, 1.23, 5) == first
     key = (cf.content_hash(), 1.23, 5)
     assert cache.get(key) == first
 
@@ -494,5 +496,21 @@ def test_uncached_root_hashes_nothing(monkeypatch):
     cf = NaturalCylinderFunction(generic_pair_ifs())
     pressure_root(cf, 10, 1e-9)
     assert hashes == []
-    log_partition_sum(cf, 1.0, 3, cache=PartitionSumCache())
-    assert hashes == [cf]
+    cached = NaturalCylinderFunction(generic_pair_ifs(), cache=PartitionSumCache())
+    log_partition_sum(cached, 1.0, 3)
+    assert hashes == [cached]
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: level_log_values(swap_pair_cf(), 1.0, 0), "level must be >= 1, got 0"),
+        (lambda: pressure_sequence(swap_pair_cf(), 1.0, 0), "n_max must be >= 1, got 0"),
+        (lambda: affinity_dimension(swap_pair_cf(), -1, 1e-6), "n_max must be >= 1, got -1"),
+        (lambda: pressure_root(product_cf([0.5]), 2, 1e-6), "pressure root needs at least two"),
+    ],
+    ids=["level", "sequence-levels", "dimension-levels", "root-symbols"],
+)
+def test_pressure_rejects_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -67,3 +67,9 @@ def test_pack_unpack_roundtrip(m, raw):
 def test_pack_rejects_bad_symbol():
     with pytest.raises(ValueError):
         pack_word((0, 3), 3)
+
+
+@pytest.mark.parametrize("n", [-1, -7])
+def test_word_count_rejects_negative_length(n):
+    with pytest.raises(ValueError, match=f"word length must be nonnegative, got {n}"):
+        check_budget(2, n)
