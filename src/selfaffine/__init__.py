@@ -19,15 +19,9 @@ from .cylinder import AxiomReport, NaturalCylinderFunction, verify_axioms
 from .equilibrium import (
     CylinderMeasure,
     EquilibriumDiagnostics,
-    LocalDimensionSamples,
-    bernoulli_lower_estimate,
     diagnostics,
-    energy_depth,
     entropy_depth,
     entropy_table,
-    invariance_defect,
-    jensen_residual,
-    local_dimension_samples,
     mu_cesaro,
     nu_weights,
 )

@@ -14,15 +14,8 @@ level, and this module exposes exactly those finite objects:
   periodic point, the table is exactly shift-invariant at every n and its
   tables at different depths are marginals of one another; its weak-* limits
   are those of the construction in the proof.
-* ``invariance_defect``: max over level-k cylinders of
-  |mu_n([i]) - mu_n(shift^-1 [i])|, defined for 1 <= k <= n; both sides sum
-  the same nu masses, so the value is rounding error only.
-* ``local_dimension_samples``: words drawn from nu_n by inverse CDF on the
-  level table (one uniform per word).
 
-Entropy and energy are the finite-depth quotients (natural log throughout);
-``jensen_residual`` is the finite-level slack P_n - h - E, nonnegative for
-every probability assignment and zero exactly at the nu weights.
+Entropy and energy are the finite-depth quotients (natural log throughout).
 Each consumer of level-n word values reads them, and ``log S_n``, from one
 ``pressure.level_log_values`` sweep, which reads no cache.  ``diagnostics``
 builds its depth-k and depth-(k+1) tables from one ``nu`` and sweeps each
@@ -148,20 +141,6 @@ def _energy(m: CylinderMeasure, lv: np.ndarray) -> float:
     return float(m.masses @ lv) / m.depth
 
 
-def energy_depth(cf: NaturalCylinderFunction, t: float, m: CylinderMeasure) -> float:
-    """Finite-depth energy quotient (1/k) sum m([i]) log value(t, i)."""
-    return _energy(m, level_log_values(cf, t, m.depth)[1])
-
-
-def jensen_residual(cf: NaturalCylinderFunction, t: float, n: int, m: CylinderMeasure) -> float:
-    """P_n(t) - entropy - energy at depth n; >= 0 for every probability
-    assignment, = 0 at the nu weights."""
-    if m.depth != n:
-        raise ValueError(f"measure depth {m.depth} != level {n}")
-    log_s, lv = level_log_values(cf, t, n)
-    return log_s / n - entropy_depth(m) - _energy(m, lv)
-
-
 def _defect(deep: CylinderMeasure) -> float:
     """max over words i one shorter than the table of |m([i]) - m(shift^-1 [i])|."""
     m_sym, k = deep.n_symbols, deep.depth - 1
@@ -170,89 +149,17 @@ def _defect(deep: CylinderMeasure) -> float:
     return float(np.abs(direct - preimage).max())
 
 
-def invariance_defect(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> float:
-    """max over level-k words of |mu_n([i]) - mu_n(shift^-1 [i])|, both sides
-    read from one depth-(k+1) table, for 1 <= k <= n.
-
-    Both sides sum the same nu masses in different orders, so the value is
-    rounding error only: at most 2 (n + m^(n-k)) eps for an m-symbol system,
-    with eps the double-precision machine epsilon."""
-    _check_depth(n, k)
-    return _defect(_cesaro(nu_weights(cf, t, n), t, k + 1))
-
-
-@dataclass
-class LocalDimensionSamples:
-    """Ratios log nu_n([w]) / log value(t, w) for words drawn from nu_n."""
-
-    ratios: np.ndarray
-    mean: float
-    std: float
-
-
-def local_dimension_samples(
-    cf: NaturalCylinderFunction, t_star: float, n: int, count: int, seed: int
-) -> LocalDimensionSamples:
-    """Monte Carlo check of the local-dimension ratio at a pressure root.
-
-    Words are drawn from the level-n weights by inverse CDF on the level
-    table, one uniform per word."""
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    if not t_star > 0:  # at t = 0 every log value is 0 and each ratio is 0 / 0
-        raise ValueError(f"t_star must be positive, got {t_star}")
-    log_s, lv = level_log_values(cf, t_star, n)
-    cum = np.cumsum(np.exp(lv - log_s))
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    u = np.minimum(np.searchsorted(cum, rng.random(count) * cum[-1], side="right"), lv.size - 1)
-    ratios = (lv[u] - log_s) / lv[u]
-    return LocalDimensionSamples(ratios=ratios, mean=float(ratios.mean()), std=float(ratios.std()))
-
-
-def bernoulli_lower_estimate(
-    cf: NaturalCylinderFunction, t: float, k: int, iterations: int = 50
-) -> tuple[np.ndarray, float]:
-    """Best product (Bernoulli) measure for the depth-k score h(p) + E_k(p).
-
-    Softmax-parameterized fixed-point ascent from the uniform start: each step
-    moves p to softmax of the energy gradient, which lands exactly on the
-    optimum for additive potentials.  The best iterate is returned.  The score
-    is a finite-depth ESTIMATE of the variational value, not a bound, but it
-    never exceeds P_k(t)."""
-    if k < 1:
-        raise ValueError("depth must be >= 1")
-    m_sym = cf.n_symbols
-    lv = level_log_values(cf, t, k)[1]
-    counts = np.zeros((1, m_sym))
-    eye = np.eye(m_sym)
-    for _ in range(k):
-        counts = (counts[:, None, :] + eye[None, :, :]).reshape(-1, m_sym)
-
-    def score_of(p):
-        log_p = np.log(p)
-        weights = np.exp(counts @ log_p)
-        return float(-(p * log_p).sum() + (weights @ lv) / k), weights
-
-    p = np.full(m_sym, 1.0 / m_sym)
-    best_score, weights = score_of(p)
-    best_p = p
-    for _ in range(iterations):
-        grad = ((weights * lv) @ counts) / (k * p)
-        grad -= grad.max()
-        p = np.exp(grad)
-        p /= p.sum()
-        p = np.clip(p, 1e-300, None)
-        score, weights = score_of(p)
-        if score > best_score:
-            best_score, best_p = score, p.copy()
-    return best_p, best_score
-
-
 @dataclass
 class EquilibriumDiagnostics:
     """Finite-level snapshot of the variational quantities at one (t, n, k);
     ``measure`` is the depth-k Cesaro table the snapshot was computed from
-    and ``nu`` the level-n weights it averages."""
+    and ``nu`` the level-n weights it averages.
+
+    ``invariance_defect_max`` is the max over level-k words i of
+    |mu_n([i]) - mu_n(shift^-1 [i])|, both sides read from one depth-(k+1)
+    table.  Both sides sum the same nu masses in different orders, so the
+    value is rounding error only: at most 2 (n + m^(n-k)) eps for an
+    m-symbol system, with eps the double-precision machine epsilon."""
 
     entropy_k: float
     energy_k: float
@@ -267,7 +174,8 @@ def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> Equili
     """The depth-k Cesaro table of the level-n weights at ``t``, with its
     entropy and energy quotients, the Fekete upper bound on the pressure
     through level n, the gap between that bound and h + E, and the
-    invariance defect (as in ``invariance_defect``), for 1 <= k <= n."""
+    invariance defect (within the rounding bound that
+    ``EquilibriumDiagnostics`` states), for 1 <= k <= n."""
     _check_depth(n, k)
     log_s, lv = level_log_values(cf, t, n)
     nu = _nu(cf, t, n, log_s, lv)

@@ -17,17 +17,12 @@ Word = tuple[int, ...]
 DEFAULT_WORD_BUDGET = 1 << 24
 
 
-def word_count(m: int, n: int) -> int:
-    if n < 0:
-        raise ValueError(f"word length must be nonnegative, got {n}")
-    return m**n
-
-
-def check_budget(m: int, n: int, budget: int | None = None) -> int:
+def check_budget(m: int, n: int, budget: int) -> int:
     """Return m^n, the number of words of length n over m symbols, or raise
     BudgetExceededError if it exceeds the budget."""
-    budget = DEFAULT_WORD_BUDGET if budget is None else budget
-    count = word_count(m, n)
+    if n < 0:
+        raise ValueError(f"word length must be nonnegative, got {n}")
+    count = m**n
     if count > budget:
         raise BudgetExceededError(m, n, budget)
     return count

@@ -2,13 +2,16 @@
 
 Each one computes its object from the definition, one word or one matrix at
 a time, and shares no code with the level tables, compound products and
-closed-form kernels of ``selfaffine``.
+closed-form kernels of ``selfaffine``; ``jensen_residual``, whose subject
+is the variational inequality and not the sweep, reads one level's values.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from selfaffine.pressure import level_log_values
 
 
 def words_of_length(m, n):
@@ -58,3 +61,11 @@ def marginal(measure, depth):
     """Masses of the depth-``depth`` marginal of a cylinder table: each
     shallower cylinder sums its continuations."""
     return measure.masses.reshape(measure.n_symbols**depth, -1).sum(axis=1)
+
+
+def jensen_residual(cf, t, n, m):
+    """The finite-level Jensen slack log S_n / n - H_n / n - E_n / n of the
+    depth-n table ``m``: >= 0 for every table, = 0 at the nu weights."""
+    log_s, lv = level_log_values(cf, t, n)
+    nz = m.masses[m.masses > 0]
+    return (log_s + float(nz @ np.log(nz)) - float(m.masses @ lv)) / n

@@ -10,6 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import jensen_residual
 from systems import (
     conformal_pair_ifs,
     generic_pair_ifs,
@@ -17,6 +18,7 @@ from systems import (
     random_affine_ifs,
     similar_ifs_06,
     swap_pair_cf,
+    third_product_cf,
     triple_diag_ifs,
 )
 
@@ -26,9 +28,7 @@ from selfaffine import (
     NaturalCylinderFunction,
     affinity_dimension,
     box_dimension,
-    invariance_defect,
-    jensen_residual,
-    local_dimension_samples,
+    diagnostics,
     log_partition_sum,
     mu_cesaro,
     nu_weights,
@@ -39,6 +39,7 @@ from selfaffine import (
 )
 from selfaffine.cli import main
 from selfaffine.ifsfile import write_ifs_file
+from selfaffine.pressure import level_log_values
 
 
 @contextmanager
@@ -164,7 +165,7 @@ def test_c07_invariance_defect_bound():
         for cf in systems:
             for n in (6, 8, 12):
                 for k in (1, 2, 3):
-                    assert invariance_defect(cf, 1.2, n, k) <= 1 / n + 1e-12
+                    assert diagnostics(cf, 1.2, n, k).invariance_defect_max <= 1 / n + 1e-12
 
 
 def test_c08_fekete_and_monotonicity():
@@ -190,13 +191,15 @@ def test_c08_fekete_and_monotonicity():
 def test_c09_local_dimension():
     with criterion(9, "local dimension"):
         start = time.perf_counter()
-        exact = local_dimension_samples(half_product_cf(), 1.0, 12, 200, seed=909)
-        assert np.abs(exact.ratios - 1.0).max() <= 1e-12
+        # the ratio log nu_12([w]) / log value(t, w) at every word of level 12
+        for cf, t in ((half_product_cf(), 1.0), (third_product_cf(), math.log(2) / math.log(3))):
+            log_s, lv = level_log_values(cf, t, 12)
+            assert np.abs((lv - log_s) / lv - 1.0).max() <= 1e-12
         rng = np.random.default_rng(910)
         cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
         t12 = pressure_root(cf, 12, 1e-9)
-        mc = local_dimension_samples(cf, t12, 12, 200, seed=911)
-        assert abs(mc.mean - 1.0) <= 0.1
+        log_s, lv = level_log_values(cf, t12, 12)
+        assert abs(np.exp(lv - log_s) @ ((lv - log_s) / lv) - 1.0) <= 0.1
         assert time.perf_counter() - start < 30.0
 
 

@@ -7,16 +7,8 @@ from pathlib import Path
 import selfaffine
 
 #: Exported names that nothing inside the library calls: the library's own
-#: entry points, for callers and for the tests' cross-checks.
-ENTRY_POINTS = (
-    "bernoulli_lower_estimate",
-    "energy_depth",
-    "invariance_defect",
-    "jensen_residual",
-    "local_dimension_samples",
-    "sample_translations",
-    "write_ifs_file",
-)
+#: entry points, for outside callers.
+ENTRY_POINTS = ("sample_translations", "write_ifs_file")
 
 PACKAGE = Path(selfaffine.__file__).parent
 

@@ -178,7 +178,8 @@ def test_measure_report_values_are_finite_or_none(triple_path, tmp_path, depth):
             continue
         assert math.isfinite(number), key
     assert "none" not in report.values()
-    # the rounding bound of ``invariance_defect`` at n = 3 over 3 symbols
+    # the rounding bound of ``EquilibriumDiagnostics.invariance_defect_max``
+    # at n = 3 over 3 symbols
     bound = 2 * (3 + 3 ** (3 - int(depth))) * np.finfo(float).eps
     assert 0.0 <= float(report["invariance_defect_max"]) <= bound
 

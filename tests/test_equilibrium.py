@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import marginal, unpack_word
+from oracles import jensen_residual, marginal, unpack_word
 from systems import (
     generic_pair_ifs,
     half_product_cf,
-    product_cf,
     random_affine_ifs,
     swap_pair_cf,
     third_product_cf,
@@ -20,26 +19,31 @@ from selfaffine import (
     LevelOverflowError,
     NaturalCylinderFunction,
     PartitionSumCache,
-    bernoulli_lower_estimate,
     diagnostics,
-    energy_depth,
     entropy_depth,
     entropy_table,
-    invariance_defect,
-    jensen_residual,
-    local_dimension_samples,
     log_partition_sum,
     mu_cesaro,
     nu_weights,
-    pressure_level,
     pressure_root,
 )
 from selfaffine import equilibrium, pressure
+from selfaffine.pressure import level_log_values
 from selfaffine.symbolic import pack_word, word_str
 
 SWAP_MASS_OUTER = 0.2928932188134525  # 1/(2 + sqrt 2), computed by direct enumeration
 SWAP_MASS_INNER = 0.20710678118654754
 SWAP_ENTROPY_K2 = 0.6857513293769083  # -(1/2) sum m log m at the masses above
+
+
+def energy(cf, t, m):
+    """The energy quotient that ``diagnostics`` reports, for the table ``m``."""
+    return equilibrium._energy(m, level_log_values(cf, t, m.depth)[1])
+
+
+def fresh_defect(cf, t, n, k):
+    """The invariance defect of a fresh depth-(k+1) Cesaro table."""
+    return equilibrium._defect(equilibrium._cesaro(nu_weights(cf, t, n), t, k + 1))
 
 
 class TestCylinderMeasure:
@@ -186,18 +190,18 @@ class TestEntropyEnergy:
         cf = half_product_cf()
         rng = np.random.default_rng(32)
         m = CylinderMeasure(2, 4, rng.dirichlet(np.ones(16)))
-        assert energy_depth(cf, 1.0, m) == pytest.approx(-math.log(2), rel=1e-12)
+        assert energy(cf, 1.0, m) == pytest.approx(-math.log(2), rel=1e-12)
 
     def test_energy_point_mass(self):
         cf = NaturalCylinderFunction(np.stack([np.diag([0.5, 0.25])] * 2))
         m = CylinderMeasure(2, 2, np.eye(4)[pack_word((0, 0), 2)])
         # (1/2) log alpha^1(diag(1/4, 1/16)) = (1/2) log(1/4)
-        assert energy_depth(cf, 1.0, m) == pytest.approx(-math.log(2), rel=1e-12)
+        assert energy(cf, 1.0, m) == pytest.approx(-math.log(2), rel=1e-12)
 
     def test_energy_uniform_depth_one_triple(self):
         cf = NaturalCylinderFunction(triple_diag_ifs())
         m = CylinderMeasure(3, 1, np.full(3, 1 / 3))
-        assert energy_depth(cf, 1.5, m) == pytest.approx(math.log(0.25), rel=1e-12)
+        assert energy(cf, 1.5, m) == pytest.approx(math.log(0.25), rel=1e-12)
 
 
 class TestJensen:
@@ -242,15 +246,15 @@ class TestJensen:
 class TestInvarianceDefect:
     def test_product_exactly_invariant(self):
         for k in range(1, 7):
-            assert invariance_defect(half_product_cf(), 1.0, 6, k) == 0.0
+            assert diagnostics(half_product_cf(), 1.0, 6, k).invariance_defect_max == 0.0
 
     @pytest.mark.parametrize("n,k", [(6, 1), (6, 2), (8, 2), (12, 3)])
     def test_bound_one_over_n(self, n, k):
         cf = swap_pair_cf()
-        assert invariance_defect(cf, 1.5, n, k) <= 1 / n + 1e-12
+        assert diagnostics(cf, 1.5, n, k).invariance_defect_max <= 1 / n + 1e-12
         rng = np.random.default_rng(34)
         cf2 = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
-        assert invariance_defect(cf2, 1.1, n, k) <= 1 / n + 1e-12
+        assert diagnostics(cf2, 1.1, n, k).invariance_defect_max <= 1 / n + 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -261,13 +265,13 @@ class TestInvarianceDefect:
         data=st.data(),
     )
     def test_bound_one_over_n_random_systems(self, seed, d, t, n, data):
-        """The defect is within the rounding bound of ``invariance_defect``
+        """The defect is within the rounding bound of ``EquilibriumDiagnostics``
         (so within 1/n), and the depth-(k+1) table's marginal is the depth-k
         table within the same bound, on random 2-D and 3-D systems."""
         k = data.draw(st.integers(1, n))
         cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(seed), d, 2))
         rounding = 2 * (n + 2 ** (n - k)) * np.finfo(float).eps
-        defect = invariance_defect(cf, t, n, k)
+        defect = diagnostics(cf, t, n, k).invariance_defect_max
         assert defect <= 1 / n + 1e-12
         assert defect <= rounding
         if k < n:
@@ -276,10 +280,10 @@ class TestInvarianceDefect:
 
     def test_depth_precondition(self):
         cf = half_product_cf()
-        assert invariance_defect(cf, 1.0, 4, 4) == 0.0
+        assert diagnostics(cf, 1.0, 4, 4).invariance_defect_max == 0.0
         for k in (0, 5):
             with pytest.raises(ValueError):
-                invariance_defect(cf, 1.0, 4, k)
+                diagnostics(cf, 1.0, 4, k)
 
 
 class TestShiftAverageConstruction:
@@ -317,8 +321,8 @@ class TestShiftAverageConstruction:
         t, n, k = 1.5, 6, 2
         tables = self.shifted_window_tables(cf, t, n, k)
         mu = mu_cesaro(cf, t, n, k)
-        averaged = np.mean([energy_depth(cf, t, CylinderMeasure(2, k, tb)) for tb in tables])
-        assert averaged == pytest.approx(energy_depth(cf, t, mu), abs=1e-12)
+        averaged = np.mean([energy(cf, t, CylinderMeasure(2, k, tb)) for tb in tables])
+        assert averaged == pytest.approx(energy(cf, t, mu), abs=1e-12)
 
     def test_entropy_average_bounded_by_cesaro_entropy(self):
         cf = swap_pair_cf()
@@ -354,76 +358,23 @@ class TestEntropySubadditivity:
 
 
 class TestLocalDimension:
+    """The ratios log nu_n([w]) / log value(t, w) over every word of level 12."""
+
     def test_product_half_exact(self):
-        ld = local_dimension_samples(half_product_cf(), 1.0, 12, 50, seed=7)
-        assert np.abs(ld.ratios - 1.0).max() <= 1e-12
+        log_s, lv = level_log_values(half_product_cf(), 1.0, 12)
+        assert np.abs((lv - log_s) / lv - 1.0).max() <= 1e-12
 
     def test_product_thirds_exact(self):
         t_star = math.log(2) / math.log(3)
-        ld = local_dimension_samples(third_product_cf(), t_star, 12, 50, seed=7)
-        assert np.abs(ld.ratios - 1.0).max() <= 1e-12
+        log_s, lv = level_log_values(third_product_cf(), t_star, 12)
+        assert np.abs((lv - log_s) / lv - 1.0).max() <= 1e-12
 
     def test_natural_mean_near_one(self):
         rng = np.random.default_rng(35)
         cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
         t12 = pressure_root(cf, 12, 1e-9)
-        ld = local_dimension_samples(cf, t12, 12, 200, seed=5)
-        assert abs(ld.mean - 1.0) <= 0.1
-        assert len(ld.ratios) == 200
-
-    @pytest.mark.parametrize(
-        "cf,n,classes",
-        [(swap_pair_cf(), 6, 4), (NaturalCylinderFunction(generic_pair_ifs()), 4, 16)],
-        ids=["swap-pair", "generic-pair"],
-    )
-    def test_draws_follow_nu(self, cf, n, classes):
-        # a ratio identifies its word's value, so compare the ratio frequencies
-        # with nu summed over the words of equal value (every word on generic-pair)
-        t = 1.2
-        log_s, lv = pressure.level_log_values(cf, t, n)
-        lv = lv.reshape(-1)
-        keys, inverse = np.unique((lv - log_s) / lv, return_inverse=True)
-        assert keys.size == classes
-        expected = np.bincount(inverse, weights=nu_weights(cf, t, n).masses)
-        ratios = local_dimension_samples(cf, t, n, 200_000, seed=3).ratios
-        pos = np.searchsorted(keys, ratios)
-        assert np.array_equal(keys[pos], ratios)
-        freq = np.bincount(pos, minlength=keys.size) / ratios.size
-        assert 0.5 * np.abs(freq - expected).sum() <= 0.01
-
-    def test_rejects_nonpositive_t(self):
-        # at t = 0 every log value is 0, and each ratio would be 0 / 0
-        for t in (0.0, -0.5, math.nan):
-            with pytest.raises(ValueError, match="t_star"):
-                local_dimension_samples(swap_pair_cf(), t, 4, 10, seed=0)
-
-    def test_deterministic(self):
-        cf = swap_pair_cf()
-        a = local_dimension_samples(cf, 1.2, 8, 40, seed=11)
-        b = local_dimension_samples(cf, 1.2, 8, 40, seed=11)
-        assert np.array_equal(a.ratios, b.ratios)
-
-
-class TestBernoulliEstimate:
-    def test_product_closed_form(self):
-        cf = product_cf([0.3, 0.5])
-        for t in (0.7, 1.0, 2.2):
-            p, score = bernoulli_lower_estimate(cf, t, 5, iterations=5)
-            st = np.array([0.3, 0.5]) ** t
-            assert np.allclose(p, st / st.sum(), rtol=0, atol=1e-12)
-            assert score == pytest.approx(math.log(st.sum()), abs=1e-12)
-
-    def test_symmetric_natural_uniform(self):
-        p, _ = bernoulli_lower_estimate(swap_pair_cf(), 1.3, 5, iterations=20)
-        assert np.allclose(p, 0.5, rtol=0, atol=1e-6)
-
-    def test_score_below_level_pressure(self):
-        rng = np.random.default_rng(36)
-        for _ in range(5):
-            cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
-            t = float(rng.uniform(0.5, 2.5))
-            _, score = bernoulli_lower_estimate(cf, t, 5, iterations=30)
-            assert score <= pressure_level(cf, t, 5) + 1e-10
+        log_s, lv = level_log_values(cf, t12, 12)
+        assert abs(np.exp(lv - log_s) @ ((lv - log_s) / lv) - 1.0) <= 0.1
 
 
 def test_diagnostics_snapshot():
@@ -435,7 +386,7 @@ def test_diagnostics_snapshot():
     assert math.isfinite(diag.gap)
     assert diag.measure.masses.tobytes() == mu_cesaro(cf, 1.4, 8, 2).masses.tobytes()
     diag_full = diagnostics(cf, 1.4, 4, 4)
-    assert diag_full.invariance_defect_max == invariance_defect(cf, 1.4, 4, 4)
+    assert diag_full.invariance_defect_max == fresh_defect(cf, 1.4, 4, 4)
     assert diag_full.invariance_defect_max <= 2 * (4 + 1) * np.finfo(float).eps
 
 
@@ -499,13 +450,6 @@ class TestOnePassMatchesTwoPass:
         mu = mu_cesaro(self.CF, self.T, n, k)
         assert mu.masses.tobytes() == table.tobytes()
 
-    def test_jensen_residual(self):
-        log_s, values = self.two_pass()
-        m = CylinderMeasure(3, self.N, np.random.default_rng(38).dirichlet(np.ones(3**self.N)))
-        energy = float(m.masses @ values) / self.N
-        expected = log_s / self.N - entropy_depth(m) - energy
-        assert jensen_residual(self.CF, self.T, self.N, m) == expected
-
 
 @pytest.mark.parametrize("window", CYCLIC_WINDOWS.values(), ids=CYCLIC_WINDOWS)
 @pytest.mark.parametrize("k", [1, 3, 5])
@@ -555,7 +499,7 @@ def test_diagnostics_at_full_depth_reads_top_level_once():
     cf.log_value_block = counting
     diag = diagnostics(cf, 1.4, 4, 4)
     assert levels.count(4) == 1
-    assert diag.energy_k == energy_depth(swap_pair_cf(), 1.4, diag.measure)
+    assert diag.energy_k == energy(swap_pair_cf(), 1.4, diag.measure)
     assert diag.nu.masses.tobytes() == nu_weights(swap_pair_cf(), 1.4, 4).masses.tobytes()
 
 
@@ -577,7 +521,7 @@ def test_diagnostics_reads_each_level_once_and_no_cache():
     assert sorted(levels) == list(range(1, 9))
     assert len(cache) == 0
     fresh = NaturalCylinderFunction(generic_pair_ifs())
-    assert diag.energy_k == energy_depth(fresh, 0.9, diag.measure)
+    assert diag.energy_k == energy(fresh, 0.9, diag.measure)
     assert diag.pressure_upper == pressure.pressure_sequence(fresh, 0.9, 8).fekete_upper
 
 
@@ -585,7 +529,7 @@ def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
     """At k = n the depth-(n+1) table is read off the depth-n one (the builds
     at n = k = 4 were [4, 5, 4]), with the same bits as a fresh build."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(31), 2, 3))
-    defect = invariance_defect(cf, 1.2, 4, 4)
+    defect = fresh_defect(cf, 1.2, 4, 4)
     measure = mu_cesaro(cf, 1.2, 4, 4)
     builds = []
     build = equilibrium._cesaro
@@ -599,20 +543,3 @@ def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
     assert builds == [4, 5]
     assert diag.invariance_defect_max == defect
     assert diag.measure.masses.tobytes() == measure.masses.tobytes()
-
-
-@pytest.mark.parametrize(
-    "call,message",
-    [
-        (
-            lambda cf: jensen_residual(cf, 1.0, 3, CylinderMeasure(2, 2, np.full(4, 0.25))),
-            "measure depth 2 != level 3",
-        ),
-        (lambda cf: local_dimension_samples(cf, 1.0, 3, 0, 0), "count must be >= 1"),
-        (lambda cf: bernoulli_lower_estimate(cf, 1.0, 0), "depth must be >= 1"),
-    ],
-    ids=["jensen-depth", "samples-count", "bernoulli-depth"],
-)
-def test_equilibrium_rejects_bad_arguments(call, message):
-    with pytest.raises(ValueError, match=message):
-        call(swap_pair_cf())

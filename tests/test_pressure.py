@@ -22,18 +22,12 @@ from systems import (
 from selfaffine import (
     AffineIFS,
     BudgetExceededError,
-    CylinderMeasure,
     LevelOverflowError,
     NaturalCylinderFunction,
     NumericallySingularError,
     PartitionSumCache,
     affinity_dimension,
-    bernoulli_lower_estimate,
     diagnostics,
-    energy_depth,
-    invariance_defect,
-    jensen_residual,
-    local_dimension_samples,
     log_partition_sum,
     mu_cesaro,
     nu_weights,
@@ -289,10 +283,6 @@ def test_budget_exceeded_flags_partial_report():
     assert dim.truncated and [n for n, _ in dim.roots] == [1, 2, 3]
 
 
-def _uniform(depth):
-    return CylinderMeasure(3, depth, np.full(3**depth, 1.0 / 3**depth))
-
-
 #: Every library function that reads a level of a given potential, asked
 #: for level 4 of triple-diag (3^4 = 81 words).
 LEVEL_CONSUMERS = {
@@ -303,11 +293,6 @@ LEVEL_CONSUMERS = {
     "pressure_curve": lambda cf: pressure_curve(cf, [0.5, 1.0], 4),
     "nu_weights": lambda cf: nu_weights(cf, 1.0, 4),
     "mu_cesaro": lambda cf: mu_cesaro(cf, 1.0, 4, 2),
-    "energy_depth": lambda cf: energy_depth(cf, 1.0, _uniform(4)),
-    "jensen_residual": lambda cf: jensen_residual(cf, 1.0, 4, _uniform(4)),
-    "invariance_defect": lambda cf: invariance_defect(cf, 1.0, 4, 2),
-    "local_dimension_samples": lambda cf: local_dimension_samples(cf, 1.3, 4, 10, 0),
-    "bernoulli_lower_estimate": lambda cf: bernoulli_lower_estimate(cf, 1.0, 4),
     "diagnostics": lambda cf: diagnostics(cf, 1.0, 4, 2),
 }
 

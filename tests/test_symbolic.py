@@ -72,4 +72,4 @@ def test_pack_rejects_bad_symbol():
 @pytest.mark.parametrize("n", [-1, -7])
 def test_word_count_rejects_negative_length(n):
     with pytest.raises(ValueError, match=f"word length must be nonnegative, got {n}"):
-        check_budget(2, n)
+        check_budget(2, n, budget=32)
