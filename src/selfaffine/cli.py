@@ -1,11 +1,15 @@
 """Command-line surface: dim, pressure, measure, verify, render, boxdim.
 
 Reports are flat ``key = value`` text with CSV side files.  Every report
-embeds the tool version, the IFS content hash, and an echo of the
-mathematically relevant configuration; execution-only knobs (worker count,
-output paths) are excluded so identical computations produce byte-identical
-artifacts.  ``--workers`` is accepted and must be positive, but the library
-runs serially and the value has no effect.  Timing goes to stderr.
+embeds the tool version, the IFS content hash, and a ``config.<flag>`` line
+for every flag its command declares and the run sets, except the
+execution-only ``--ifs``, ``--out``, ``--workers``, ``--cache`` and
+``--save-points``, so identical computations produce byte-identical
+artifacts.  Each command declares only the flags it reads: ``--budget`` where
+a level is enumerated (all but ``verify``), ``--seed`` where random numbers
+are drawn (``verify``, ``render``, ``boxdim``).  ``--workers`` is accepted and
+must be positive, but the library runs serially and the value has no effect.
+Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -61,15 +65,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_report(path: Path, command: str, ifs, config: dict, body) -> None:
+def _write_report(path: Path, args, ifs, body) -> None:
+    """The report: a header, one ``config.<flag>`` line per set flag of the
+    command that is not execution-only, in name order, then ``body``."""
     lines = [
         f"tool = selfaffine {__version__}",
-        f"command = {command}",
+        f"command = {args.command}",
         f"ifs_name = {ifs.name}",
         f"ifs_hash = {ifs.content_hash()}",
         f"ambient_dimension = {ifs.dimension}",
     ]
-    lines += [f"config.{k} = {_fmt(config[k])}" for k in sorted(config)]
+    lines += [
+        f"config.{k} = {_fmt(v)}" for k, v in sorted(vars(args).items())
+        if v is not None and k not in ("command", "ifs", "out", "workers", "cache", "save_points")
+    ]
     lines += [f"{k} = {_fmt(v)}" for k, v in body]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -167,7 +176,6 @@ def cmd_dim(args) -> int:
     rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
     out = _out_dir(args)
     _write_csv(out / "roots.csv", "n,t_n", rep.roots)
-    config = {"nmax": args.nmax, "tol": args.tol, "budget": args.budget}
     body = [("levels_computed", len(rep.roots)), ("truncated", rep.truncated)]
     body += [(f"root.{n}", t_n) for n, t_n in rep.roots]
     body += [
@@ -179,7 +187,7 @@ def cmd_dim(args) -> int:
         ("prediction", rep.prediction),
         ("norm_half_hypothesis", "satisfied" if rep.norm_half_satisfied else "violated"),
     ]
-    _write_report(out / "dimension_report.txt", "dim", ifs, config, body)
+    _write_report(out / "dimension_report.txt", args, ifs, body)
     print(f"affinity dimension upper bound = {_fmt(rep.upper_bound)}")
     print(f"hausdorff dimension prediction = {_fmt(rep.prediction)}")
     print(f"wrote {out / 'dimension_report.txt'}")
@@ -195,7 +203,6 @@ def cmd_pressure(args) -> int:
     if grid is None:
         rep = pressure_sequence(cf, args.t, args.nmax)
         rows = [(rep.t, n, p) for n, p in rep.per_level]
-        config = {"t": args.t, "nmax": args.nmax, "budget": args.budget}
         body = [
             ("levels_computed", len(rep.per_level)),
             ("truncated", rep.truncated),
@@ -208,7 +215,6 @@ def cmd_pressure(args) -> int:
     else:
         curve = pressure_curve(cf, grid, args.nmax)
         rows = [(t, args.nmax, p) for t, p in curve]
-        config = {"t_grid": args.t_grid, "nmax": args.nmax, "budget": args.budget}
         body = [
             ("grid_points", len(curve)),
             ("P_first", curve[0][1]),
@@ -216,7 +222,7 @@ def cmd_pressure(args) -> int:
         ]
     out = _out_dir(args)
     _write_csv(out / "pressure.csv", "t,n,P_n", rows)
-    _write_report(out / "pressure_report.txt", "pressure", ifs, config, body)
+    _write_report(out / "pressure_report.txt", args, ifs, body)
     print(f"wrote {out / 'pressure.csv'}")
     return 0
 
@@ -231,14 +237,6 @@ def cmd_measure(args) -> int:
     measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
-    config = {
-        "t": "auto" if args.t is None else args.t,
-        "nmax": args.nmax,
-        "depth": args.depth,
-        "kind": args.kind,
-        "tol": args.tol,
-        "budget": args.budget,
-    }
     body = [
         ("t_used", t),
         ("provenance", measure.provenance),
@@ -248,23 +246,17 @@ def cmd_measure(args) -> int:
         ("gap", diag.gap),
         ("invariance_defect_max", diag.invariance_defect_max),
     ]
-    _write_report(out / "measure_report.txt", "measure", ifs, config, body)
+    _write_report(out / "measure_report.txt", args, ifs, body)
     print(f"wrote {out / 'measure.csv'}")
     return 0
 
 
 def cmd_verify(args) -> int:
     ifs = _load_ifs(args)
-    cf = _potential(args, ifs)
+    cf = NaturalCylinderFunction(ifs)  # single words only: no level, so no budget
     grid = parse_t_grid(args.t_grid)
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
     ok = rep.passed(VERIFY_SLACK_THRESHOLD)
-    config = {
-        "t_grid": args.t_grid,
-        "nmax": args.nmax,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
     body = [
         ("worst_subchain_violation", rep.worst_subchain_violation),
         ("worst_param_violation", rep.worst_param_violation),
@@ -273,7 +265,7 @@ def cmd_verify(args) -> int:
         ("verdict", "pass" if ok else "fail"),
     ]
     out = _out_dir(args)
-    _write_report(out / "verify_report.txt", "verify", ifs, config, body)
+    _write_report(out / "verify_report.txt", args, ifs, body)
     print(f"axiom verification: {'pass' if ok else 'FAIL'} (max slack {_fmt(rep.max_slack())})")
     return 0 if ok else 2
 
@@ -300,20 +292,6 @@ def _save_points(out: Path, game) -> None:
     _write_csv(out / "points.csv", header, game.points())
 
 
-def _cloud_config(args) -> dict:
-    return {
-        "count": args.count,
-        "burn_in": args.burn_in,
-        "seed": args.seed,
-        "chains": args.chains,
-        "driver": args.driver,
-        "t": "auto" if args.t is None else args.t,
-        "nmax": args.nmax,
-        "depth": args.depth,
-        "budget": args.budget,
-    }
-
-
 def cmd_render(args) -> int:
     ifs = _load_ifs(args)
     game, t_used = _make_cloud(args, ifs)
@@ -322,13 +300,12 @@ def cmd_render(args) -> int:
     (out / "attractor.pgm").write_bytes(pgm)
     if args.save_points:
         _save_points(out, game)
-    config = dict(_cloud_config(args), resolution=args.resolution)
     body = [
         ("points", args.count),
         ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
-    _write_report(out / "render_report.txt", "render", ifs, config, body)
+    _write_report(out / "render_report.txt", args, ifs, body)
     print(f"wrote {out / 'attractor.pgm'}")
     return 0
 
@@ -342,14 +319,13 @@ def cmd_boxdim(args) -> int:
     if args.save_points:
         _save_points(out, game)
     _write_csv(out / "boxdim_counts.csv", "scale,count", zip(result.scales, result.counts))
-    config = dict(_cloud_config(args), scales=args.scales)
     body = [
         ("estimate", result.estimate),
         ("fit_residual", result.residual),
         ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
-    _write_report(out / "boxdim_report.txt", "boxdim", ifs, config, body)
+    _write_report(out / "boxdim_report.txt", args, ifs, body)
     print(f"box-counting dimension estimate = {_fmt(result.estimate)}")
     return 0
 
@@ -364,22 +340,24 @@ def build_parser() -> _Parser:
     common.add_argument("--out", default="out", help="output directory (default: ./out)")
     common.add_argument("--workers", type=int, default=1,
                         help="accepted for compatibility; must be positive, has no effect")
-    common.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
+    levels = _Parser(add_help=False)  # the commands that enumerate a level
+    levels.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
                         help="max words enumerated per level")
-    common.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    seeded = _Parser(add_help=False)  # the commands that draw random numbers
+    seeded.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
 
-    p = sub.add_parser("dim", parents=[common], help="affinity dimension report")
+    p = sub.add_parser("dim", parents=[common, levels], help="affinity dimension report")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--tol", type=float, default=1e-9, help="root bracket width")
     p.add_argument("--cache", default=None, help="persistent partition-sum cache file")
 
-    p = sub.add_parser("pressure", parents=[common], help="pressure levels or curve")
+    p = sub.add_parser("pressure", parents=[common, levels], help="pressure levels or curve")
     p.add_argument("--t", type=float, default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None, metavar="A:B:STEP")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--cache", default=None)
 
-    p = sub.add_parser("measure", parents=[common], help="equilibrium-measure approximant")
+    p = sub.add_parser("measure", parents=[common, levels], help="equilibrium-measure approximant")
     p.add_argument("--t", type=float, default=None, help="default: level-nmax pressure root")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--depth", type=int, default=2)
@@ -387,13 +365,14 @@ def build_parser() -> _Parser:
     p.add_argument("--kind", choices=["mu", "nu"], default="mu")
     p.add_argument("--cache", default=None)
 
-    p = sub.add_parser("verify", parents=[common], help="check the cylinder-function axioms")
+    p = sub.add_parser("verify", parents=[common, seeded],
+                       help="check the cylinder-function axioms")
     p.add_argument("--t-grid", dest="t_grid", default="0.5:3.0:0.5", metavar="A:B:STEP")
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--samples", type=int, default=1000)
 
     for name, extra in (("render", "rasterize the attractor"), ("boxdim", "box-counting estimate")):
-        p = sub.add_parser(name, parents=[common], help=extra)
+        p = sub.add_parser(name, parents=[common, levels, seeded], help=extra)
         p.add_argument("--count", type=int, default=100000 if name == "render" else 200000)
         p.add_argument("--burn-in", dest="burn_in", type=int, default=200)
         p.add_argument("--chains", type=int, default=DEFAULT_CHAINS)

@@ -18,6 +18,9 @@ construction.  On a 1-D system the value is the product
 ``prod_i |a_{w_i}|^t``, which is multiplicative.  The word budget ``budget``,
 the most words a level may have, and the partition-sum ``cache`` ride on the
 potential; they change work, not values, so ``content_hash`` ignores both.
+The potential reads the maps once, at construction, and keeps no reference to
+the caller's array, so a later in-place edit of the IFS moves neither its
+values nor its ``content_hash``, the key its cached sums are filed under.
 
 The potential is exponents times level features: ``log_value(t, w)`` is the
 sum of ``c_k * F_k[w]`` over ``(k, c_k)`` in ``terms(t) = svf_compound_terms(t,
@@ -90,7 +93,6 @@ class NaturalCylinderFunction:
         for i, sv in enumerate(svals):
             if sv[0] >= 1.0:
                 raise ValueError(f"map {i} is not contractive (largest singular value {sv[0]:g})")
-        self.matrices = mats
         self.n_symbols = mats.shape[0]
         self.dimension = mats.shape[1]
         self._map_svals = np.array(svals)
@@ -100,6 +102,11 @@ class NaturalCylinderFunction:
         }
         self._features: dict[tuple[int, int], np.ndarray] = {}
         self._feature_bytes = 0
+        h = hashlib.sha256(b"natural-cylinder-function")
+        h.update(np.int64(self.n_symbols).tobytes())
+        h.update(np.int64(self.dimension).tobytes())
+        h.update(mats.tobytes())
+        self._hash = h.hexdigest()
 
     def terms(self, t: float) -> list[tuple[int, float]]:
         """The exponents ``[(k, c_k(t))]`` of ``log_value = sum_k c_k * F_k``."""
@@ -189,11 +196,7 @@ class NaturalCylinderFunction:
         return float(self._map_svals[:, -1].min()), float(self._map_svals[:, 0].max())
 
     def content_hash(self) -> str:
-        h = hashlib.sha256(b"natural-cylinder-function")
-        h.update(np.int64(self.n_symbols).tobytes())
-        h.update(np.int64(self.dimension).tobytes())
-        h.update(self.matrices.tobytes())
-        return h.hexdigest()
+        return self._hash
 
 
 @dataclass

@@ -243,7 +243,7 @@ def test_c11_determinism(tmp_path):
         }
         commands = {
             "dim": ["dim", "--nmax", "5", "--tol", "1e-9"],
-            "measure": ["measure", "--nmax", "6", "--depth", "2", "--seed", "3"],
+            "measure": ["measure", "--nmax", "6", "--depth", "2"],
             "render": ["render", "--count", "30000", "--seed", "3", "--resolution", "128"],
         }
         reference: dict[tuple[str, str], bytes] = {}

@@ -343,10 +343,16 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["render", "--count", "100", "--resolution", "1000000"],  # 7.3 TiB of hit counts
         ["boxdim", "--count", "100", "--seed", "-1"],
         ["measure", "--nmax", "3", "--tail-mode", "pad"],  # one Cesaro convention, no knob
+        # each command declares only the flags it reads
+        ["dim", "--nmax", "3", "--seed", "3"],
+        ["pressure", "--t", "1", "--nmax", "3", "--seed", "3"],
+        ["measure", "--nmax", "3", "--seed", "3"],
+        ["verify", "--nmax", "3", "--budget", "80"],
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
-         "boxdim-seed", "measure-tail-mode"],
+         "boxdim-seed", "measure-tail-mode", "dim-seed", "pressure-seed", "measure-seed",
+         "verify-budget"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -485,6 +491,58 @@ def test_reports_embed_version_config_hash(triple_path, tmp_path):
     assert report.startswith("tool = selfaffine 0.1.0\n")
     assert "config.nmax = 4" in report
     assert "ifs_hash = " in report
+
+
+#: Flags that change how a command runs or where it writes, never a report.
+EXECUTION_ONLY = {"command", "ifs", "out", "workers", "cache", "save_points"}
+
+
+@pytest.mark.parametrize(
+    "argv, unset, report",
+    [
+        (["dim", "--nmax", "3"], set(), "dimension_report.txt"),
+        (["pressure", "--t", "1", "--nmax", "3"], {"t_grid"}, "pressure_report.txt"),
+        (["measure", "--nmax", "3", "--depth", "2"], {"t"}, "measure_report.txt"),
+        (["verify", "--nmax", "3", "--samples", "20"], set(), "verify_report.txt"),
+        (["render", "--count", "2000", "--resolution", "16"], {"t"}, "render_report.txt"),
+        (["boxdim", "--count", "2000", "--driver", "equilibrium", "--t", "0.7", "--nmax", "3",
+          "--depth", "2", "--scales", "0.5,0.25,0.125", "--save-points"], set(),
+         "boxdim_report.txt"),
+    ],
+    ids=["dim", "pressure", "measure", "verify", "render", "boxdim"],
+)
+def test_report_echoes_every_declared_flag_it_sets(triple_path, tmp_path, argv, unset, report):
+    """A report has one ``config.<flag>`` line per flag its command declares,
+    except the execution-only ones and the flags left unset."""
+    out = tmp_path / "out"
+    cache = ["--cache", str(tmp_path / "c")] if argv[0] in ("dim", "pressure", "measure") else []
+    assert main(argv + cache + ["--ifs", str(triple_path), "--workers", "2",
+                                "--out", str(out)]) == 0
+    declared = set(vars(build_parser().parse_args([argv[0], "--ifs", "x"])))
+    lines = (out / report).read_text().splitlines()
+    echoed = [line.split(" = ")[0][len("config."):] for line in lines if line.startswith("config.")]
+    assert echoed == sorted(declared - EXECUTION_ONLY - unset)
+    assert f"config.{argv[1][2:].replace('-', '_')} = {argv[2]}" in lines
+
+
+@pytest.mark.parametrize("command", ["render", "boxdim"])
+def test_equilibrium_cloud_report_echoes_tol(tmp_path, command):
+    """``--tol`` sets the root the equilibrium driver runs at, so two runs
+    that differ only in it write different reports."""
+    path = tmp_path / "gp.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    grid = ["--resolution", "64"] if command == "render" else ["--scales", "0.5,0.25,0.125"]
+    reports = []
+    for tol in ("1e-6", "1e-2"):
+        out = tmp_path / tol
+        assert main([command, "--ifs", str(path), "--driver", "equilibrium", "--nmax", "6",
+                     "--depth", "3", "--count", "3000", *grid, "--tol", tol,
+                     "--out", str(out)]) == 0
+        lines = (out / f"{command}_report.txt").read_text().splitlines()
+        reports.append({line for line in lines if line.startswith(("config.tol", "t_used"))})
+    assert reports[0] != reports[1]
+    assert {line.split(" = ")[0] for line in reports[0]} == {"config.tol", "t_used"}
+    assert "config.tol = 0.01" in reports[1]
 
 
 def _fresh_cli(*args):

@@ -22,6 +22,7 @@ from selfaffine import (
     AxiomReport,
     LevelOverflowError,
     NaturalCylinderFunction,
+    PartitionSumCache,
     log_partition_sum,
     pack_word,
     verify_axioms,
@@ -293,6 +294,21 @@ def test_content_hash_distinguishes_content():
     n1 = NaturalCylinderFunction(triple_diag_ifs())
     assert n1.content_hash() == NaturalCylinderFunction(triple_diag_ifs()).content_hash()
     assert n1.content_hash() != a.content_hash()
+
+
+def test_potential_ignores_later_edits_of_the_maps():
+    """The potential reads the maps once: an in-place edit of the IFS moves
+    neither its hash nor its values, so the cache keeps one record under the
+    key of the maps its values came from."""
+    ifs = generic_pair_ifs()
+    cf = NaturalCylinderFunction(ifs, cache=PartitionSumCache())
+    key = cf.content_hash()
+    first = log_partition_sum(cf, 0.8, 6)
+    ifs.matrices[0, 0, 0] = 0.1
+    assert cf.content_hash() == key
+    assert log_partition_sum(cf, 0.8, 6) == first
+    assert len(cf.cache) == 1 and cf.cache.get((key, 0.8, 6)) == first
+    assert NaturalCylinderFunction(ifs).content_hash() != key
 
 
 #: (t, prefix, depth) block calls that cover every compound order of a d=3
