@@ -2,11 +2,11 @@
 
 An affine IFS is a list of maps x -> A_i x + a_i with non-singular contractive
 linear parts.  The attractor is realized by the chaos game (random iteration),
-optionally driven by the depth-k conditional masses of a cylinder measure so
-that the sampled orbit follows the projected equilibrium approximant rather
-than the uniform Bernoulli measure.  Box counting over corner-anchored grids
-gives the numerical dimension estimate used to cross-check the affinity
-dimension on sampled generic translations.
+driven by the depth-k conditional masses of a cylinder measure: the uniform
+Bernoulli measure (depth 1) by default, or the projected equilibrium
+approximant.  Box counting over corner-anchored grids gives the numerical
+dimension estimate used to cross-check the affinity dimension on sampled
+generic translations.
 
 Randomness: numpy's PCG64 behind ``default_rng``; 64-bit seeds.  Chains of the
 chaos game draw from per-chain streams created with ``SeedSequence.spawn``, so
@@ -32,15 +32,17 @@ checkpoints 0.51 MB; the play pass peaks at 3.8 MiB traced, these included,
 and box counting at 3.0 MiB (5.4 and 4.7 MiB with a byte per symbol).
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
-context c of a conditional driver walks the state c * (m + 1) through tables
-linear in the number of contexts, and its next context carries the symbol it
-emits, clamped to m - 1 when a uniform lies at or above its row's last
-cumulative mass (rows can end just below 1 after normalization).  A step maps
-each chain's column (x, 1) by its map's [A | a] in one einsum, summing each
-row left to right with a * 1 last: for d <= 2 that is the arithmetic of
-A x + a, and for d >= 3 it may differ in the last bits from numpy's
-pairwise-ordered ``A x`` of the earlier step-at-a-time loop (whose d = 3
-pinned clouds, ``conditional-11-d3`` and ``no-burn-in-d3``, were re-recorded).
+context c walks the state c * (m + 1) through tables linear in the number of
+contexts (one context for a depth-1 driver).  It emits the number s of its
+row's cumulative masses at or below its uniform, a symbol of positive mass
+for s < m, and m - 1 for s = m, when the uniform lies at or above the row's
+last cumulative mass (rows can end just below 1 after normalization); its
+next context carries the symbol it emits.  A step maps each chain's column
+(x, 1) by its map's [A | a] in one einsum, summing each row left to right
+with a * 1 last: for d <= 2 that is the arithmetic of A x + a, and for
+d >= 3 it may differ in the last bits from numpy's pairwise-ordered ``A x``
+of the earlier step-at-a-time loop (whose d = 3 pinned clouds,
+``conditional-11-d3`` and ``no-burn-in-d3``, were re-recorded).
 """
 
 from __future__ import annotations
@@ -58,8 +60,7 @@ from .linalg import MAX_DIM, singular_values
 #: it changes the sampled cloud, so it is fixed by default).
 DEFAULT_CHAINS = 512
 
-#: Lockstep chaos-game steps per chunk: one tape record and, for an i.i.d.
-#: driver, one symbol draw serve this many steps.
+#: Lockstep chaos-game steps per chunk: one tape record serves this many steps.
 CHUNK_STEPS = 64
 
 #: Chunks of uniforms drawn per refill of the chains' block: each refill is
@@ -186,53 +187,40 @@ def sample_translations(d: int, n_maps: int, count: int, radius: float, seed: in
     return rng.uniform(-radius, radius, size=(count, d * n_maps))
 
 
-def _driver_tables(ifs: AffineIFS, driver):
-    """Resolve a chaos-game driver into (iid cumulative probs, conditional
-    cumulative masses, provenance tag).  The conditional table is
-    (contexts, m): row c holds context c's cumulative masses, and context c
-    is the packed index of the last k - 1 symbols of a depth-k driver."""
+def _driver_tables(ifs: AffineIFS, driver) -> tuple[np.ndarray, str]:
+    """Resolve a chaos-game driver, None (the uniform Bernoulli measure) or a
+    ``CylinderMeasure`` of depth k, into its (contexts, m) table of cumulative
+    conditional masses and its provenance tag.  Row c holds context c's
+    normalized cumulative masses (uniform if c has no mass); context c packs
+    the last k - 1 symbols, so a depth-1 driver has one context."""
     from .equilibrium import CylinderMeasure
 
     m = ifs.n_maps
     if driver is None:
-        probs = np.full(m, 1.0 / m)
-        return np.cumsum(probs), None, "uniform"
-    if isinstance(driver, CylinderMeasure):
-        if driver.n_symbols != m:
-            raise ValueError("driver measure is over a different alphabet")
-        k = driver.depth
-        if k == 1:
-            return np.cumsum(driver.masses), None, driver.provenance
-        rows = driver.masses.reshape(m ** (k - 1), m)
-        row_sums = rows.sum(axis=1, keepdims=True)
-        cond = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 1.0 / m)
-        return None, np.cumsum(cond, axis=1), driver.provenance
-    probs = np.asarray(driver, dtype=float)
-    with np.errstate(all="ignore"):
-        total = probs.sum()  # inf when finite weights overflow
-    if (probs.shape != (m,) or not np.isfinite(probs).all() or probs.min() < 0
-            or not 0 < total < math.inf):
-        raise ValueError(
-            "weight driver must be a finite, nonnegative vector with positive, finite sum, "
-            "one entry per map"
-        )
-    probs = probs / total
-    return np.cumsum(probs), None, f"weights({probs.tolist()})"
+        driver = CylinderMeasure(m, 1, np.full(m, 1.0 / m), provenance="uniform")
+    if not isinstance(driver, CylinderMeasure):
+        raise TypeError(f"driver must be None or a CylinderMeasure, got {type(driver).__name__}")
+    if driver.n_symbols != m:
+        raise ValueError("driver measure is over a different alphabet")
+    rows = driver.masses.reshape(-1, m)
+    row_sums = rows.sum(axis=1, keepdims=True)
+    cond = np.where(row_sums > 0, rows / np.where(row_sums > 0, row_sums, 1.0), 1.0 / m)
+    return np.cumsum(cond, axis=1), driver.provenance
 
 
-def _context_walk(cond_cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _context_walk(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of the conditional walk, each linear in the number of contexts.
 
     A chain in context c is in state z = c * (m + 1).  Column z of the
     (m, contexts * (m + 1)) view ``cum_rows`` is context c's cumulative row (a
     window on one flat array of the rows, each followed by a pad).  For the
-    number s in 0..m of that row's entries below a uniform, the chain emits
+    number s in 0..m of that row's entries at or below a uniform, the chain emits
     ``symbol[z + s] = min(s, m - 1)`` and moves to ``next_state[z + s]``, the
     state of context (c * m + min(s, m - 1)) mod contexts: the context
     carries the clamped symbol, the one the chain emits."""
-    contexts, m = cond_cum.shape
+    contexts, m = cum.shape
     flat = np.zeros(contexts * (m + 1) + m - 1)
-    flat[: contexts * (m + 1)].reshape(contexts, m + 1)[:, :m] = cond_cum
+    flat[: contexts * (m + 1)].reshape(contexts, m + 1)[:, :m] = cum
     cum_rows = np.lib.stride_tricks.sliding_window_view(flat, m).T
     clamped = np.minimum(np.arange(m + 1), m - 1)
     next_state = (np.arange(contexts)[:, None] * m + clamped) % contexts * (m + 1)
@@ -279,7 +267,7 @@ class ChaosGame:
         base, extra = self._base, self._extra = divmod(count, n_chains)
         total_steps = burn_in + base + (1 if extra else 0)
         chunk = min(CHUNK_STEPS, total_steps)
-        iid_cum, cond_cum, self.driver = _driver_tables(ifs, driver)
+        cum, self.driver = _driver_tables(ifs, driver)
         # [:, :, i] is the transpose of [A_i | a_i].  With the summed index j
         # outermost in the gathered maps, numpy's einsum adds the terms in
         # order of j for any number of chains; with j innermost it pairs them
@@ -301,7 +289,7 @@ class ChaosGame:
         self._starts = np.empty((d, lanes))
         # each chain's least and greatest kept coordinates; nan propagates
         lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
-        for start, sym, states in self._play(seed, total_steps, chunk, iid_cum, cond_cum):
+        for start, sym, states in self._play(seed, total_steps, chunk, cum):
             lane = (start // chunk - first) * n_chains
             if lane < 0:
                 continue
@@ -328,7 +316,7 @@ class ChaosGame:
     def dimension(self) -> int:
         return len(self.mins)
 
-    def _play(self, seed, total_steps, chunk, iid_cum, cond_cum):
+    def _play(self, seed, total_steps, chunk, cum):
         """Play the game: for each chunk, yield its first step ``start``, its
         symbols (step, chain) and its states (step + 1, d + 1, chain).  Row 0
         of the states is the state carried into the chunk, row s + 1 the
@@ -342,12 +330,11 @@ class ChaosGame:
         states = np.ones((chunk + 1, d + 1, n_chains))
         states[0, :d] = 0.0
         maps = np.empty((d + 1, d, n_chains))  # one step's [A | a] columns
-        if cond_cum is not None:
-            cum_rows, next_state, symbol = _context_walk(cond_cum)
-            state = np.zeros(n_chains, dtype=np.intp)
-            cum_row = np.empty((m, n_chains))
-            below = np.empty((m, n_chains), dtype=bool)
-            n_below = np.empty(n_chains, dtype=np.intp)
+        cum_rows, next_state, symbol = _context_walk(cum)
+        state = np.zeros(n_chains, dtype=np.intp)
+        cum_row = np.empty((m, n_chains))
+        reached = np.empty((m, n_chains), dtype=bool)
+        n_reached = np.empty(n_chains, dtype=np.intp)
         for start in range(0, total_steps, chunk):
             steps = min(chunk, total_steps - start)
             offset = start % uniforms.shape[1]
@@ -356,20 +343,16 @@ class ChaosGame:
                 for row, rng in zip(uniforms, rngs):
                     rng.random(out=row[:width])
             u = uniforms[:, offset : offset + steps].T  # (step, chain)
-            if cond_cum is None:
-                sym = np.searchsorted(iid_cum, u, side="right")
-                np.minimum(sym, m - 1, out=sym)
-            else:
-                moved = np.empty((steps, n_chains), dtype=np.intp)
-                for r, z_s in zip(u, moved):
-                    # z + s, with s the number of the context row's masses below r
-                    # mode="clip": indices are in range, and "raise" would buffer ``out``
-                    cum_rows.take(state, axis=1, out=cum_row, mode="clip")
-                    np.less(cum_row, r, out=below)
-                    np.add.reduce(below, axis=0, out=n_below)
-                    np.add(state, n_below, out=z_s)
-                    next_state.take(z_s, out=state, mode="clip")
-                sym = symbol.take(moved)
+            moved = np.empty((steps, n_chains), dtype=np.intp)
+            for r, z_s in zip(u, moved):
+                # z + s, with s the number of the context row's masses at or below r
+                # mode="clip": indices are in range, and "raise" would buffer ``out``
+                cum_rows.take(state, axis=1, out=cum_row, mode="clip")
+                np.less_equal(cum_row, r, out=reached)
+                np.add.reduce(reached, axis=0, out=n_reached)
+                np.add(state, n_reached, out=z_s)
+                next_state.take(z_s, out=state, mode="clip")
+            sym = symbol.take(moved)
             for s in range(steps):
                 columns.take(sym[s], axis=2, out=maps, mode="clip")
                 np.einsum("jic,jc->ic", maps, states[s], out=states[s + 1, :d])
@@ -592,7 +575,7 @@ def box_dimension(cloud, scales) -> BoxDimensionResult:
     )
 
 
-def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
+def render_pgm(cloud, resolution: int) -> bytes:
     """Binary PGM (P5) raster of hit counts, log-scaled to 8 bits.
 
     Byte-exact for fixed inputs: header ``P5\\n<w> <h>\\n255\\n`` followed by
@@ -614,9 +597,8 @@ def render_pgm(cloud, resolution: int, bounds=None) -> bytes:
     mins, maxs, read = chunked
 
     flat = len(mins) < 2  # a 1-D cloud is drawn at y = 0
-    if bounds is None:
-        bounds = ((mins[0], maxs[0]), (0.0, 0.0) if flat else (mins[1], maxs[1]))
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    x_lo, x_hi = mins[0], maxs[0]
+    y_lo, y_hi = (0.0, 0.0) if flat else (mins[1], maxs[1])
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_lo + 0.5
     if y_hi <= y_lo:

@@ -272,7 +272,8 @@ def cmd_verify(args) -> int:
 
 def _make_cloud(args, ifs):
     """The ``ChaosGame`` of ``render`` and ``boxdim`` and the ``t`` of its
-    equilibrium driver (None for the uniform one)."""
+    equilibrium driver.  The uniform driver reads no equilibrium flag, so it
+    clears them (its report then echoes none) and its ``t`` is None."""
     driver = None
     t_used = None
     if args.driver == "equilibrium":
@@ -281,6 +282,8 @@ def _make_cloud(args, ifs):
         if t_used is None:
             t_used = pressure_root(cf, args.nmax, args.tol)
         driver = mu_cesaro(cf, t_used, args.nmax, args.depth)
+    else:
+        args.t = args.nmax = args.depth = args.tol = args.budget = None
     game = ChaosGame(
         ifs, args.count, burn_in=args.burn_in, seed=args.seed, driver=driver, chains=args.chains
     )

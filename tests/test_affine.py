@@ -182,20 +182,13 @@ class TestAttractorPoints:
                 ChaosGame(cantor_ifs(), 100, chains=chains)
         assert len(ChaosGame(cantor_ifs(), 100, chains=1).points()) == 100
 
-    def test_weight_driver_and_mismatch(self):
-        ifs = cantor_ifs()
-        game = ChaosGame(ifs, 500, burn_in=50, seed=1, driver=[0.9, 0.1])
+    def test_weight_list_driver_rejected(self):
+        """A driver is None or a ``CylinderMeasure``; weights become a depth-1 one."""
+        with pytest.raises(TypeError, match="CylinderMeasure"):
+            ChaosGame(cantor_ifs(), 100, driver=[0.9, 0.1])
+        game = ChaosGame(cantor_ifs(), 500, burn_in=50, seed=1,
+                         driver=CylinderMeasure(2, 1, [0.9, 0.1]))
         assert game.points().shape == (500, 1)
-        with pytest.raises(ValueError):
-            ChaosGame(ifs, 100, driver=[1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            ChaosGame(ifs, 100, driver=[0.0, 0.0])
-        for weights in ([math.nan, 1.0], [math.inf, 1.0]):
-            with pytest.raises(ValueError, match="finite"):
-                ChaosGame(ifs, 100, driver=weights)
-        # finite weights whose sum overflows, with no overflow warning
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="finite sum"):
-            ChaosGame(ifs, 100, driver=[1e308, 1e308])
 
 
 def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
@@ -203,13 +196,19 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
     """The chain-major cloud and driver tag of the chaos game played one
     lockstep step at a time, with the per-chain uniforms in a step-major
     array and the context carrying the clamped symbol: the loop the chaos
-    game ran before it stepped in chunks."""
+    game ran before it stepped in chunks.  The cumulative rows come from the
+    measure itself; one context draws i.i.d. symbols by ``searchsorted``, and
+    a deeper driver counts the row's masses at or below each uniform."""
     m = ifs.n_maps
     n_chains = min(chains, count)
     base, extra = divmod(count, n_chains)
     keep = base + (1 if extra else 0)
     total_steps = burn_in + keep
-    iid_cum, cond_cum, tag = _driver_tables(ifs, driver)
+    if driver is None:
+        driver = CylinderMeasure(m, 1, np.full(m, 1.0 / m), provenance="uniform")
+    rows = driver.masses.reshape(-1, m)
+    sums = rows.sum(axis=1, keepdims=True)
+    cum = np.cumsum(np.where(sums > 0, rows / np.where(sums > 0, sums, 1.0), 1.0 / m), axis=1)
     uniforms = np.empty((total_steps, n_chains))
     for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
         uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
@@ -221,11 +220,11 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
     ctx = np.zeros(n_chains, dtype=np.int64)
     for step in range(total_steps):
         r = uniforms[step]
-        if cond_cum is None:
-            sym = np.minimum(np.searchsorted(iid_cum, r, side="right"), m - 1)
+        if len(cum) == 1:
+            sym = np.minimum(np.searchsorted(cum[0], r, side="right"), m - 1)
         else:
-            sym = np.minimum((cond_cum.take(ctx, axis=0) < r[:, None]).sum(axis=1), m - 1)
-            ctx = (ctx * m + sym) % len(cond_cum)
+            sym = np.minimum((cum.take(ctx, axis=0) <= r[:, None]).sum(axis=1), m - 1)
+            ctx = (ctx * m + sym) % len(cum)
         maps = ifs.matrices.take(sym, axis=0)
         x = np.einsum("cij,cj->ci", maps, x) + ifs.translations.take(sym, axis=0)
         i = step - burn_in
@@ -233,7 +232,7 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
             longer[:, i] = x[:extra]
             if i < base:
                 shorter[:, i] = x[extra:]
-    return points, tag
+    return points, driver.provenance
 
 
 def _assert_reference_rows(points, reference):
@@ -253,7 +252,7 @@ def _sweep_driver(rng, kind, m):
     if kind == "weights":
         weights = rng.random(m) * (rng.random(m) < 0.7)
         weights[rng.integers(m)] += 0.1  # a positive sum
-        return weights.tolist()
+        return CylinderMeasure(m, 1, weights / weights.sum())
     depth = int(kind[-1])
     masses = rng.random(m**depth) * (rng.random(m**depth) < 0.6)  # rows of zero mass
     masses[rng.integers(m**depth)] += 0.1
@@ -319,7 +318,7 @@ class TestChunkedChaosGame:
         driver = CylinderMeasure(5, 2, masses / masses.sum())
         top = np.nextafter(1.0, 0.0)
         # normalized, context 0's cumulative row ends below the largest uniform
-        assert _driver_tables(ifs, driver)[1][0, -1] < top
+        assert _driver_tables(ifs, driver)[0][0, -1] < top
 
         class Stream:
             """Draws ``top``, then 0.5 for ever."""
@@ -344,6 +343,36 @@ class TestChunkedChaosGame:
         assert symbols[:2] == [4, 0]  # context 4 sends all its mass to symbol 0
         assert driver.masses[pack_word(symbols[1:3], 5)] > 0
 
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_symbol_of_zero_mass_never_emitted(self, monkeypatch, depth):
+        """A uniform of 0.0 draws the first symbol of positive mass at every
+        depth: a symbol is the number of its row's cumulative masses at or
+        below the uniform, the rule of ``searchsorted(side="right")``."""
+        ifs = AffineIFS(1, np.full((3, 1, 1), 0.1), np.arange(3.0)[:, None], name="ternary")
+        masses = np.random.default_rng(9).random(3**depth) + 0.1
+        masses[::3] = 0.0  # no mass on symbol 0 in any context
+        driver = CylinderMeasure(3, depth, masses / masses.sum())
+
+        class Stream:
+            """Draws 0.0 for ever."""
+
+            def __init__(self, seed_sequence):
+                pass
+
+            def random(self, size=None, out=None):
+                if out is None:
+                    return np.zeros(size)
+                out[:] = 0.0
+                return out
+
+        monkeypatch.setattr(affine.np.random, "default_rng", Stream)
+        points = ChaosGame(ifs, 4, burn_in=0, driver=driver, chains=1).points()
+        x = np.concatenate(([0.0], points[:, 0]))
+        symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
+        assert symbols == [1, 1, 1, 1]
+        reference, _ = _reference_attractor_points(ifs, 4, burn_in=0, driver=driver, chains=1)
+        assert points.tobytes() == reference.tobytes()
+
 
 def _sorted_rows(points):
     """The rows of a point array in lexicographic order."""
@@ -367,7 +396,8 @@ class TestReplayedChaosGame:
         ifs = random_affine_ifs(rng, d, 3)
         driver = None  # drivers that use every map: no cloud collapses to a point
         if kind == "weights":
-            driver = (rng.random(3) + 0.1).tolist()
+            weights = rng.random(3) + 0.1
+            driver = CylinderMeasure(3, 1, weights / weights.sum())
         elif kind == "depth-2":
             masses = rng.random(9) + 0.05
             driver = CylinderMeasure(3, 2, masses / masses.sum())
@@ -434,7 +464,8 @@ def _pin_case(name):
     if name == "uniform-d2":  # default 512 chains; 1500 % 512 != 0
         return generic_pair_ifs(), 1500, dict(burn_in=50, seed=3)
     if name == "weights-d1":
-        return cantor_ifs(), 777, dict(burn_in=20, seed=4, driver=[0.3, 0.7], chains=10)
+        driver = CylinderMeasure(2, 1, [0.3, 0.7], provenance="weights([0.3, 0.7])")
+        return cantor_ifs(), 777, dict(burn_in=20, seed=4, driver=driver, chains=10)
     if name == "cesaro-depth1-d2":  # count % chains == 0
         ifs = generic_pair_ifs()
         return ifs, 600, dict(burn_in=30, seed=5, driver=_cesaro_driver(ifs, 0.86, 6, 1), chains=8)
@@ -448,7 +479,8 @@ def _pin_case(name):
         return swap_pair_ifs(), 5, dict(burn_in=10, seed=8, chains=16)
     if name == "no-burn-in-d3":
         ifs = random_affine_ifs(np.random.default_rng(6), 3, 3)
-        return ifs, 300, dict(burn_in=0, seed=9, driver=[0.5, 0.2, 0.3], chains=12)
+        driver = CylinderMeasure(3, 1, [0.5, 0.2, 0.3], provenance="weights([0.5, 0.2, 0.3])")
+        return ifs, 300, dict(burn_in=0, seed=9, driver=driver, chains=12)
     raise KeyError(name)
 
 
@@ -720,7 +752,7 @@ class TestRenderPGM:
         assert raster == b"P5\n16 16\n255\n" + bytes(256)
 
     def test_single_point_center(self):
-        raster = render_pgm(np.array([[0.0, 0.0]]), 32, bounds=((-1, 1), (-1, 1)))
+        raster = render_pgm(np.array([[0.0, 0.0]]), 32)
         body = raster[len(b"P5\n32 32\n255\n") :]
         assert sum(1 for b in body if b != 0) == 1
 
@@ -738,15 +770,14 @@ class TestRenderPGM:
 
     def test_chunked_hits_match_one_pass(self):
         """Hits counted chunk by chunk give the bytes of one pass over the
-        cloud, for 2-D and 1-D clouds, with and without bounds."""
+        cloud, for 2-D and 1-D clouds."""
         cloud = ChaosGame(generic_pair_ifs(), 3000, burn_in=50, seed=4).points()
         for points in (cloud, cloud[:, :1]):
-            for bounds in (None, ((-0.2, 0.9), (0.1, 0.6))):
-                raster = render_pgm(points, 64, bounds)
-                with pytest.MonkeyPatch.context() as patch:
-                    patch.setattr(affine, "CHUNK_POINTS", 7)
-                    assert render_pgm(points, 64, bounds) == raster
-                assert raster == _one_pass_pgm(points, 64, bounds)
+            raster = render_pgm(points, 64)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(affine, "CHUNK_POINTS", 7)
+                assert render_pgm(points, 64) == raster
+            assert raster == _one_pass_pgm(points, 64)
 
     def test_resolution_floor(self):
         """A side below ``MIN_RESOLUTION`` or above ``MAX_RESOLUTION`` is
@@ -757,13 +788,11 @@ class TestRenderPGM:
                 render_pgm(np.array([[0.0, 0.0]]), resolution)
 
 
-def _one_pass_pgm(points, resolution, bounds):
+def _one_pass_pgm(points, resolution):
     """The raster from full-length pixel columns and one ``np.bincount``."""
     xs = points[:, 0]
     ys = points[:, 1] if points.shape[1] >= 2 else np.zeros(len(points))
-    if bounds is None:
-        bounds = ((xs.min(), xs.max()), (ys.min(), ys.max()))
-    (x_lo, x_hi), (y_lo, y_hi) = bounds
+    (x_lo, x_hi), (y_lo, y_hi) = (xs.min(), xs.max()), (ys.min(), ys.max())
     if x_hi <= x_lo:
         x_lo, x_hi = x_lo - 0.5, x_lo + 0.5
     if y_hi <= y_lo:

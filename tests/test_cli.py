@@ -504,7 +504,8 @@ EXECUTION_ONLY = {"command", "ifs", "out", "workers", "cache", "save_points"}
         (["pressure", "--t", "1", "--nmax", "3"], {"t_grid"}, "pressure_report.txt"),
         (["measure", "--nmax", "3", "--depth", "2"], {"t"}, "measure_report.txt"),
         (["verify", "--nmax", "3", "--samples", "20"], set(), "verify_report.txt"),
-        (["render", "--count", "2000", "--resolution", "16"], {"t"}, "render_report.txt"),
+        (["render", "--count", "2000", "--resolution", "16"],
+         {"t", "nmax", "depth", "tol", "budget"}, "render_report.txt"),
         (["boxdim", "--count", "2000", "--driver", "equilibrium", "--t", "0.7", "--nmax", "3",
           "--depth", "2", "--scales", "0.5,0.25,0.125", "--save-points"], set(),
          "boxdim_report.txt"),
@@ -513,7 +514,10 @@ EXECUTION_ONLY = {"command", "ifs", "out", "workers", "cache", "save_points"}
 )
 def test_report_echoes_every_declared_flag_it_sets(triple_path, tmp_path, argv, unset, report):
     """A report has one ``config.<flag>`` line per flag its command declares,
-    except the execution-only ones and the flags left unset."""
+    except the execution-only ones and the flags left unset.  A uniform
+    ``render`` reads none of the equilibrium driver's flags, so it unsets
+    them: its report echoes no ``--t``, ``--nmax``, ``--depth``, ``--tol`` or
+    ``--budget``."""
     out = tmp_path / "out"
     cache = ["--cache", str(tmp_path / "c")] if argv[0] in ("dim", "pressure", "measure") else []
     assert main(argv + cache + ["--ifs", str(triple_path), "--workers", "2",
@@ -543,6 +547,23 @@ def test_equilibrium_cloud_report_echoes_tol(tmp_path, command):
     assert reports[0] != reports[1]
     assert {line.split(" = ")[0] for line in reports[0]} == {"config.tol", "t_used"}
     assert "config.tol = 0.01" in reports[1]
+
+
+@pytest.mark.parametrize("command", ["render", "boxdim"])
+def test_uniform_cloud_report_ignores_equilibrium_flags(tmp_path, command):
+    """The uniform driver reads no equilibrium flag, so two runs that differ
+    only in ``--tol`` and ``--nmax`` write byte-identical reports."""
+    path = tmp_path / "gp.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    grid = ["--resolution", "64"] if command == "render" else ["--scales", "0.5,0.25,0.125"]
+    reports = []
+    for name, flags in (("default", []), ("set", ["--tol", "1e-2", "--nmax", "4"])):
+        out = tmp_path / name
+        assert main([command, "--ifs", str(path), "--count", "3000", *grid, *flags,
+                     "--out", str(out)]) == 0
+        reports.append((out / f"{command}_report.txt").read_bytes())
+    assert reports[0] == reports[1]
+    assert b"config.tol" not in reports[0] and b"t_used = none" in reports[0]
 
 
 def _fresh_cli(*args):
