@@ -32,12 +32,13 @@ checkpoints 0.51 MB; the play pass peaks at 3.8 MiB traced, these included,
 and box counting at 3.0 MiB (5.4 and 4.7 MiB with a byte per symbol).
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
-context c walks the state c * (m + 1) through tables linear in the number of
+context c walks the state c * m through tables linear in the number of
 contexts (one context for a depth-1 driver).  It emits the number s of its
-row's cumulative masses at or below its uniform, a symbol of positive mass
-for s < m, and m - 1 for s = m, when the uniform lies at or above the row's
-last cumulative mass (rows can end just below 1 after normalization); its
-next context carries the symbol it emits.  A step maps each chain's column
+row's cumulative masses at or below its uniform, of those below the row's
+last: the symbol whose interval holds the uniform or, for a uniform at or
+above the last mass (a normalized row can end just below 1), the row's last
+symbol of positive mass.  So no symbol of zero mass is ever drawn, and the
+next context carries the symbol drawn.  A step maps each chain's column
 (x, 1) by its map's [A | a] in one einsum, summing each row left to right
 with a * 1 last: for d <= 2 that is the arithmetic of A x + a, and for
 d >= 3 it may differ in the last bits from numpy's pairwise-ordered ``A x``
@@ -211,20 +212,18 @@ def _driver_tables(ifs: AffineIFS, driver) -> tuple[np.ndarray, str]:
 def _context_walk(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tables of the conditional walk, each linear in the number of contexts.
 
-    A chain in context c is in state z = c * (m + 1).  Column z of the
-    (m, contexts * (m + 1)) view ``cum_rows`` is context c's cumulative row (a
-    window on one flat array of the rows, each followed by a pad).  For the
-    number s in 0..m of that row's entries at or below a uniform, the chain emits
-    ``symbol[z + s] = min(s, m - 1)`` and moves to ``next_state[z + s]``, the
-    state of context (c * m + min(s, m - 1)) mod contexts: the context
-    carries the clamped symbol, the one the chain emits."""
+    A chain in context c is in state z = c * m.  Column z of the
+    (m, (contexts - 1) * m + 1) view ``cum_rows`` is context c's cumulative
+    row (a window on one flat array of the rows), with +inf for every entry
+    that reaches the row's last value.  So the number s of its entries at or
+    below a uniform is a symbol of positive mass, and the chain emits
+    ``symbol[z + s] = s`` and moves to ``next_state[z + s]``, the state of
+    context (c * m + s) mod contexts."""
     contexts, m = cum.shape
-    flat = np.zeros(contexts * (m + 1) + m - 1)
-    flat[: contexts * (m + 1)].reshape(contexts, m + 1)[:, :m] = cum
+    flat = np.where(cum < cum[:, -1:], cum, np.inf).ravel()
     cum_rows = np.lib.stride_tricks.sliding_window_view(flat, m).T
-    clamped = np.minimum(np.arange(m + 1), m - 1)
-    next_state = (np.arange(contexts)[:, None] * m + clamped) % contexts * (m + 1)
-    return cum_rows, next_state.ravel(), np.tile(clamped, contexts)
+    z = np.arange(contexts * m)
+    return cum_rows, z % contexts * m, z % m
 
 
 class ChaosGame:
@@ -287,8 +286,8 @@ class ChaosGame:
         self._chunk = chunk
         self._tape = np.zeros((-(-chunk // per), lanes), dtype=word)
         self._starts = np.empty((d, lanes))
-        # each chain's least and greatest kept coordinates; nan propagates
-        lowest, highest = np.full((d, n_chains), math.inf), np.full((d, n_chains), -math.inf)
+        # the least and greatest kept coordinates; nan propagates
+        lowest, highest = np.full(d, math.inf), np.full(d, -math.inf)
         for start, sym, states in self._play(seed, total_steps, chunk, cum):
             lane = (start // chunk - first) * n_chains
             if lane < 0:
@@ -304,13 +303,11 @@ class ChaosGame:
             lo, hi = max(start - burn_in, 0), start + steps - burn_in
             kept = states[steps + 1 - max(hi - lo, 0) :, :d]
             every, longer_only = kept[: base - lo], kept[base - lo :, :, :extra]
-            for iterates, which in ((every, slice(None)), (longer_only, slice(extra))):
-                if len(iterates):
-                    low, high = lowest[:, which], highest[:, which]
-                    np.minimum(low, iterates.min(axis=0), out=low)
-                    np.maximum(high, iterates.max(axis=0), out=high)
-        self.mins = tuple(lowest.min(axis=1).tolist())
-        self.maxs = tuple(highest.max(axis=1).tolist())
+            for iterates in (every, longer_only):
+                if iterates.size:
+                    np.minimum(lowest, iterates.min(axis=(0, 2)), out=lowest)
+                    np.maximum(highest, iterates.max(axis=(0, 2)), out=highest)
+        self.mins, self.maxs = tuple(lowest.tolist()), tuple(highest.tolist())
 
     @property
     def dimension(self) -> int:

@@ -195,10 +195,12 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
                                 chains=DEFAULT_CHAINS):
     """The chain-major cloud and driver tag of the chaos game played one
     lockstep step at a time, with the per-chain uniforms in a step-major
-    array and the context carrying the clamped symbol: the loop the chaos
-    game ran before it stepped in chunks.  The cumulative rows come from the
-    measure itself; one context draws i.i.d. symbols by ``searchsorted``, and
-    a deeper driver counts the row's masses at or below each uniform."""
+    array: the loop the chaos game ran before it stepped in chunks.  The
+    cumulative rows come from the measure itself; one context draws i.i.d.
+    symbols by ``searchsorted``, and a deeper driver counts the row's masses
+    at or below each uniform.  A uniform at or above a row's last mass draws
+    the first symbol whose cumulative mass reaches the row's end, the row's
+    last symbol of positive mass."""
     m = ifs.n_maps
     n_chains = min(chains, count)
     base, extra = divmod(count, n_chains)
@@ -209,6 +211,7 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
     rows = driver.masses.reshape(-1, m)
     sums = rows.sum(axis=1, keepdims=True)
     cum = np.cumsum(np.where(sums > 0, rows / np.where(sums > 0, sums, 1.0), 1.0 / m), axis=1)
+    last = (cum < cum[:, -1:]).sum(axis=1)  # per row, the first index at its end
     uniforms = np.empty((total_steps, n_chains))
     for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
         uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
@@ -221,9 +224,9 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
     for step in range(total_steps):
         r = uniforms[step]
         if len(cum) == 1:
-            sym = np.minimum(np.searchsorted(cum[0], r, side="right"), m - 1)
+            sym = np.minimum(np.searchsorted(cum[0], r, side="right"), last[0])
         else:
-            sym = np.minimum((cum.take(ctx, axis=0) <= r[:, None]).sum(axis=1), m - 1)
+            sym = np.minimum((cum.take(ctx, axis=0) <= r[:, None]).sum(axis=1), last.take(ctx))
             ctx = (ctx * m + sym) % len(cum)
         maps = ifs.matrices.take(sym, axis=0)
         x = np.einsum("cij,cj->ci", maps, x) + ifs.translations.take(sym, axis=0)
@@ -244,6 +247,32 @@ def _assert_reference_rows(points, reference):
     else:
         scale = np.abs(reference).max()
         assert np.abs(points - reference).max() <= 4 * np.finfo(float).eps * scale
+
+
+def _patch_uniforms(monkeypatch, first, then):
+    """Make every stream's ``random`` call draw ``first``, then ``then``
+    for the rest of the call."""
+
+    class Stream:
+        def __init__(self, seed_sequence):
+            pass
+
+        def random(self, size=None, out=None):
+            values = np.full(size if out is None else len(out), then)
+            values[:1] = first
+            if out is None:
+                return values
+            out[:] = values
+            return out
+
+    monkeypatch.setattr(affine.np.random, "default_rng", Stream)
+
+
+def _decimal_symbols(points):
+    """The symbols that moved a 1-D game of the maps x -> x / 10 + i from the
+    origin to ``points``."""
+    x = np.concatenate(([0.0], points[:, 0]))
+    return np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
 
 
 def _sweep_driver(rng, kind, m):
@@ -309,9 +338,10 @@ class TestChunkedChaosGame:
         _assert_reference_rows(_sorted_rows(replayed), _sorted_rows(reference))
 
     def test_context_carries_the_clamped_symbol(self, monkeypatch):
-        """A uniform at or above a context row's last cumulative mass emits
-        the last symbol, and the next context is that symbol's, not a carry
-        into the previous context digit."""
+        """A uniform at or above a context row's last cumulative mass draws
+        the row's last symbol of positive mass, here its last symbol, and
+        the next context is that symbol's, not a carry into the previous
+        context digit."""
         ifs = AffineIFS(1, np.full((5, 1, 1), 0.1), np.arange(5.0)[:, None], name="decimal")
         masses = np.random.default_rng(8).random(25)
         masses[20:] = (1, 0, 0, 0, 0)
@@ -319,27 +349,11 @@ class TestChunkedChaosGame:
         top = np.nextafter(1.0, 0.0)
         # normalized, context 0's cumulative row ends below the largest uniform
         assert _driver_tables(ifs, driver)[0][0, -1] < top
-
-        class Stream:
-            """Draws ``top``, then 0.5 for ever."""
-
-            def __init__(self, seed_sequence):
-                pass
-
-            def random(self, size=None, out=None):
-                values = np.full(size if out is None else len(out), 0.5)
-                values[0] = top
-                if out is None:
-                    return values
-                out[:] = values
-                return out
-
-        monkeypatch.setattr(affine.np.random, "default_rng", Stream)
+        _patch_uniforms(monkeypatch, top, 0.5)
         points = ChaosGame(ifs, 3, burn_in=0, driver=driver, chains=1).points()
         reference, _ = _reference_attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
         assert points.tobytes() == reference.tobytes()
-        x = np.concatenate(([0.0], points[:, 0]))
-        symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
+        symbols = _decimal_symbols(points)
         assert symbols[:2] == [4, 0]  # context 4 sends all its mass to symbol 0
         assert driver.masses[pack_word(symbols[1:3], 5)] > 0
 
@@ -352,26 +366,34 @@ class TestChunkedChaosGame:
         masses = np.random.default_rng(9).random(3**depth) + 0.1
         masses[::3] = 0.0  # no mass on symbol 0 in any context
         driver = CylinderMeasure(3, depth, masses / masses.sum())
-
-        class Stream:
-            """Draws 0.0 for ever."""
-
-            def __init__(self, seed_sequence):
-                pass
-
-            def random(self, size=None, out=None):
-                if out is None:
-                    return np.zeros(size)
-                out[:] = 0.0
-                return out
-
-        monkeypatch.setattr(affine.np.random, "default_rng", Stream)
+        _patch_uniforms(monkeypatch, 0.0, 0.0)
         points = ChaosGame(ifs, 4, burn_in=0, driver=driver, chains=1).points()
-        x = np.concatenate(([0.0], points[:, 0]))
-        symbols = np.rint(x[1:] - x[:-1] / 10).astype(int).tolist()
-        assert symbols == [1, 1, 1, 1]
+        assert _decimal_symbols(points) == [1, 1, 1, 1]
         reference, _ = _reference_attractor_points(ifs, 4, burn_in=0, driver=driver, chains=1)
         assert points.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_no_draw_of_zero_mass_past_the_row_end(self, monkeypatch, depth):
+        """Context 0's normalized row ends an ulp below 1 and gives the last
+        map no mass.  A uniform at or above the row's end draws map 2, the
+        last of positive mass, and no map of zero mass in its context is
+        ever drawn.  (The other contexts of depth 2 are uniform.)"""
+        ifs = AffineIFS(1, np.full((4, 1, 1), 0.1), np.arange(4.0)[:, None], name="decimal")
+        masses = np.full((4 ** (depth - 1), 4), 0.25)
+        masses[0] = (0.07396306519631642, 0.4835753438551581, 0.4424615909485256, 0)
+        driver = CylinderMeasure(4, depth, masses.ravel() / len(masses))
+        top = np.nextafter(1.0, 0.0)
+        assert _driver_tables(ifs, driver)[0][0, -1] < top
+        _patch_uniforms(monkeypatch, top, top)
+        points = ChaosGame(ifs, 3, burn_in=0, driver=driver, chains=1).points()
+        reference, _ = _reference_attractor_points(ifs, 3, burn_in=0, driver=driver, chains=1)
+        assert points.tobytes() == reference.tobytes()
+        symbols = _decimal_symbols(points)
+        assert symbols[0] == 2
+        # every drawn word of length ``depth``, from the all-zero context on
+        walk = [0] * (depth - 1) + symbols
+        for i in range(len(symbols)):
+            assert driver.masses[pack_word(walk[i : i + depth], 4)] > 0, symbols
 
 
 def _sorted_rows(points):
