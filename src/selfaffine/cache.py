@@ -7,6 +7,11 @@ everything before them stays usable.  The warning goes to the
 ``selfaffine.cache`` logger, and ``logging`` is imported only to send it;
 with no handler configured, logging's last-resort handler prints the bare
 message on stderr.
+
+A cached sum carries the last bits of the numpy ``exp``/``log`` kernels of
+the host that wrote it, and the key does not name the host.  So a warm run
+writes the artifacts of a cold one only on the host and numpy build that
+wrote the file.
 """
 
 from __future__ import annotations

@@ -232,8 +232,8 @@ def verify_axioms(
     one-point grid).  The bounds are checked at the increment actually
     evaluated, ``(t0 + delta) - t0``, which rounding may shrink at large
     ``t0``.  All samples are drawn in order from one
-    ``np.random.default_rng(seed)``.  A word log-value that overflows raises
-    ``LevelOverflowError``.
+    ``np.random.default_rng(seed)``.  A word log-value or a slack that
+    overflows raises ``LevelOverflowError``.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -257,8 +257,7 @@ def verify_axioms(
         t = t_grid[int(rng.integers(0, len(t_grid)))]
 
         # subchain rule on the split w = w[:j] + w[j:]
-        slack = cf.log_value(t, w) - cf.log_value(t, w[:j]) - cf.log_value(t, w[j:])
-        worst_subchain = max(worst_subchain, slack)
+        subchain = cf.log_value(t, w) - cf.log_value(t, w[:j]) - cf.log_value(t, w[j:])
 
         # two-sided parameter bound at a grid-spacing increment
         if len(t_grid) >= 2:
@@ -270,10 +269,16 @@ def verify_axioms(
         delta = t1 - t0  # the increment evaluated; rounding may absorb some of it
         base = cf.log_value(t0, w)
         shifted = cf.log_value(t1, w)
-        worst_param = max(
-            worst_param,
-            base + delta * length * log_lo - shifted,
-            shifted - base - delta * length * log_hi,
+        # length * log s first: delta * length alone may overflow
+        param = max(
+            base + delta * (length * log_lo) - shifted,
+            shifted - base - delta * (length * log_hi),
         )
+        if not (math.isfinite(subchain) and math.isfinite(param)):
+            raise LevelOverflowError(
+                f"word of length {length}: an axiom slack at t = {t!r} or t = {t0!r} overflows"
+            )
+        worst_subchain = max(worst_subchain, subchain)
+        worst_param = max(worst_param, param)
 
     return AxiomReport(worst_subchain, worst_param)

@@ -11,6 +11,7 @@ from systems import (
     cantor_ifs,
     conformal_pair_ifs,
     generic_pair_ifs,
+    random_affine_ifs,
     swap_pair_ifs,
     tiny_pair_ifs,
     triple_diag_ifs,
@@ -112,6 +113,21 @@ def test_verify_overflowing_log_value_is_named_error(make, tmp_path, capsys):
     assert "error: word of length" in err
     assert "at t = 1e+308" in err
     assert not out.exists()
+
+
+def test_verify_report_finite_at_huge_t(tmp_path):
+    """At t = 3e307 the parameter slack was inf: ``delta * length`` overflowed
+    before it met ``log s``, although the whole product is finite."""
+    path = tmp_path / "ifs.json"
+    write_ifs_file(random_affine_ifs(np.random.default_rng(1), 1, 2), path)
+    out = tmp_path / "out"
+    grid = "0:2.9961552247705263e+307:2.9961552247705263e+307"
+    argv = ["verify", "--ifs", str(path), "--t-grid", grid, "--nmax", "6", "--samples", "20"]
+    assert main(argv + ["--out", str(out)]) in (0, 2)
+    lines = (out / "verify_report.txt").read_text().splitlines()
+    report = dict(line.split(" = ", 1) for line in lines)
+    for key in ("worst_subchain_violation", "worst_param_violation", "max_slack"):
+        assert math.isfinite(float(report[key])), (key, report[key])
 
 
 def test_pressure_requires_exactly_one_t(triple_path, tmp_path):

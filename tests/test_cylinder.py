@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import words_of_length
 from systems import (
@@ -251,6 +251,18 @@ def test_log_value_overflow_raises_named_error():
             verify_axioms(cf, [1e308], samples=5)
 
 
+def test_verify_axioms_overflowing_slack_is_named_error(monkeypatch):
+    """A parameter slack past the float range is a named error, not an inf
+    in the report; a lower bound past it held, and is no error."""
+    cf = NaturalCylinderFunction(cantor_ifs())
+    monkeypatch.setattr(cf, "constants", lambda: (1e-300, 1e-300))
+    with pytest.raises(LevelOverflowError, match=r"axiom slack at t = .* or t = 0\.0 overflows"):
+        verify_axioms(cf, [0.0, 1e306], samples=5)
+    monkeypatch.setattr(cf, "constants", lambda: (1e-300, 0.5))
+    report = verify_axioms(cf, [0.0, 1e306], samples=5)
+    assert report.worst_param_violation <= 0
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     d=st.integers(1, 3),
@@ -261,6 +273,8 @@ def test_log_value_overflow_raises_named_error():
     points=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
 )
+# delta * length overflowed before it met log s, although the product is finite
+@example(d=1, n_maps=2, system_seed=1, a=0.0, b=2.9961552247705263e+307, points=2, seed=0)
 def test_verify_axioms_slacks_finite_or_named_overflow(d, n_maps, system_seed, a, b, points, seed):
     """On any grid that ``parse_t_grid`` accepts up to 1.7e308, both worst
     slacks are finite or the overflow is named."""
