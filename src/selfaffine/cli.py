@@ -181,9 +181,6 @@ def cmd_dim(args) -> int:
     body += [
         ("upper_bound", rep.upper_bound),
         ("upper_bound_label", "rigorous upper bound"),
-        ("extrapolated", rep.extrapolated),
-        ("extrapolated_label", "estimate"),
-        ("extrapolation_method", rep.extrapolation_method),
         ("prediction", rep.prediction),
         ("norm_half_hypothesis", "satisfied" if rep.norm_half_satisfied else "violated"),
     ]
@@ -208,9 +205,6 @@ def cmd_pressure(args) -> int:
             ("truncated", rep.truncated),
             ("fekete_upper", rep.fekete_upper),
             ("fekete_label", "rigorous upper bound"),
-            ("extrapolated", rep.extrapolated),
-            ("extrapolated_label", "estimate"),
-            ("extrapolation_method", rep.extrapolation_method),
         ]
     else:
         curve = pressure_curve(cf, grid, args.nmax)
@@ -417,7 +411,7 @@ def main(argv=None) -> int:
     except CLIUsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (BudgetExceededError, FileNotFoundError, ValueError) as exc:
+    except (BudgetExceededError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

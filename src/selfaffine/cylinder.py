@@ -57,6 +57,7 @@ import numpy as np
 from .errors import LevelOverflowError, NumericallySingularError
 from .linalg import (
     compound_matrix,
+    rounding_allowance,
     singular_values,
     svf_compound_terms,
     top_singular_values,
@@ -201,10 +202,10 @@ class NaturalCylinderFunction:
 
 @dataclass
 class AxiomReport:
-    """Worst signed slack of each sampled check, in log scale: the subchain
-    rule and the two-sided parameter bounds.  A value <= 0 means the check
-    held with margin on every sample.  The tail axiom holds by construction,
-    since the potential is constant in the tail, so it is not sampled."""
+    """Worst signed slack of each sampled check, in log scale less its rounding
+    allowance: the subchain rule and the two-sided parameter bounds.  A value
+    <= 0 means the check held on every sample.  The tail axiom holds by
+    construction, since the potential is constant in the tail, so it is not sampled."""
 
     worst_subchain_violation: float
     worst_param_violation: float
@@ -231,9 +232,9 @@ def verify_axioms(
     grid, and a parameter increment taken from the grid spacing (0.25 for a
     one-point grid).  The bounds are checked at the increment actually
     evaluated, ``(t0 + delta) - t0``, which rounding may shrink at large
-    ``t0``.  All samples are drawn in order from one
-    ``np.random.default_rng(seed)``.  A word log-value or a slack that
-    overflows raises ``LevelOverflowError``.
+    ``t0``.  Each slack is less the ``rounding_allowance`` of its terms.  All
+    samples are drawn in order from one ``np.random.default_rng(seed)``.  A
+    word log-value or a slack that overflows raises ``LevelOverflowError``.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -257,7 +258,8 @@ def verify_axioms(
         t = t_grid[int(rng.integers(0, len(t_grid)))]
 
         # subchain rule on the split w = w[:j] + w[j:]
-        subchain = cf.log_value(t, w) - cf.log_value(t, w[:j]) - cf.log_value(t, w[j:])
+        whole, head, tail = cf.log_value(t, w), cf.log_value(t, w[:j]), cf.log_value(t, w[j:])
+        subchain = whole - head - tail - rounding_allowance(length, whole, head, tail)
 
         # two-sided parameter bound at a grid-spacing increment
         if len(t_grid) >= 2:
@@ -270,10 +272,9 @@ def verify_axioms(
         base = cf.log_value(t0, w)
         shifted = cf.log_value(t1, w)
         # length * log s first: delta * length alone may overflow
-        param = max(
-            base + delta * (length * log_lo) - shifted,
-            shifted - base - delta * (length * log_hi),
-        )
+        drop, fall = delta * (length * log_lo), delta * (length * log_hi)
+        param = max(base + drop - shifted - rounding_allowance(length, base, shifted, drop),
+                    shifted - base - fall - rounding_allowance(length, base, shifted, fall))
         if not (math.isfinite(subchain) and math.isfinite(param)):
             raise LevelOverflowError(
                 f"word of length {length}: an axiom slack at t = {t!r} or t = {t0!r} overflows"

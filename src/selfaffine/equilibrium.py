@@ -20,7 +20,7 @@ Each consumer of level-n word values reads them, and ``log S_n``, from one
 ``pressure.level_log_values`` sweep, which reads no cache.  ``diagnostics``
 builds its depth-k and depth-(k+1) tables from one ``nu`` and sweeps each
 level 1..n once: each sweep gives a term of the Fekete envelope, and level
-k's sweep also gives the depth-k energy.
+k's sweep also gives the depth-k energy.  The sweeps pass ``check_subadditive``.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .cylinder import NaturalCylinderFunction
 from .errors import LevelOverflowError
-from .pressure import level_log_values
+from .pressure import check_subadditive, level_log_values
 from .symbolic import word_str
 
 
@@ -184,13 +184,15 @@ def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> Equili
     h = entropy_depth(mu)
     e = _energy(mu, lv) if k == n else None
     del lv  # not held while the lower levels are swept
-    envelope = []  # P_1 .. P_n, the last from the sweep above
+    sums = []  # log S_1 .. log S_n, the last from the sweep above
     for j in range(1, n):
         log_s_j, lv = level_log_values(cf, t, j)
-        envelope.append(log_s_j / j)
+        sums.append(log_s_j)
         if j == k:
             e = _energy(mu, lv)
-    upper = min(envelope + [log_s / n])
+    sums.append(log_s)
+    check_subadditive(cf, t, sums)
+    upper = min(v / j for j, v in enumerate(sums, 1))
     return EquilibriumDiagnostics(
         entropy_k=h,
         energy_k=e,

@@ -22,6 +22,10 @@ class LevelOverflowError(ValueError):
     """The word log-values of a level overflow double precision."""
 
 
+class SelfCheckError(ValueError):
+    """Computed results break, beyond rounding, an inequality the theory guarantees."""
+
+
 class IFSFormatError(ValueError):
     """Malformed IFS document; message is anchored to the offending part."""
 

@@ -35,6 +35,14 @@ MAX_DIM = 4
 _TRIG_R_MIN = -1 + 1e-3
 
 
+def rounding_allowance(n: int, *log_values: float) -> float:
+    """Measured few-ulp bound ``16 n eps (1 + sum |v|)`` on the rounding of a log-scale
+    quantity over length-n words built from ``log_values`` (for ``log S_n``: ``log S_n``
+    and ``n log #I``); an infinite value adds nothing, so an overflow stays infinite."""
+    eps = math.ulp(1.0)
+    return 16 * n * (eps + sum(eps * abs(v) for v in log_values if math.isfinite(v)))
+
+
 def singular_values(A: np.ndarray) -> np.ndarray:
     """Singular values of A, sorted non-increasing, all strictly positive.
 

@@ -7,9 +7,11 @@ The level-n pressure of a cylinder function is
 computed entirely in log space.  The potential is constant in the tail,
 so the subchain rule makes ``log S_n`` subadditive and the limit
 pressure P(t) equals ``inf_n P_n(t)``: every computed level is a rigorous
-upper bound, and the running minimum (the Fekete envelope) is the best one.  No finite-level lower
-bound is available, so the 1/n extrapolation attached to reports is labeled an
-estimate, never a bound.
+upper bound, and the running minimum (the Fekete envelope) is the best one.
+No finite-level lower bound is available.  Every run that holds
+``log S_1 .. log S_N`` at one t checks ``log S_{i+j} <= log S_i + log S_j``
+(``check_subadditive``), and ``affinity_dimension`` checks ``t_{jn} <= t_n``,
+each up to ``linalg.rounding_allowance``; a breach raises ``SelfCheckError``.
 
 A level is the flat array ``cf.log_value_block(t, (), n)`` of word log-values
 ``sum_k c_k * F_k`` (``terms`` times ``level_features``) in packed-index order;
@@ -26,12 +28,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .cylinder import NaturalCylinderFunction
-from .errors import BudgetExceededError, LevelOverflowError
+from .errors import BudgetExceededError, LevelOverflowError, SelfCheckError
+from .linalg import rounding_allowance
 from .symbolic import check_budget
 
 
@@ -91,18 +93,18 @@ def _budget_levels(cf, n_max) -> tuple[range, bool]:
     return range(1, top + 1), top < n_max
 
 
-def _extrapolate(ns: Sequence[int], values: Sequence[float]) -> tuple[float, str]:
-    """Linear least-squares fit of value against 1/n over the top half of the
-    levels; the intercept is the 1/n -> 0 point estimate."""
-    if len(ns) == 1:
-        return float(values[0]), "single-level"
-    lo = len(ns) // 2
-    if len(ns) - lo < 2:
-        lo = len(ns) - 2
-    x = 1.0 / np.asarray(ns[lo:], dtype=float)
-    y = np.asarray(values[lo:], dtype=float)
-    slope, intercept = np.polyfit(x, y, 1)
-    return float(intercept), "least-squares-in-1/n-top-half"
+def check_subadditive(cf, t, log_s) -> None:
+    """``log S_{i+j} <= log S_i + log S_j`` for all ``i + j <= N``, given
+    ``log_s = [log S_1, .., log S_N]`` at ``t``, up to the three levels'
+    rounding allowances summed; else ``SelfCheckError``."""
+    log_s = [0.0, *log_s]  # indexed by level
+    room = [rounding_allowance(n, v, n * math.log(cf.n_symbols)) for n, v in enumerate(log_s)]
+    for k in range(2, len(log_s)):
+        for i in range(1, k // 2 + 1):
+            excess = log_s[k] - log_s[i] - log_s[k - i] - room[i] - room[k - i] - room[k]
+            if excess > 0:
+                raise SelfCheckError(f"log S_{k} exceeds log S_{i} + log S_{k - i} by "
+                                     f"{excess!r} beyond rounding at t = {t!r}")
 
 
 @dataclass
@@ -110,30 +112,20 @@ class PressureReport:
     """Per-level pressure values at a fixed parameter.
 
     ``fekete_upper`` is the minimum over computed levels, a rigorous upper
-    bound on the limit pressure (the potential is tail-constant).  The
-    extrapolated value is a point estimate only."""
+    bound on the limit pressure (the potential is tail-constant)."""
 
     t: float
     per_level: list[tuple[int, float]]
     fekete_upper: float
-    extrapolated: float
-    extrapolation_method: str
     truncated: bool = False
 
 
 def pressure_sequence(cf, t, n_max) -> PressureReport:
     levels, truncated = _budget_levels(cf, n_max)
-    per_level = [(n, pressure_level(cf, t, n)) for n in levels]
-    values = [v for _, v in per_level]
-    extrapolated, method = _extrapolate([n for n, _ in per_level], values)
-    return PressureReport(
-        t=float(t),
-        per_level=per_level,
-        fekete_upper=min(values),
-        extrapolated=extrapolated,
-        extrapolation_method=method,
-        truncated=truncated,
-    )
+    log_s = [log_partition_sum(cf, t, n) for n in levels]
+    check_subadditive(cf, t, log_s)
+    per_level = [(n, v / n) for n, v in zip(levels, log_s)]
+    return PressureReport(float(t), per_level, min(p for _, p in per_level), truncated)
 
 
 def pressure_root(cf, n, t_tol) -> float:
@@ -185,29 +177,28 @@ class DimensionReport:
 
     roots: list[tuple[int, float]]
     upper_bound: float
-    extrapolated: float
-    extrapolation_method: str
     prediction: float
     norm_half_satisfied: bool
     truncated: bool = False
 
 
 def affinity_dimension(cf: NaturalCylinderFunction, n_max, t_tol) -> DimensionReport:
-    """Roots of the level pressures of the potential ``cf``."""
+    """Roots of the level pressures of the potential ``cf``.  Subadditivity
+    gives ``t_{jn} <= t_n``; P_n falls with slope at most ``log s_hi``, so
+    rounding moves t_n by at most its allowance over ``-n log s_hi``."""
     levels, truncated = _budget_levels(cf, n_max)
     roots = [(n, pressure_root(cf, n, t_tol)) for n in levels]
-    values = [r for _, r in roots]
-    extrapolated, method = _extrapolate([n for n, _ in roots], values)
-    upper = min(values)
-    return DimensionReport(
-        roots=roots,
-        upper_bound=upper,
-        extrapolated=extrapolated,
-        extrapolation_method=method,
-        prediction=min(float(cf.dimension), upper),
-        norm_half_satisfied=cf.constants()[1] < 0.5,
-        truncated=truncated,
-    )
+    s_hi = cf.constants()[1]
+    room = {n: rounding_allowance(n, 0.0, n * math.log(cf.n_symbols)) / (n * -math.log(s_hi))
+            for n in levels}
+    for n, t_n in roots:
+        for jn, t_jn in roots[2 * n - 1::n]:
+            if t_jn > t_n + t_tol + room[n] + room[jn]:
+                raise SelfCheckError(f"level root t_{jn} = {t_jn!r} exceeds t_{n} = {t_n!r} "
+                                     "beyond tolerance and rounding: P_n is not subadditive")
+    upper = min(r for _, r in roots)
+    return DimensionReport(roots=roots, upper_bound=upper, norm_half_satisfied=s_hi < 0.5,
+                           prediction=min(float(cf.dimension), upper), truncated=truncated)
 
 
 def pressure_curve(cf, t_grid, n) -> list[tuple[float, float]]:

@@ -69,3 +69,34 @@ def jensen_residual(cf, t, n, m):
     log_s, lv = level_log_values(cf, t, n)
     nz = m.masses[m.masses > 0]
     return (log_s + float(nz @ np.log(nz)) - float(m.masses @ lv)) / n
+
+
+def mp_planar_log_partition_sum(mats, t_values, n, dps=50):
+    """log S_n(t) of a planar system at each t, at ``dps`` digits (mpmath,
+    n <= 8): every level-n word product, formed exactly from the float
+    entries, gives a_1 = (hypot(a + d, b - c) + hypot(a - d, b + c)) / 2 and
+    a_2 = |det| / a_1, and the singular value function is summed over words."""
+    import mpmath
+
+    if not (np.shape(mats)[1:] == (2, 2) and 1 <= n <= 8):
+        raise ValueError("the mpmath oracle serves 2 x 2 maps at levels 1..8")
+    with mpmath.workdps(dps):
+        maps = [mpmath.matrix([[mpmath.mpf(float(x)) for x in row] for row in A]) for A in mats]
+        prods = maps
+        for _ in range(n - 1):
+            prods = [P * A for P in prods for A in maps]
+        pairs = []
+        for P in prods:
+            (a, b), (c, d) = (P[0, 0], P[0, 1]), (P[1, 0], P[1, 1])
+            a1 = (mpmath.hypot(a + d, b - c) + mpmath.hypot(a - d, b + c)) / 2
+            pairs.append((a1, abs(a * d - b * c) / a1))
+        out = []
+        for t in map(mpmath.mpf, t_values):
+            if t <= 1:
+                terms = (a1**t for a1, _ in pairs)
+            elif t <= 2:
+                terms = (a1 * a2 ** (t - 1) for a1, a2 in pairs)
+            else:
+                terms = ((a1 * a2) ** (t / 2) for a1, a2 in pairs)
+            out.append(mpmath.log(mpmath.fsum(terms)))
+        return out

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -304,6 +305,63 @@ def test_missing_and_malformed_inputs(tmp_path):
     assert main(["dim", "--ifs", str(bad), "--out", str(tmp_path)]) == 1
     assert main([]) == 1
     assert main(["dim"]) == 1  # --ifs required
+
+
+@pytest.mark.parametrize(
+    "argv,cause",
+    [
+        (["--ifs", "{dir}"], "Is a directory"),
+        (["--cache", "{dir}"], "Is a directory"),
+        (["--out", "{file}"], "File exists"),
+        (["--out", "{file}/sub"], "Not a directory"),
+    ],
+    ids=["ifs-dir", "cache-dir", "out-file", "out-under-file"],
+)
+def test_os_errors_are_named_errors(triple_path, tmp_path, argv, cause):
+    """Only ``FileNotFoundError`` was caught, so these four paths ended in an
+    ``IsADirectoryError``, ``FileExistsError`` or ``NotADirectoryError``
+    traceback."""
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "file").write_text("")
+    paths = {"dir": tmp_path / "dir", "file": tmp_path / "file"}
+    base = ["dim", "--ifs", str(triple_path), "--nmax", "2", "--out", str(tmp_path / "out")]
+    run = subprocess.run(
+        [sys.executable, "-m", "selfaffine.cli", *base, *(a.format(**paths) for a in argv)],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert run.returncode == 1
+    assert run.stderr.splitlines()[-1].startswith("error: ") and cause in run.stderr
+    assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("argv", [["dim", "--nmax", "4"], ["pressure", "--t", "1.0"],
+                                  ["measure", "--t", "1.0", "--nmax", "4"]])
+def test_superadditive_level_sums_are_named_error(conformal_path, tmp_path, capsys, monkeypatch,
+                                                  argv):
+    """A potential whose level sums are lifted by 1e-3 n^2 is superadditive:
+    each command's self-check exits 1 and writes nothing."""
+    block = NaturalCylinderFunction.log_value_block
+
+    def lifted(self, t, prefix, depth):
+        return block(self, t, prefix, depth) + 1e-3 * depth**2
+
+    monkeypatch.setattr(NaturalCylinderFunction, "log_value_block", lifted)
+    out = tmp_path / "out"
+    assert main([*argv, "--ifs", str(conformal_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"^error: (level root t_2 = .* exceeds t_1|log S_2 exceeds log S_1)", err,
+                     re.MULTILINE)
+    assert not out.exists()
+
+
+def test_verify_passes_on_rounding_at_large_t(tmp_path):
+    """At t up to 1e7 generic-pair's subchain slack is 1.49e-8 of rounding,
+    past the absolute threshold; less its allowance, it passes."""
+    path = tmp_path / "ifs.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    argv = ["verify", "--ifs", str(path), "--t-grid", "0:1e7:1e6", "--out", str(tmp_path / "o")]
+    assert main(argv) == 0
 
 
 def test_dim_on_unsupported_dimension_is_validation_error(tmp_path, capsys):

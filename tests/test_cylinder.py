@@ -239,6 +239,13 @@ def test_verify_axioms_param_bound_uses_evaluated_increment():
     assert report.worst_param_violation <= 0
 
 
+def test_verify_axioms_passes_on_rounding_at_huge_t():
+    """At t = 1e16 the log-values are of order 1e16, so an absolute threshold
+    fails on rounding alone; each slack is taken less its allowance."""
+    cf = NaturalCylinderFunction(generic_pair_ifs())
+    assert verify_axioms(cf, [1e16], samples=50).passed()
+
+
 def test_log_value_overflow_raises_named_error():
     """A word log-value that overflows was -inf with a RuntimeWarning; it
     now names the word length and t, as a level does."""

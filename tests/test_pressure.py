@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import words_of_length
+from oracles import mp_planar_log_partition_sum, words_of_length
 from systems import (
+    cantor_ifs,
     conformal_pair_ifs,
     generic_pair_ifs,
     half_product_cf,
@@ -37,6 +38,8 @@ from selfaffine import (
     pressure_sequence,
     validate_ifs,
 )
+from selfaffine.errors import SelfCheckError
+from selfaffine.linalg import rounding_allowance
 from selfaffine.pressure import level_log_values
 
 
@@ -499,3 +502,57 @@ def test_uncached_root_hashes_nothing(monkeypatch):
 def test_pressure_rejects_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [generic_pair_ifs, swap_pair_ifs, conformal_pair_ifs]
+    + [lambda seed=seed: random_affine_ifs(np.random.default_rng(seed), 2, 2) for seed in range(3)],
+    ids=["generic-pair", "swap-pair", "conformal-pair", "random-0", "random-1", "random-2"],
+)
+@pytest.mark.parametrize("n", [4, 8])
+def test_log_partition_sum_within_allowance_of_mpmath(make, n):
+    """The float level sum is within ``rounding_allowance`` of a 50-digit
+    one; the worst ratio over these cases is 7.5e-3."""
+    ifs = make()
+    cf = NaturalCylinderFunction(ifs)
+    t_values = (0.5, 1.37, 2.5)
+    for t, exact in zip(t_values, mp_planar_log_partition_sum(ifs.matrices, t_values, n)):
+        log_s = log_partition_sum(cf, t, n)
+        assert abs(log_s - exact) <= rounding_allowance(n, log_s, n * math.log(2)), t
+
+
+@pytest.mark.parametrize(
+    "make,n_max",
+    [(cantor_ifs, 12), (conformal_pair_ifs, 12), (triple_diag_ifs, 8), (generic_pair_ifs, 12)],
+)
+def test_self_checks_hold_on_subadditive_systems(make, n_max):
+    """Equality cases (Cantor, conformal-pair, triple-diag) and generic-pair
+    pass every self-check up to t = 1e7, where rounding alone breaks
+    subadditivity of the float sums by up to 4e-8."""
+    cf = NaturalCylinderFunction(make())
+    affinity_dimension(cf, n_max, 1e-9)
+    affinity_dimension(cf, n_max, 1e-15)
+    for t in (0.0, 0.5, 1.0, 1.37, 2.5, 10.0, 1e3, 1e5, 1e7):
+        pressure_sequence(cf, t, n_max)
+        diagnostics(cf, t, 8, 2)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda cf: pressure_sequence(cf, 1.0, 4), r"log S_2 exceeds log S_1 \+ log S_1 by"),
+        (lambda cf: diagnostics(cf, 1.0, 4, 2), r"log S_2 exceeds log S_1 \+ log S_1 by"),
+        (lambda cf: affinity_dimension(cf, 4, 1e-9), r"level root t_2 = .* exceeds t_1"),
+    ],
+    ids=["sequence", "diagnostics", "dimension"],
+)
+def test_superadditive_level_sums_raise_self_check_error(monkeypatch, call, message):
+    """Level sums lifted by 1e-3 n^2 are superadditive: log S_{i+j} exceeds
+    log S_i + log S_j by 2e-3 ij, and the level roots rise with n."""
+    cf = NaturalCylinderFunction(conformal_pair_ifs())
+    block = cf.log_value_block
+    monkeypatch.setattr(cf, "log_value_block",
+                        lambda t, prefix, depth: block(t, prefix, depth) + 1e-3 * depth**2)
+    with pytest.raises(SelfCheckError, match=message):
+        call(cf)
