@@ -17,7 +17,9 @@ Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -237,7 +239,7 @@ def cmd_measure(args) -> int:
         ("entropy_k", diag.entropy_k),
         ("energy_k", diag.energy_k),
         ("pressure_upper", diag.pressure_upper),
-        ("gap", diag.gap),
+        ("jensen_residual_k", diag.jensen_residual_k),
         ("invariance_defect_max", diag.invariance_defect_max),
     ]
     _write_report(out / "measure_report.txt", args, ifs, body)
@@ -404,6 +406,11 @@ def main(argv=None) -> int:
         if args.command is None:
             raise CLIUsageError("no subcommand given (try --help)")
         _check_flags(args)
+        out = Path(args.out)  # a file in the way of --out fails now, not after the work
+        found = next(p for p in (out, *out.parents) if p.exists())
+        if not found.is_dir():
+            code = errno.EEXIST if found == out else errno.ENOTDIR
+            raise OSError(code, os.strerror(code), str(found))
         start = time.perf_counter()
         code = HANDLERS[args.command](args)
         print(f"[{args.command}] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)

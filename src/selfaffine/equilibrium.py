@@ -18,20 +18,23 @@ level, and this module exposes exactly those finite objects:
 Entropy and energy are the finite-depth quotients (natural log throughout).
 Each consumer of level-n word values reads them, and ``log S_n``, from one
 ``pressure.level_log_values`` sweep, which reads no cache.  ``diagnostics``
-builds its depth-k and depth-(k+1) tables from one ``nu`` and sweeps each
-level 1..n once: each sweep gives a term of the Fekete envelope, and level
-k's sweep also gives the depth-k energy.  The sweeps pass ``check_subadditive``.
+builds its depth-k table from one ``nu`` and sweeps each level 1..n once:
+each sweep gives a term of the Fekete envelope, and level k's sweep also
+gives ``log S_k`` and the depth-k energy.  The sweeps pass ``check_subadditive``,
+and the Jensen residual and the invariance defect are checked against their bounds.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cylinder import NaturalCylinderFunction
-from .errors import LevelOverflowError
+from .errors import LevelOverflowError, SelfCheckError
+from .linalg import rounding_allowance
 from .pressure import check_subadditive, level_log_values
 from .symbolic import word_str
 
@@ -95,26 +98,19 @@ def _check_depth(n: int, k: int) -> None:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
 
 
-def _cesaro(nu: CylinderMeasure, t: float, k: int, rho=None) -> CylinderMeasure:
+def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
     """The depth-k cyclic Cesaro table of the level-n weights ``nu``, for
-    1 <= k <= n + 1; at k = n + 1 it is read off the depth-n table ``rho``,
-    built here unless given."""
+    1 <= k <= n."""
     m_sym, n = nu.n_symbols, nu.depth
     table = np.zeros(m_sym**k)
-    if k == n + 1:
-        # each window is the rotated word followed by its own first symbol
-        rho = (_cesaro(nu, t, n) if rho is None else rho).masses
-        r = np.arange(rho.size)
-        table[r * m_sym + r // m_sym ** (n - 1)] = rho
-    else:
-        for j in range(n):
-            q = n - j
-            if q >= k:
-                table += nu.masses.reshape(m_sym**j, m_sym**k, -1).sum(axis=(0, 2))
-            else:  # the window wraps: the last q symbols, then the first k - q
-                wrapped = nu.masses.reshape(m_sym ** (k - q), m_sym ** (n - k), m_sym**q)
-                table += wrapped.sum(axis=1).T.ravel()
-        table /= n
+    for j in range(n):
+        q = n - j
+        if q >= k:
+            table += nu.masses.reshape(m_sym**j, m_sym**k, -1).sum(axis=(0, 2))
+        else:  # the window wraps: the last q symbols, then the first k - q
+            wrapped = nu.masses.reshape(m_sym ** (k - q), m_sym ** (n - k), m_sym**q)
+            table += wrapped.sum(axis=1).T.ravel()
+    table /= n
     return CylinderMeasure(m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k})")
 
 
@@ -141,11 +137,15 @@ def _energy(m: CylinderMeasure, lv: np.ndarray) -> float:
     return float(m.masses @ lv) / m.depth
 
 
-def _defect(deep: CylinderMeasure) -> float:
-    """max over words i one shorter than the table of |m([i]) - m(shift^-1 [i])|."""
-    m_sym, k = deep.n_symbols, deep.depth - 1
-    direct = deep.masses.reshape(m_sym**k, m_sym).sum(axis=1)
-    preimage = deep.masses.reshape(m_sym, m_sym**k).sum(axis=0)
+def _defect(nu: CylinderMeasure, t: float, mu: CylinderMeasure) -> float:
+    """max |mu([i]) - mu(shift^-1 [i])| over the words i of ``mu``, read from the depth-(k+1)
+    table of ``nu``; at k = n its windows are rotated words, so it is max |mu(i) - mu(rot i)|."""
+    m_sym, k = mu.n_symbols, mu.depth
+    if k == nu.depth:
+        return float(np.abs(mu.masses - mu.masses.reshape(-1, m_sym).T.ravel()).max())
+    deep = _cesaro(nu, t, k + 1).masses
+    direct = deep.reshape(m_sym**k, m_sym).sum(axis=1)
+    preimage = deep.reshape(m_sym, m_sym**k).sum(axis=0)
     return float(np.abs(direct - preimage).max())
 
 
@@ -155,16 +155,16 @@ class EquilibriumDiagnostics:
     ``measure`` is the depth-k Cesaro table the snapshot was computed from
     and ``nu`` the level-n weights it averages.
 
-    ``invariance_defect_max`` is the max over level-k words i of
-    |mu_n([i]) - mu_n(shift^-1 [i])|, both sides read from one depth-(k+1)
-    table.  Both sides sum the same nu masses in different orders, so the
-    value is rounding error only: at most 2 (n + m^(n-k)) eps for an
-    m-symbol system, with eps the double-precision machine epsilon."""
+    ``jensen_residual_k`` is log S_k / k - entropy_k - energy_k, at least 0
+    by the finite-level Jensen inequality.  ``invariance_defect_max`` is the
+    max over level-k words i of |mu_n([i]) - mu_n(shift^-1 [i])|, two sums of
+    the same nu masses: rounding error only, at most 2 (n + m^(n-k)) eps for
+    an m-symbol system, with eps the double-precision machine epsilon."""
 
     entropy_k: float
     energy_k: float
     pressure_upper: float
-    gap: float
+    jensen_residual_k: float
     invariance_defect_max: float
     measure: CylinderMeasure
     nu: CylinderMeasure
@@ -173,14 +173,15 @@ class EquilibriumDiagnostics:
 def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> EquilibriumDiagnostics:
     """The depth-k Cesaro table of the level-n weights at ``t``, with its
     entropy and energy quotients, the Fekete upper bound on the pressure
-    through level n, the gap between that bound and h + E, and the
-    invariance defect (within the rounding bound that
-    ``EquilibriumDiagnostics`` states), for 1 <= k <= n."""
+    through level n, the Jensen residual and the invariance defect, for
+    1 <= k <= n.  Raises ``SelfCheckError`` if the residual is below minus
+    its rounding allowance (the masses of ``nu`` carry the rounding of
+    log S_n, which the energy scales) or the defect is above its bound."""
     _check_depth(n, k)
     log_s, lv = level_log_values(cf, t, n)
     nu = _nu(cf, t, n, log_s, lv)
     mu = _cesaro(nu, t, k)
-    defect = _defect(_cesaro(nu, t, k + 1, mu))
+    defect = _defect(nu, t, mu)
     h = entropy_depth(mu)
     e = _energy(mu, lv) if k == n else None
     del lv  # not held while the lower levels are swept
@@ -192,13 +193,15 @@ def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> Equili
             e = _energy(mu, lv)
     sums.append(log_s)
     check_subadditive(cf, t, sums)
-    upper = min(v / j for j, v in enumerate(sums, 1))
-    return EquilibriumDiagnostics(
-        entropy_k=h,
-        energy_k=e,
-        pressure_upper=upper,
-        gap=upper - h - e,
-        invariance_defect_max=defect,
-        measure=mu,
-        nu=nu,
-    )
+    p_k, log_m = sums[k - 1] / k, math.log(cf.n_symbols)
+    residual = p_k - h - e
+    allowance = (rounding_allowance(n, log_s, n * log_m) * (1 + abs(e) + abs(p_k))
+                 + rounding_allowance(k, sums[k - 1], k * log_m) / k)
+    if residual < -allowance:
+        raise SelfCheckError(f"Jensen residual {residual!r} < -{allowance!r} at t = {t!r}, k = {k}")
+    bound = 2 * (n + cf.n_symbols ** (n - k)) * math.ulp(1.0)
+    if defect > bound:
+        raise SelfCheckError(f"invariance defect {defect!r} > {bound!r} at t = {t!r}, k = {k}")
+    return EquilibriumDiagnostics(entropy_k=h, energy_k=e, jensen_residual_k=residual,
+                                  pressure_upper=min(v / j for j, v in enumerate(sums, 1)),
+                                  invariance_defect_max=defect, measure=mu, nu=nu)

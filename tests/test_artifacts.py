@@ -7,7 +7,8 @@ purpose rewrites it with
 
     PYTHONPATH=src python tests/test_artifacts.py
 
-and names the moved files.  Beside the digests, the runs that must agree
+which prints the names of the digests it changed, added and dropped, for
+the change to list.  Beside the digests, the runs that must agree
 byte for byte (a cold cache, a warm one and none; a run with
 ``--save-points`` and one without) are checked against each other, and the
 whole matrix runs once more in a fresh interpreter, under a new hash seed,
@@ -164,8 +165,13 @@ def test_artifacts_match_a_fresh_interpreter(digests, tmp_path):
 
 
 if __name__ == "__main__":
+    old = json.loads(MANIFEST.read_text(encoding="utf-8")) if MANIFEST.exists() else {}
     with tempfile.TemporaryDirectory() as root:
         found = run_matrix(Path(root))
     pinned = {name: digest for name, digest in sorted(found.items()) if name not in UNPINNED}
     MANIFEST.write_text(json.dumps(pinned, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(pinned)} digests to {MANIFEST}", file=sys.stderr)
+    for label, names in (("changed", {n for n in pinned.keys() & old.keys() if pinned[n] != old[n]}),
+                         ("added", pinned.keys() - old.keys()),
+                         ("dropped", old.keys() - pinned.keys())):
+        print(f"{label}: {len(names)}", *sorted(names), sep="\n  ", file=sys.stderr)

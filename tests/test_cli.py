@@ -18,7 +18,7 @@ from systems import (
     triple_diag_ifs,
 )
 
-from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, nu_weights
+from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, cli, equilibrium, nu_weights
 from selfaffine.affine import DEFAULT_CHAINS
 from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
@@ -174,7 +174,7 @@ def test_measure_outputs(triple_path, tmp_path):
     masses = [float(line.split(",")[1]) for line in csv_lines[1:]]
     assert sum(masses) == pytest.approx(1.0, abs=1e-12)
     report = (out / "measure_report.txt").read_text()
-    for key in ("t_used", "entropy_k", "energy_k", "pressure_upper", "gap",
+    for key in ("t_used", "entropy_k", "energy_k", "pressure_upper", "jensen_residual_k",
                 "invariance_defect_max"):
         assert f"{key} = " in report
 
@@ -353,6 +353,42 @@ def test_superadditive_level_sums_are_named_error(conformal_path, tmp_path, caps
     assert re.search(r"^error: (level root t_2 = .* exceeds t_1|log S_2 exceeds log S_1)", err,
                      re.MULTILINE)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name,breach,message",
+    [("entropy_depth", lambda m: math.log(m.n_symbols) + 1.0, "Jensen residual"),
+     ("_defect", lambda nu, t, mu: 1e-12, "invariance defect")],
+    ids=["residual", "defect"],
+)
+def test_measure_self_check_breach_is_named_error(conformal_path, tmp_path, capsys, monkeypatch,
+                                                  name, breach, message):
+    """A Jensen residual below its allowance, or a defect above its bound,
+    exits 1 and writes nothing."""
+    monkeypatch.setattr(equilibrium, name, breach)
+    out = tmp_path / "out"
+    argv = ["measure", "--t", "1.0", "--nmax", "4", "--ifs", str(conformal_path), "--out", str(out)]
+    assert main(argv) == 1
+    assert re.search(f"^error: {message}", capsys.readouterr().err, re.MULTILINE)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+@pytest.mark.parametrize("command", ["dim", "measure"])
+def test_out_that_cannot_be_made_fails_before_the_work(triple_path, tmp_path, capsys, monkeypatch,
+                                                       command, out):
+    """A file in the way of --out is an error before any root is searched
+    for; the directory was made only after the work, which then was lost."""
+    def work(*args):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "affinity_dimension", work)
+    monkeypatch.setattr(cli, "pressure_root", work)
+    (tmp_path / "file").write_text("")
+    argv = [command, "--nmax", "4", "--ifs", str(triple_path), "--out", str(tmp_path / out)]
+    assert main(argv) == 1
+    assert re.search(r"^error: \[Errno \d+\] (File exists|Not a directory)",
+                     capsys.readouterr().err, re.MULTILINE)
 
 
 def test_verify_passes_on_rounding_at_large_t(tmp_path):

@@ -6,6 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import jensen_residual, marginal, unpack_word
 from systems import (
+    cantor_ifs,
+    conformal_pair_ifs,
     generic_pair_ifs,
     half_product_cf,
     random_affine_ifs,
@@ -28,6 +30,8 @@ from selfaffine import (
     pressure_root,
 )
 from selfaffine import equilibrium, pressure
+from selfaffine.errors import SelfCheckError
+from selfaffine.linalg import rounding_allowance
 from selfaffine.pressure import level_log_values
 from selfaffine.symbolic import pack_word, word_str
 
@@ -42,8 +46,20 @@ def energy(cf, t, m):
 
 
 def fresh_defect(cf, t, n, k):
-    """The invariance defect of a fresh depth-(k+1) Cesaro table."""
-    return equilibrium._defect(equilibrium._cesaro(nu_weights(cf, t, n), t, k + 1))
+    """The invariance defect read from a fresh depth-(k+1) Cesaro table; at
+    k = n that table puts the mass of each rotated word on the word followed
+    by its own first symbol."""
+    nu, m = nu_weights(cf, t, n), cf.n_symbols
+    if k < n:
+        deep = equilibrium._cesaro(nu, t, k + 1).masses
+    else:
+        rho = equilibrium._cesaro(nu, t, n).masses
+        r = np.arange(rho.size)
+        deep = np.zeros(m ** (n + 1))
+        deep[r * m + r // m ** (n - 1)] = rho
+    direct = deep.reshape(m**k, m).sum(axis=1)
+    preimage = deep.reshape(m, m**k).sum(axis=0)
+    return float(np.abs(direct - preimage).max())
 
 
 class TestCylinderMeasure:
@@ -243,6 +259,65 @@ class TestJensen:
             assert jensen_residual(cf, t, n, m) >= -1e-12
 
 
+def jensen_allowance(cf, t, n, k, energy_k):
+    """The rounding allowance of the depth-k Jensen residual: the masses of
+    nu carry the rounding of log S_n, which the energy scales, and P_k its own."""
+    log_m, log_s_n, log_s_k = math.log(cf.n_symbols), *(log_partition_sum(cf, t, j) for j in (n, k))
+    return (rounding_allowance(n, log_s_n, n * log_m) * (1 + abs(energy_k) + abs(log_s_k / k))
+            + rounding_allowance(k, log_s_k, k * log_m) / k)
+
+
+class TestSelfChecks:
+    """``diagnostics`` checks the Jensen residual and the invariance defect."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        d=st.sampled_from([2, 3]),
+        maps=st.sampled_from([2, 3]),
+        t=st.floats(0.0, 1e6),
+        n=st.integers(1, 8),
+        data=st.data(),
+    )
+    def test_hold_on_random_systems(self, seed, d, maps, t, n, data):
+        """Neither check fires on random 2-D and 3-D systems for t up to 1e6,
+        and at k = n the defect read off the depth-n table has the bits of a
+        fresh depth-(n+1) table."""
+        k = data.draw(st.integers(1, n))
+        cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(seed), d, maps))
+        diag = diagnostics(cf, t, n, k)
+        assert diag.jensen_residual_k >= -jensen_allowance(cf, t, n, k, diag.energy_k)
+        assert diag.invariance_defect_max <= 2 * (n + maps ** (n - k)) * np.finfo(float).eps
+        if k == n:
+            assert diag.invariance_defect_max == fresh_defect(cf, t, n, k)
+
+    @pytest.mark.parametrize("make", [cantor_ifs, triple_diag_ifs, conformal_pair_ifs])
+    def test_residual_vanishes_on_bernoulli_weights(self, make):
+        """Every word of a level has one value, so nu is uniform (Bernoulli), each
+        depth-k table is the level-k Gibbs weights and the residual is 0 up to
+        rounding."""
+        cf = NaturalCylinderFunction(make())
+        for t in (0.0, 0.63, 1.5, 3.0, 1e3, 1e6):
+            for n in (1, 4, 7):
+                for k in range(1, n + 1):
+                    diag = diagnostics(cf, t, n, k)
+                    assert abs(diag.jensen_residual_k) <= jensen_allowance(
+                        cf, t, n, k, diag.energy_k), (t, n, k)
+
+    @pytest.mark.parametrize(
+        "name,breach,message",
+        [("entropy_depth", lambda m: math.log(m.n_symbols) + 1.0, "Jensen residual"),
+         ("_defect", lambda nu, t, mu: 1e-12, "invariance defect")],
+        ids=["residual", "defect"],
+    )
+    def test_breach_raises(self, monkeypatch, name, breach, message):
+        """An entropy above log #I breaks Jensen, and a defect of 1e-12 is
+        far above 2 (n + m^(n-k)) eps = 9.8e-15."""
+        monkeypatch.setattr(equilibrium, name, breach)
+        with pytest.raises(SelfCheckError, match=message):
+            diagnostics(swap_pair_cf(), 1.4, 6, 2)
+
+
 class TestInvarianceDefect:
     def test_product_exactly_invariant(self):
         for k in range(1, 7):
@@ -383,7 +458,7 @@ def test_diagnostics_snapshot():
     assert 0.0 <= diag.entropy_k <= math.log(2)
     assert diag.energy_k < 0
     assert diag.invariance_defect_max <= 1 / 8 + 1e-12
-    assert math.isfinite(diag.gap)
+    assert diag.jensen_residual_k >= 0
     assert diag.measure.masses.tobytes() == mu_cesaro(cf, 1.4, 8, 2).masses.tobytes()
     diag_full = diagnostics(cf, 1.4, 4, 4)
     assert diag_full.invariance_defect_max == fresh_defect(cf, 1.4, 4, 4)
@@ -526,8 +601,8 @@ def test_diagnostics_reads_each_level_once_and_no_cache():
 
 
 def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
-    """At k = n the depth-(n+1) table is read off the depth-n one (the builds
-    at n = k = 4 were [4, 5, 4]), with the same bits as a fresh build."""
+    """At k = n the defect is read off the depth-n table, so one Cesaro table
+    is built, and it has the bits of a fresh depth-(n+1) build."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(31), 2, 3))
     defect = fresh_defect(cf, 1.2, 4, 4)
     measure = mu_cesaro(cf, 1.2, 4, 4)
@@ -540,6 +615,6 @@ def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
 
     monkeypatch.setattr(equilibrium, "_cesaro", counting)
     diag = diagnostics(cf, 1.2, 4, 4)
-    assert builds == [4, 5]
+    assert builds == [4]
     assert diag.invariance_defect_max == defect
     assert diag.measure.masses.tobytes() == measure.masses.tobytes()
