@@ -22,8 +22,6 @@ from .equilibrium import (
     diagnostics,
     entropy_depth,
     entropy_table,
-    mu_cesaro,
-    nu_weights,
 )
 from .errors import (
     BudgetExceededError,

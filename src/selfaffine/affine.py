@@ -126,11 +126,6 @@ class AffineIFS:
         a_max = float(np.linalg.norm(self.translations, axis=1).max())
         return a_max / (1.0 - s_max)
 
-    def with_translations(self, flat) -> "AffineIFS":
-        """Same linear parts with a new translation bundle (k*d flat coords)."""
-        flat = np.asarray(flat, dtype=float).reshape(self.n_maps, self.dimension)
-        return AffineIFS(self.dimension, self.matrices.copy(), flat, name=self.name)
-
     def content_hash(self) -> str:
         h = hashlib.sha256(b"affine-ifs")
         h.update(np.int64(self.dimension).tobytes())

@@ -37,7 +37,7 @@ from .affine import (
 )
 from .cache import PartitionSumCache
 from .cylinder import NaturalCylinderFunction, verify_axioms
-from .equilibrium import diagnostics, mu_cesaro
+from .equilibrium import diagnostics
 from .errors import BudgetExceededError, CLIUsageError
 from .ifsfile import parse_ifs_file
 from .pressure import affinity_dimension, pressure_curve, pressure_root, pressure_sequence
@@ -223,13 +223,20 @@ def cmd_pressure(args) -> int:
     return 0
 
 
-def cmd_measure(args) -> int:
-    ifs = _load_ifs(args)
+def _equilibrium(args, ifs):
+    """``t``, from ``--t`` or else the level-``--nmax`` pressure root, and the
+    checked ``diagnostics`` at it: the one builder of the tables of ``measure``
+    and of the equilibrium chaos-game driver."""
     cf = _potential(args, ifs)
     t = args.t
     if t is None:
         t = pressure_root(cf, args.nmax, args.tol)
-    diag = diagnostics(cf, t, args.nmax, args.depth)
+    return t, diagnostics(cf, t, args.nmax, args.depth)
+
+
+def cmd_measure(args) -> int:
+    ifs = _load_ifs(args)
+    t, diag = _equilibrium(args, ifs)
     measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
     _write_csv(out / "measure.csv", "word,mass", measure.rows())
@@ -270,14 +277,10 @@ def _make_cloud(args, ifs):
     """The ``ChaosGame`` of ``render`` and ``boxdim`` and the ``t`` of its
     equilibrium driver.  The uniform driver reads no equilibrium flag, so it
     clears them (its report then echoes none) and its ``t`` is None."""
-    driver = None
-    t_used = None
+    driver = t_used = None
     if args.driver == "equilibrium":
-        cf = _potential(args, ifs)
-        t_used = args.t
-        if t_used is None:
-            t_used = pressure_root(cf, args.nmax, args.tol)
-        driver = mu_cesaro(cf, t_used, args.nmax, args.depth)
+        t_used, diag = _equilibrium(args, ifs)
+        driver = diag.measure
     else:
         args.t = args.nmax = args.depth = args.tol = args.budget = None
     game = ChaosGame(

@@ -1,12 +1,13 @@
 """Finite-level equilibrium-measure approximants and their diagnostics.
 
 The existence proof for equilibrium measures is constructive at every finite
-level, and this module exposes exactly those finite objects:
+level, and ``diagnostics`` builds exactly those finite objects, as the two
+tables of its snapshot:
 
-* ``nu_weights``: the level-n Gibbs-like weights, mass proportional to the
-  potential value of each word (the equality case of the finite-level Jensen
+* ``nu``: the level-n Gibbs-like weights, mass proportional to the potential
+  value of each word (the equality case of the finite-level Jensen
   inequality).
-* ``mu_cesaro``: the Cesaro average of the shifted weights,
+* ``measure``: the Cesaro average of the shifted weights,
   (1/n) * sum_{j=0..n-1} nu_n o shift^-j, with nu_n placed on the periodic
   points w w w ..., materialized as a depth-k cylinder table.  The window at
   shift j is the cyclic window (w + w)[j : j + k], so the table is the
@@ -71,36 +72,9 @@ class CylinderMeasure:
             yield word_str(w, self.n_symbols), mass
 
 
-def _nu(
-    cf: NaturalCylinderFunction, t: float, n: int, log_s: float, lv: np.ndarray
-) -> CylinderMeasure:
-    """The level-n weights from ``level_log_values(cf, t, n)``.  At large
-    ``t``, ``log S_n`` is rounded to an ulp of the largest log-value, and the
-    weights ``exp(v - log S_n)`` no longer sum to 1."""
-    masses = np.exp(lv - log_s)
-    try:
-        return CylinderMeasure(cf.n_symbols, n, masses, provenance=f"nu(n={n},t={t:g})")
-    except ValueError as exc:  # the masses are finite and nonnegative: it is their sum
-        raise LevelOverflowError(
-            f"level {n} at t = {t!r}: log S_n = {log_s!r} is too coarse to normalize "
-            f"the word weights ({exc})"
-        ) from exc
-
-
-def nu_weights(cf: NaturalCylinderFunction, t: float, n: int) -> CylinderMeasure:
-    """Level-n weights with mass proportional to value(t, w), normalized in
-    log space."""
-    return _nu(cf, t, n, *level_log_values(cf, t, n))
-
-
-def _check_depth(n: int, k: int) -> None:
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-
-
 def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
     """The depth-k cyclic Cesaro table of the level-n weights ``nu``, for
-    1 <= k <= n."""
+    1 <= k <= n; its provenance ``mu_cesaro(..)`` is the tag reports print."""
     m_sym, n = nu.n_symbols, nu.depth
     table = np.zeros(m_sym**k)
     for j in range(n):
@@ -112,12 +86,6 @@ def _cesaro(nu: CylinderMeasure, t: float, k: int) -> CylinderMeasure:
             table += wrapped.sum(axis=1).T.ravel()
     table /= n
     return CylinderMeasure(m_sym, k, table, provenance=f"mu_cesaro(n={n},t={t:g},k={k})")
-
-
-def mu_cesaro(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> CylinderMeasure:
-    """Depth-k table of the Cesaro average of the shifted level-n weights."""
-    _check_depth(n, k)
-    return _cesaro(nu_weights(cf, t, n), t, k)
 
 
 def entropy_table(masses: np.ndarray) -> float:
@@ -174,12 +142,21 @@ def diagnostics(cf: NaturalCylinderFunction, t: float, n: int, k: int) -> Equili
     """The depth-k Cesaro table of the level-n weights at ``t``, with its
     entropy and energy quotients, the Fekete upper bound on the pressure
     through level n, the Jensen residual and the invariance defect, for
-    1 <= k <= n.  Raises ``SelfCheckError`` if the residual is below minus
-    its rounding allowance (the masses of ``nu`` carry the rounding of
-    log S_n, which the energy scales) or the defect is above its bound."""
-    _check_depth(n, k)
+    1 <= k <= n.  Raises ``LevelOverflowError`` if the weights do not sum to
+    1 (at large ``t``, log S_n is rounded to an ulp of the largest log-value),
+    and ``SelfCheckError`` if the residual is below minus its rounding
+    allowance (the masses of ``nu`` carry the rounding of log S_n, which the
+    energy scales) or the defect is above its bound."""
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     log_s, lv = level_log_values(cf, t, n)
-    nu = _nu(cf, t, n, log_s, lv)
+    try:
+        nu = CylinderMeasure(cf.n_symbols, n, np.exp(lv - log_s), provenance=f"nu(n={n},t={t:g})")
+    except ValueError as exc:  # the masses are finite and nonnegative: it is their sum
+        raise LevelOverflowError(
+            f"level {n} at t = {t!r}: log S_n = {log_s!r} is too coarse to normalize "
+            f"the word weights ({exc})"
+        ) from exc
     mu = _cesaro(nu, t, k)
     defect = _defect(nu, t, mu)
     h = entropy_depth(mu)

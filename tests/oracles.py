@@ -3,7 +3,9 @@
 Each one computes its object from the definition, one word or one matrix at
 a time, and shares no code with the level tables, compound products and
 closed-form kernels of ``selfaffine``; ``jensen_residual``, whose subject
-is the variational inequality and not the sweep, reads one level's values.
+is the variational inequality and not the sweep, reads one level's values,
+and the two-pass tables, whose subject is the one-sweep equilibrium builder,
+read a level twice.
 """
 
 import itertools
@@ -11,7 +13,7 @@ import math
 
 import numpy as np
 
-from selfaffine.pressure import level_log_values
+from selfaffine.pressure import level_log_values, log_partition_sum
 
 
 def words_of_length(m, n):
@@ -69,6 +71,44 @@ def jensen_residual(cf, t, n, m):
     log_s, lv = level_log_values(cf, t, n)
     nz = m.masses[m.masses > 0]
     return (log_s + float(nz @ np.log(nz)) - float(m.masses @ lv)) / n
+
+
+def two_pass_nu(cf, t, n):
+    """The level-n weights from two passes: log S_n from ``log_partition_sum``,
+    then the word values from a second sweep."""
+    return np.exp(cf.log_value_block(t, (), n) - log_partition_sum(cf, t, n))
+
+
+def wrapped_by_rotation(nu, m, k, q):
+    """Rotate each word (head, middle, tail) to (tail, head) after summing out
+    its middle n - k symbols."""
+    return nu.reshape(m ** (k - q), -1, m**q).sum(axis=1).T.ravel()
+
+
+def wrapped_by_padding(nu, m, k, q):
+    """Pad each word (head, middle, tail) with its own head: the window (tail,
+    head) then lies inside the padded word, and the other symbols sum out."""
+    blocks = nu.reshape(m ** (k - q), -1, m**q)
+    heads = np.arange(blocks.shape[0])
+    padded = np.zeros(blocks.shape + blocks.shape[:1])
+    padded[heads, :, :, heads] = blocks
+    return padded.sum(axis=(0, 1)).ravel()
+
+
+def two_pass_cesaro(cf, t, n, k, wrapped=wrapped_by_rotation):
+    """The depth-k table of the cyclic windows (w + w)[j : j + k] of the
+    ``two_pass_nu`` weights, summed shift by shift in the order the library
+    sums them.  ``wrapped`` gives the table of the windows at a shift with
+    q < k symbols left, which wrap round the end of the word."""
+    nu, m = two_pass_nu(cf, t, n), cf.n_symbols
+    table = np.zeros(m**k)
+    for j in range(n):
+        q = n - j
+        if q >= k:
+            table += nu.reshape(m**j, m**k, -1).sum(axis=(0, 2))
+        else:
+            table += wrapped(nu, m, k, q)
+    return table / n
 
 
 def mp_planar_log_partition_sum(mats, t_values, n, dps=50):

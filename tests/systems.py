@@ -5,6 +5,12 @@ import numpy as np
 from selfaffine import AffineIFS, NaturalCylinderFunction
 
 
+def with_translations(ifs, flat):
+    """``ifs`` with the same linear parts and a new translation bundle (k*d flat coords)."""
+    flat = np.asarray(flat, dtype=float).reshape(ifs.n_maps, ifs.dimension)
+    return AffineIFS(ifs.dimension, ifs.matrices.copy(), flat, name=ifs.name)
+
+
 def random_contractive_matrix(rng, d, lo=0.15, hi=0.6):
     """Random non-singular matrix with largest singular value in [lo, hi]."""
     while True:

@@ -20,6 +20,7 @@ from systems import (
     swap_pair_cf,
     third_product_cf,
     triple_diag_ifs,
+    with_translations,
 )
 
 from selfaffine import (
@@ -30,8 +31,6 @@ from selfaffine import (
     box_dimension,
     diagnostics,
     log_partition_sum,
-    mu_cesaro,
-    nu_weights,
     pressure_curve,
     pressure_root,
     sample_translations,
@@ -121,7 +120,7 @@ def test_c04_jensen_suite():
         for _ in range(100):
             m = CylinderMeasure(2, n, rng.dirichlet(np.ones(2**n)))
             assert jensen_residual(cf, t, n, m) >= -1e-12
-        assert abs(jensen_residual(cf, t, n, nu_weights(cf, t, n))) <= 1e-12
+        assert abs(jensen_residual(cf, t, n, diagnostics(cf, t, n, n).nu)) <= 1e-12
 
 
 def test_c05_subchain_suite():
@@ -210,14 +209,14 @@ def test_c10_full_dimension_cross_check():
         assert report.ok and not report.warnings  # operator norms < 1/2
         rep = affinity_dimension(NaturalCylinderFunction(ifs), 10, 1e-6)
         target = min(float(ifs.dimension), rep.upper_bound)
-        driver = mu_cesaro(NaturalCylinderFunction(ifs), rep.upper_bound, 10, 4)
+        driver = diagnostics(NaturalCylinderFunction(ifs), rep.upper_bound, 10, 4).measure
         translations = sample_translations(2, ifs.n_maps, 3, radius=0.6, seed=42)
         scales = [2.0**-k for k in range(3, 11)]
         passes = 0
         for i, bundle in enumerate(translations):
             start = time.perf_counter()
             game = ChaosGame(
-                ifs.with_translations(bundle), 10**6, burn_in=300, seed=100 + i, driver=driver
+                with_translations(ifs, bundle), 10**6, burn_in=300, seed=100 + i, driver=driver
             )
             estimate = box_dimension(game, scales).estimate
             elapsed = time.perf_counter() - start

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from systems import cantor_ifs, generic_pair_ifs, random_affine_ifs, swap_pair_ifs
+from systems import (
+    cantor_ifs,
+    generic_pair_ifs,
+    random_affine_ifs,
+    swap_pair_ifs,
+    with_translations,
+)
 
 from selfaffine import (
     AffineIFS,
@@ -17,7 +23,7 @@ from selfaffine import (
     DegenerateCloudError,
     IFSValidationError,
     box_dimension,
-    mu_cesaro,
+    diagnostics,
     NaturalCylinderFunction,
     pack_word,
     render_pgm,
@@ -62,7 +68,7 @@ class TestAffineIFS:
         a = swap_pair_ifs()
         b = swap_pair_ifs()
         assert a.content_hash() == b.content_hash()
-        c = a.with_translations(np.zeros(4))
+        c = with_translations(a, np.zeros(4))
         assert c.content_hash() != a.content_hash()
 
 
@@ -164,7 +170,7 @@ class TestAttractorPoints:
     def test_measure_driver(self):
         ifs = generic_pair_ifs()
         cf = NaturalCylinderFunction(ifs)
-        measure = mu_cesaro(cf, 0.86, 8, 3)
+        measure = diagnostics(cf, 0.86, 8, 3).measure
         game = ChaosGame(ifs, 2000, burn_in=100, seed=2, driver=measure)
         assert game.points().shape == (2000, 2)
         assert game.driver == measure.provenance
@@ -478,7 +484,7 @@ class TestReplayedChaosGame:
 
 
 def _cesaro_driver(ifs, t, n, k):
-    return mu_cesaro(NaturalCylinderFunction(ifs), t, n, k)
+    return diagnostics(NaturalCylinderFunction(ifs), t, n, k).measure
 
 
 def _pin_case(name):
@@ -673,8 +679,8 @@ class TestBoxCountNesting:
         # counts recorded with one pass over the points per scale, on the
         # cloud driven by the cyclic Cesaro table
         bundle = sample_translations(2, 2, 1, radius=0.6, seed=7)[0]
-        ifs = generic_pair_ifs().with_translations(bundle)
-        driver = mu_cesaro(NaturalCylinderFunction(ifs), 1.3, 8, 3)
+        ifs = with_translations(generic_pair_ifs(), bundle)
+        driver = _cesaro_driver(ifs, 1.3, 8, 3)
         game = ChaosGame(ifs, 200000, burn_in=300, seed=7, driver=driver)
         result = box_dimension(game, [2.0**-k for k in range(3, 11)])
         assert result.counts == (12, 20, 35, 61, 113, 189, 343, 604)
@@ -710,7 +716,7 @@ class TestWorkingMemory:
         and checkpoints, the play pass's uniforms, states and one step's
         maps, then one lane group's replay."""
         ifs = generic_pair_ifs()
-        driver = mu_cesaro(NaturalCylinderFunction(ifs), 0.86, 8, 3)
+        driver = _cesaro_driver(ifs, 0.86, 8, 3)
         scales = [2.0**-k for k in range(3, 11)]
 
         def streamed():
@@ -726,7 +732,7 @@ class TestWorkingMemory:
         pass gathered a whole chunk's maps at once and a replay ran
         ``CHUNK_POINTS`` lanes at a time)."""
         ifs = generic_pair_ifs()
-        driver = mu_cesaro(NaturalCylinderFunction(ifs), 0.86, 8, 3)
+        driver = _cesaro_driver(ifs, 0.86, 8, 3)
         scales = [2.0**-k for k in range(3, 11)]
         ChaosGame(ifs, 10, seed=3, driver=driver)  # numpy.random is imported outside the trace
 

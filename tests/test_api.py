@@ -1,7 +1,10 @@
-"""The public surface holds the engine: every exported name is either used by
-the library itself or is one of its named entry points."""
+"""The public surface holds the engine: every exported name, module-level
+function and class method is either used by the library itself or is one of
+its named entry points."""
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import selfaffine
@@ -54,3 +57,45 @@ def test_every_export_is_used_by_the_library_or_an_entry_point():
     assert sorted(set(unused) - set(ENTRY_POINTS)) == []
     # an entry point that the library starts calling moves out of the list
     assert sorted(set(ENTRY_POINTS) - set(unused)) == []
+
+
+def _read_names(node):
+    """How often each name, or attribute name, is read in ``node``'s subtree."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _callables(stem, tree):
+    """(qualified name, definition) of each module-level function and class
+    method of module ``stem``, but dunder methods and overrides of a method of
+    a base class: the code that calls those is outside the library."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            bases = getattr(importlib.import_module(f"selfaffine.{stem}"), node.name).__mro__[1:]
+            for method in node.body:
+                name = getattr(method, "name", "")
+                if (isinstance(method, ast.FunctionDef)
+                        and not (name.startswith("__") and name.endswith("__"))
+                        and not any(hasattr(base, name) for base in bases)):
+                    yield f"{node.name}.{name}", method
+
+
+def test_every_function_and_method_is_used_by_the_library_or_an_entry_point():
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    reads = sum(map(_read_names, modules.values()), Counter())
+    unused = [
+        qualname
+        for stem, tree in modules.items()
+        for qualname, definition in _callables(stem, tree)
+        if reads[definition.name] == _read_names(definition)[definition.name]
+    ]
+    assert sorted(set(unused) - set(ENTRY_POINTS)) == []

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import two_pass_nu
 from systems import (
     cantor_ifs,
     conformal_pair_ifs,
@@ -18,7 +19,14 @@ from systems import (
     triple_diag_ifs,
 )
 
-from selfaffine import AffineIFS, AxiomReport, NaturalCylinderFunction, cli, equilibrium, nu_weights
+from selfaffine import (
+    AffineIFS,
+    AxiomReport,
+    CylinderMeasure,
+    NaturalCylinderFunction,
+    cli,
+    equilibrium,
+)
 from selfaffine.affine import DEFAULT_CHAINS
 from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
@@ -215,7 +223,7 @@ def test_measure_nu_reads_top_level_once(tmp_path, monkeypatch):
     path = tmp_path / "swap.json"
     write_ifs_file(swap_pair_ifs(), path)
     expected = tmp_path / "expected.csv"
-    nu = nu_weights(NaturalCylinderFunction(swap_pair_ifs()), 1.4, 6)
+    nu = CylinderMeasure(2, 6, two_pass_nu(NaturalCylinderFunction(swap_pair_ifs()), 1.4, 6))
     _write_csv(expected, "word,mass", nu.rows())
     levels = []
     block = NaturalCylinderFunction.log_value_block
@@ -370,6 +378,20 @@ def test_measure_self_check_breach_is_named_error(conformal_path, tmp_path, caps
     argv = ["measure", "--t", "1.0", "--nmax", "4", "--ifs", str(conformal_path), "--out", str(out)]
     assert main(argv) == 1
     assert re.search(f"^error: {message}", capsys.readouterr().err, re.MULTILINE)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["render", "boxdim"])
+def test_equilibrium_driver_is_checked(tmp_path, capsys, monkeypatch, command):
+    """The equilibrium chaos-game driver is the table ``diagnostics`` checks:
+    a defect above its bound exits 1 and writes nothing."""
+    path = tmp_path / "gp.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    monkeypatch.setattr(equilibrium, "_defect", lambda nu, t, mu: 1.0)
+    out = tmp_path / "out"
+    assert main([command, "--ifs", str(path), "--count", "1000", "--driver", "equilibrium",
+                 "--nmax", "6", "--depth", "3", "--out", str(out)]) == 1
+    assert re.search("^error: invariance defect", capsys.readouterr().err, re.MULTILINE)
     assert not out.exists()
 
 

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import jensen_residual, marginal, unpack_word
+from oracles import (
+    jensen_residual,
+    marginal,
+    two_pass_cesaro,
+    two_pass_nu,
+    unpack_word,
+    wrapped_by_padding,
+    wrapped_by_rotation,
+)
 from systems import (
     cantor_ifs,
     conformal_pair_ifs,
@@ -25,8 +33,6 @@ from selfaffine import (
     entropy_depth,
     entropy_table,
     log_partition_sum,
-    mu_cesaro,
-    nu_weights,
     pressure_root,
 )
 from selfaffine import equilibrium, pressure
@@ -45,15 +51,25 @@ def energy(cf, t, m):
     return equilibrium._energy(m, level_log_values(cf, t, m.depth)[1])
 
 
+def nu_table(cf, t, n):
+    """The level-n weights of the checked ``diagnostics`` snapshot."""
+    return diagnostics(cf, t, n, n).nu
+
+
+def cesaro_table(cf, t, n, k):
+    """The depth-k Cesaro table of the checked ``diagnostics`` snapshot."""
+    return diagnostics(cf, t, n, k).measure
+
+
 def fresh_defect(cf, t, n, k):
     """The invariance defect read from a fresh depth-(k+1) Cesaro table; at
     k = n that table puts the mass of each rotated word on the word followed
     by its own first symbol."""
-    nu, m = nu_weights(cf, t, n), cf.n_symbols
+    m = cf.n_symbols
     if k < n:
-        deep = equilibrium._cesaro(nu, t, k + 1).masses
+        deep = two_pass_cesaro(cf, t, n, k + 1)
     else:
-        rho = equilibrium._cesaro(nu, t, n).masses
+        rho = two_pass_cesaro(cf, t, n, n)
         r = np.arange(rho.size)
         deep = np.zeros(m ** (n + 1))
         deep[r * m + r // m ** (n - 1)] = rho
@@ -96,17 +112,17 @@ class TestCylinderMeasure:
 
 class TestNuWeights:
     def test_product_is_uniform(self):
-        nu = nu_weights(half_product_cf(), 1.7, 4)
+        nu = nu_table(half_product_cf(), 1.7, 4)
         assert np.allclose(nu.masses, 1 / 16, rtol=0, atol=1e-15)
 
     def test_swap_pair_hand_enumeration(self):
-        nu = nu_weights(swap_pair_cf(), 1.5, 2)
+        nu = nu_table(swap_pair_cf(), 1.5, 2)
         expected = [SWAP_MASS_OUTER, SWAP_MASS_INNER, SWAP_MASS_INNER, SWAP_MASS_OUTER]
         assert np.allclose(nu.masses, expected, rtol=0, atol=1e-12)
 
     def test_single_map_point_mass(self):
         cf = NaturalCylinderFunction(np.stack([np.diag([0.5, 0.25])]))
-        nu = nu_weights(cf, 1.0, 3)
+        nu = nu_table(cf, 1.0, 3)
         assert nu.masses.shape == (1,)
         assert nu.masses[0] == pytest.approx(1.0, abs=1e-15)
 
@@ -114,15 +130,14 @@ class TestNuWeights:
         """At t = 1e10, log S_4 of generic-pair is about -3.5e10, a multiple of
         7.6e-6, and the weights summed to 0.9999980850345835."""
         cf = NaturalCylinderFunction(generic_pair_ifs())
-        for consumer in (nu_weights, lambda *a: mu_cesaro(*a, 2), lambda *a: diagnostics(*a, 2)):
-            with pytest.raises(LevelOverflowError, match=r"level 4 at t = 10000000000\.0"):
-                consumer(cf, 1e10, 4)
-        assert abs(nu_weights(cf, 1e8, 4).masses.sum() - 1.0) <= 1e-8
+        with pytest.raises(LevelOverflowError, match=r"level 4 at t = 10000000000\.0"):
+            diagnostics(cf, 1e10, 4, 2)
+        assert abs(nu_table(cf, 1e8, 4).masses.sum() - 1.0) <= 1e-8
 
     def test_sums_to_one_and_matches_direct_ratio(self):
         rng = np.random.default_rng(30)
         cf = NaturalCylinderFunction(random_affine_ifs(rng, 2, 2))
-        nu = nu_weights(cf, 1.3, 6)
+        nu = nu_table(cf, 1.3, 6)
         assert abs(nu.masses.sum() - 1.0) <= 1e-12
         # oracle: mass ratio equals value ratio
         w1, w2 = (0, 1, 1, 0, 1, 0), (1, 1, 0, 0, 0, 1)
@@ -135,37 +150,37 @@ class TestMuCesaro:
     def test_product_drop_uniform_at_every_depth(self):
         # in-word and wrapped windows alike: the table is uniform at every depth 1..n
         for k in range(1, 7):
-            mu = mu_cesaro(half_product_cf(), 1.0, 6, k)
+            mu = cesaro_table(half_product_cf(), 1.0, 6, k)
             assert np.allclose(mu.masses, 2.0**-k, rtol=0, atol=1e-14)
 
     def test_product_pad_depth_one_uniform(self):
         # no depth-one window wraps, so the table is uniform at every level 1..8
         for n in range(1, 9):
-            mu = mu_cesaro(half_product_cf(), 1.0, n, 1)
+            mu = cesaro_table(half_product_cf(), 1.0, n, 1)
             assert np.allclose(mu.masses, 0.5, rtol=0, atol=1e-14)
 
     def test_cyclic_window_oracle(self):
         # independent oracle: enumerate words, slide windows around each word
         cf = swap_pair_cf()
         t, n, k = 1.5, 4, 2
-        nu = nu_weights(cf, t, n)
+        nu = nu_table(cf, t, n)
         table = np.zeros(4)
         for idx in range(16):
             w = [(idx >> (n - 1 - b)) & 1 for b in range(n)]
             for j in range(n):
                 window = (w + w)[j : j + k]
                 table[window[0] * 2 + window[1]] += nu.masses[idx] / n
-        mu = mu_cesaro(cf, t, n, k)
+        mu = cesaro_table(cf, t, n, k)
         assert np.allclose(mu.masses, table, rtol=0, atol=1e-14)
 
     def test_swap_symmetry_depth_one(self):
-        mu = mu_cesaro(swap_pair_cf(), 1.5, 2, 1)
+        mu = cesaro_table(swap_pair_cf(), 1.5, 2, 1)
         assert np.allclose(mu.masses, [0.5, 0.5], rtol=0, atol=1e-12)
 
     def test_marginal_consistency_across_depths(self):
         cf = swap_pair_cf()
-        mu3 = mu_cesaro(cf, 1.3, 8, 3)
-        mu2 = mu_cesaro(cf, 1.3, 8, 2)
+        mu3 = cesaro_table(cf, 1.3, 8, 3)
+        mu2 = cesaro_table(cf, 1.3, 8, 2)
         assert np.allclose(marginal(mu3, 2), mu2.masses, rtol=0, atol=1e-12)
         assert abs(mu3.masses.sum() - 1.0) <= 1e-12
 
@@ -173,9 +188,7 @@ class TestMuCesaro:
         cf = half_product_cf()
         for k in (0, 4):
             with pytest.raises(ValueError):
-                mu_cesaro(cf, 1.0, 3, k)
-        with pytest.raises(TypeError):  # one convention: there is no mode to pick
-            mu_cesaro(cf, 1.0, 3, 1, "wrap")
+                cesaro_table(cf, 1.0, 3, k)
 
 
 class TestEntropyEnergy:
@@ -223,7 +236,7 @@ class TestEntropyEnergy:
 class TestJensen:
     def test_zero_at_nu(self):
         cf = swap_pair_cf()
-        nu = nu_weights(cf, 1.3, 6)
+        nu = nu_table(cf, 1.3, 6)
         assert abs(jensen_residual(cf, 1.3, 6, nu)) <= 1e-12
 
     def test_point_mass_formula(self):
@@ -253,7 +266,7 @@ class TestJensen:
         random 2-D and 3-D systems."""
         rng = np.random.default_rng(seed)
         cf = NaturalCylinderFunction(random_affine_ifs(rng, d, 2))
-        assert abs(jensen_residual(cf, t, n, nu_weights(cf, t, n))) <= 1e-12
+        assert abs(jensen_residual(cf, t, n, nu_table(cf, t, n))) <= 1e-12
         for _ in range(3):
             m = CylinderMeasure(2, n, rng.dirichlet(np.ones(2**n)))
             assert jensen_residual(cf, t, n, m) >= -1e-12
@@ -350,7 +363,7 @@ class TestInvarianceDefect:
         assert defect <= 1 / n + 1e-12
         assert defect <= rounding
         if k < n:
-            gap = marginal(mu_cesaro(cf, t, n, k + 1), k) - mu_cesaro(cf, t, n, k).masses
+            gap = marginal(cesaro_table(cf, t, n, k + 1), k) - cesaro_table(cf, t, n, k).masses
             assert np.abs(gap).max() <= rounding
 
     def test_depth_precondition(self):
@@ -369,7 +382,7 @@ class TestShiftAverageConstruction:
 
     @staticmethod
     def shifted_window_tables(cf, t, n, k):
-        nu = nu_weights(cf, t, n)
+        nu = nu_table(cf, t, n)
         m = cf.n_symbols
         tables = []
         for j in range(n):
@@ -388,14 +401,14 @@ class TestShiftAverageConstruction:
         cf = swap_pair_cf()
         t, n, k = 1.5, 6, 2
         tables = self.shifted_window_tables(cf, t, n, k)
-        mu = mu_cesaro(cf, t, n, k)
+        mu = cesaro_table(cf, t, n, k)
         assert np.allclose(np.mean(tables, axis=0), mu.masses, rtol=0, atol=1e-13)
 
     def test_energy_average_is_exact(self):
         cf = swap_pair_cf()
         t, n, k = 1.5, 6, 2
         tables = self.shifted_window_tables(cf, t, n, k)
-        mu = mu_cesaro(cf, t, n, k)
+        mu = cesaro_table(cf, t, n, k)
         averaged = np.mean([energy(cf, t, CylinderMeasure(2, k, tb)) for tb in tables])
         assert averaged == pytest.approx(energy(cf, t, mu), abs=1e-12)
 
@@ -403,7 +416,7 @@ class TestShiftAverageConstruction:
         cf = swap_pair_cf()
         t, n, k = 1.5, 6, 2
         tables = self.shifted_window_tables(cf, t, n, k)
-        mu = mu_cesaro(cf, t, n, k)
+        mu = cesaro_table(cf, t, n, k)
         averaged = np.mean([entropy_table(tb) for tb in tables])
         assert averaged <= entropy_table(mu.masses) + 1e-12
 
@@ -412,7 +425,7 @@ class TestEntropySubadditivity:
     def test_exact_split_inequality(self):
         # joint entropy of one table vs entropies of its two block marginals
         cf = swap_pair_cf()
-        table = mu_cesaro(cf, 1.3, 10, 6).masses
+        table = cesaro_table(cf, 1.3, 10, 6).masses
         for n1 in range(1, 6):
             n2 = 6 - n1
             joint = entropy_table(table)
@@ -424,7 +437,7 @@ class TestEntropySubadditivity:
         # H_{n+m} <= H_n + H_m with both entropies from prefix tables; holds
         # on these systems (approximately invariant tables)
         for cf in (swap_pair_cf(), NaturalCylinderFunction(triple_diag_ifs())):
-            deep = mu_cesaro(cf, 1.2, 9, 6)
+            deep = cesaro_table(cf, 1.2, 9, 6)
             h6 = entropy_table(deep.masses)
             for n1 in (2, 3, 4):
                 h_a = entropy_table(marginal(deep, n1))
@@ -459,31 +472,16 @@ def test_diagnostics_snapshot():
     assert diag.energy_k < 0
     assert diag.invariance_defect_max <= 1 / 8 + 1e-12
     assert diag.jensen_residual_k >= 0
-    assert diag.measure.masses.tobytes() == mu_cesaro(cf, 1.4, 8, 2).masses.tobytes()
+    assert diag.measure.masses.tobytes() == two_pass_cesaro(cf, 1.4, 8, 2).tobytes()
     diag_full = diagnostics(cf, 1.4, 4, 4)
     assert diag_full.invariance_defect_max == fresh_defect(cf, 1.4, 4, 4)
     assert diag_full.invariance_defect_max <= 2 * (4 + 1) * np.finfo(float).eps
 
 
-def _wrapped_by_rotation(nu, m, k, q):
-    # sum out the middle n - k symbols, then rotate (head, tail) to (tail, head)
-    return nu.reshape(m ** (k - q), -1, m**q).sum(axis=1).T.ravel()
-
-
-def _wrapped_by_padding(nu, m, k, q):
-    # pad each word (head, middle, tail) with its own head: the window (tail, head)
-    # then lies inside the padded word, and the other symbols sum out
-    blocks = nu.reshape(m ** (k - q), -1, m**q)
-    heads = np.arange(blocks.shape[0])
-    padded = np.zeros(blocks.shape + blocks.shape[:1])
-    padded[heads, :, :, heads] = blocks
-    return padded.sum(axis=(0, 1)).ravel()
-
-
 # Two constructions of a window that wraps round the end of a level-n word,
 # for shifts with q < k symbols left: rotate the word and drop what lies
 # outside the window, or pad the word with its own head and slide along it.
-WRAPPED_WINDOW_TABLES = dict(drop=_wrapped_by_rotation, pad=_wrapped_by_padding)
+WRAPPED_WINDOW_TABLES = dict(drop=wrapped_by_rotation, pad=wrapped_by_padding)
 CYCLIC_WINDOWS = dict(
     drop=lambda w, j, k: (w[j:] + w[:j])[:k],
     pad=lambda w, j, k: (w + w[: k - 1])[j : j + k],
@@ -491,38 +489,22 @@ CYCLIC_WINDOWS = dict(
 
 
 class TestOnePassMatchesTwoPass:
-    """The one-sweep consumers give the bits of the two-pass formulas: log S_n
-    from ``log_partition_sum`` and the word values from a second sweep."""
+    """The one-sweep tables of ``diagnostics`` give the bits of the two-pass
+    formulas: log S_n from ``log_partition_sum`` and the word values from a
+    second sweep."""
 
     CF = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(37), 2, 3))
     T, N = 1.21, 6
 
-    def two_pass(self):
-        cf, t, n = self.CF, self.T, self.N
-        return log_partition_sum(cf, t, n), cf.log_value_block(t, (), n)
-
     def test_nu_weights(self):
-        log_s, values = self.two_pass()
-        expected = np.exp(values - log_s)
-        assert nu_weights(self.CF, self.T, self.N).masses.tobytes() == expected.tobytes()
+        expected = two_pass_nu(self.CF, self.T, self.N)
+        assert nu_table(self.CF, self.T, self.N).masses.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("wrapped", WRAPPED_WINDOW_TABLES.values(), ids=WRAPPED_WINDOW_TABLES)
     @pytest.mark.parametrize("k", [1, 3, 6])
     def test_mu_cesaro(self, k, wrapped):
-        # the cyclic windows (w + w)[j : j + k] of the two-pass weights, summed
-        # shift by shift in the order the library sums them
-        log_s, values = self.two_pass()
-        m_sym, n = self.CF.n_symbols, self.N
-        nu = np.exp(values - log_s)
-        table = np.zeros(m_sym**k)
-        for j in range(n):
-            q = n - j
-            if q >= k:
-                table += nu.reshape(m_sym**j, m_sym**k, -1).sum(axis=(0, 2))
-            else:
-                table += wrapped(nu, m_sym, k, q)
-        table /= n
-        mu = mu_cesaro(self.CF, self.T, n, k)
+        table = two_pass_cesaro(self.CF, self.T, self.N, k, wrapped)
+        mu = cesaro_table(self.CF, self.T, self.N, k)
         assert mu.masses.tobytes() == table.tobytes()
 
 
@@ -533,13 +515,13 @@ def test_mu_cesaro_matches_per_word_windows(k, window):
     its n cyclic windows (w + w)[j : j + k]."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(39), 2, 3))
     t, n = 1.05, 5
-    nu = nu_weights(cf, t, n).masses
+    nu = nu_table(cf, t, n).masses
     table = np.zeros(3**k)
     for index, mass in enumerate(nu):
         w = unpack_word(index, 3, n)
         for j in range(n):
             table[pack_word(window(w, j, k), 3)] += mass / n
-    mu = mu_cesaro(cf, t, n, k)
+    mu = cesaro_table(cf, t, n, k)
     np.testing.assert_allclose(mu.masses, table, rtol=1e-13, atol=1e-16)
 
 
@@ -575,7 +557,7 @@ def test_diagnostics_at_full_depth_reads_top_level_once():
     diag = diagnostics(cf, 1.4, 4, 4)
     assert levels.count(4) == 1
     assert diag.energy_k == energy(swap_pair_cf(), 1.4, diag.measure)
-    assert diag.nu.masses.tobytes() == nu_weights(swap_pair_cf(), 1.4, 4).masses.tobytes()
+    assert diag.nu.masses.tobytes() == two_pass_nu(swap_pair_cf(), 1.4, 4).tobytes()
 
 
 def test_diagnostics_reads_each_level_once_and_no_cache():
@@ -605,7 +587,7 @@ def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
     is built, and it has the bits of a fresh depth-(n+1) build."""
     cf = NaturalCylinderFunction(random_affine_ifs(np.random.default_rng(31), 2, 3))
     defect = fresh_defect(cf, 1.2, 4, 4)
-    measure = mu_cesaro(cf, 1.2, 4, 4)
+    measure = two_pass_cesaro(cf, 1.2, 4, 4)
     builds = []
     build = equilibrium._cesaro
 
@@ -617,4 +599,4 @@ def test_diagnostics_at_full_depth_builds_each_cesaro_table_once(monkeypatch):
     diag = diagnostics(cf, 1.2, 4, 4)
     assert builds == [4]
     assert diag.invariance_defect_max == defect
-    assert diag.measure.masses.tobytes() == measure.masses.tobytes()
+    assert diag.measure.masses.tobytes() == measure.tobytes()

@@ -30,8 +30,6 @@ from selfaffine import (
     affinity_dimension,
     diagnostics,
     log_partition_sum,
-    mu_cesaro,
-    nu_weights,
     pressure_curve,
     pressure_level,
     pressure_root,
@@ -294,8 +292,6 @@ LEVEL_CONSUMERS = {
     "pressure_level": lambda cf: pressure_level(cf, 1.0, 4),
     "pressure_root": lambda cf: pressure_root(cf, 4, 1e-6),
     "pressure_curve": lambda cf: pressure_curve(cf, [0.5, 1.0], 4),
-    "nu_weights": lambda cf: nu_weights(cf, 1.0, 4),
-    "mu_cesaro": lambda cf: mu_cesaro(cf, 1.0, 4, 2),
     "diagnostics": lambda cf: diagnostics(cf, 1.0, 4, 2),
 }
 
