@@ -2,11 +2,11 @@
 
 Each record is a line ``<cf-hash> <t-bits> <n> <value-bits>`` where the floats
 are stored via ``float.hex`` so a round trip reproduces the exact bits.
-Corrupted lines (a torn append, manual edits) are skipped with a warning;
-everything before them stays usable.  The warning goes to the
-``selfaffine.cache`` logger, and ``logging`` is imported only to send it;
-with no handler configured, logging's last-resort handler prints the bare
-message on stderr.
+Corrupted lines (a torn append, manual edits, a non-finite ``t`` or value)
+are skipped with a warning; everything before them stays usable.  The
+warning goes to the ``selfaffine.cache`` logger, and ``logging`` is imported
+only to send it; with no handler configured, logging's last-resort handler
+prints the bare message on stderr.
 
 A cached sum carries the last bits of the numpy ``exp``/``log`` kernels of
 the host that wrote it, and the key does not name the host.  So a warm run
@@ -16,6 +16,7 @@ wrote the file.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 _HEADER = "# selfaffine pressure cache v1"
@@ -43,8 +44,10 @@ class PartitionSumCache:
                 if len(parts) != 4:
                     raise ValueError("wrong field count")
                 cf_hash, t_hex, n_str, v_hex = parts
-                key = (cf_hash, float.fromhex(t_hex), int(n_str))
-                self._mem[key] = float.fromhex(v_hex)
+                t, value = float.fromhex(t_hex), float.fromhex(v_hex)
+                if not (math.isfinite(t) and math.isfinite(value)):
+                    raise ValueError("non-finite t or value")
+                self._mem[(cf_hash, t, int(n_str))] = value
             except ValueError:
                 import logging  # only here: a run without a torn record never loads it
 

@@ -9,7 +9,10 @@ artifacts.  Each command declares only the flags it reads: ``--budget`` where
 a level is enumerated (all but ``verify``), ``--seed`` where random numbers
 are drawn (``verify``, ``render``, ``boxdim``).  ``--workers`` is accepted and
 must be positive, but the library runs serially and the value has no effect.
-Timing goes to stderr.
+Each numeric flag's rule is its argparse ``type``, so a bad value is a usage
+error at parse time; the one rule that joins two flags, ``--depth <= --nmax``,
+is checked by ``_equilibrium``, the one builder of an equilibrium table,
+before its root search.  Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -55,6 +58,28 @@ MAX_T_GRID_POINTS = 10**6
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CLIUsageError(message)
+
+
+def _checked(convert, ok, rule: str):
+    """An argparse ``type=``: ``convert`` the flag's text and keep the value
+    only if ``ok``, so a bad value is a usage error at parse time."""
+
+    def parse(text):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v > 0, "positive")
+_NONNEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
+_POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
+_FINITE = _checked(float, math.isfinite, "finite")
+_RESOLUTION = _checked(int, lambda v: MIN_RESOLUTION <= v <= MAX_RESOLUTION,
+                       f"in {MIN_RESOLUTION}..{MAX_RESOLUTION}")
 
 
 def _fmt(v) -> str:
@@ -145,34 +170,6 @@ def _potential(args, ifs) -> NaturalCylinderFunction:
     return NaturalCylinderFunction(ifs, args.budget, cache)
 
 
-def _check_flags(args) -> None:
-    """Each positive flag the subcommand has must be positive and finite,
-    ``--burn-in`` and ``--seed`` nonnegative, ``--resolution`` in
-    ``MIN_RESOLUTION..MAX_RESOLUTION``, ``--t`` finite, and ``--depth`` at most ``--nmax``
-    wherever an equilibrium table is built."""
-    for name in ("nmax", "tol", "workers", "budget", "depth", "samples", "count", "resolution",
-                 "chains"):
-        value = getattr(args, name, None)
-        if value is not None and not 0 < value < math.inf:
-            raise CLIUsageError(f"--{name} must be positive and finite, got {value}")
-    for name in ("burn_in", "seed"):
-        value = getattr(args, name, 0)
-        if value < 0:
-            raise CLIUsageError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-    if not MIN_RESOLUTION <= getattr(args, "resolution", MIN_RESOLUTION) <= MAX_RESOLUTION:
-        raise CLIUsageError(
-            f"--resolution must be in {MIN_RESOLUTION}..{MAX_RESOLUTION}, got {args.resolution}"
-        )
-    t = getattr(args, "t", None)
-    if t is not None and not math.isfinite(t):
-        raise CLIUsageError(f"--t must be finite, got {t}")
-    # measure always builds one; render and boxdim only with --driver equilibrium
-    depth = getattr(args, "depth", None)
-    if depth is not None and getattr(args, "driver", "equilibrium") == "equilibrium":
-        if depth > args.nmax:
-            raise CLIUsageError(f"--depth must be <= --nmax, got {depth} > {args.nmax}")
-
-
 def cmd_dim(args) -> int:
     ifs = _load_ifs(args)
     rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
@@ -227,6 +224,8 @@ def _equilibrium(args, ifs):
     """``t``, from ``--t`` or else the level-``--nmax`` pressure root, and the
     checked ``diagnostics`` at it: the one builder of the tables of ``measure``
     and of the equilibrium chaos-game driver."""
+    if args.depth > args.nmax:  # the one rule that joins two flags
+        raise CLIUsageError(f"--depth must be <= --nmax, got {args.depth} > {args.nmax}")
     cf = _potential(args, ifs)
     t = args.t
     if t is None:
@@ -335,57 +334,58 @@ def cmd_boxdim(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="selfaffine", description=__doc__)
     parser.add_argument("--version", action="version", version=f"selfaffine {__version__}")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     common = _Parser(add_help=False)
     common.add_argument("--ifs", required=True, help="path to the IFS JSON document")
     common.add_argument("--out", default="out", help="output directory (default: ./out)")
-    common.add_argument("--workers", type=int, default=1,
+    common.add_argument("--workers", type=_COUNT, default=1,
                         help="accepted for compatibility; must be positive, has no effect")
     levels = _Parser(add_help=False)  # the commands that enumerate a level
-    levels.add_argument("--budget", type=int, default=DEFAULT_WORD_BUDGET,
+    levels.add_argument("--budget", type=_COUNT, default=DEFAULT_WORD_BUDGET,
                         help="max words enumerated per level")
+    levels.add_argument("--nmax", type=_COUNT, default=8)
     seeded = _Parser(add_help=False)  # the commands that draw random numbers
-    seeded.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
+    seeded.add_argument("--seed", type=_NONNEGATIVE, default=0, help="64-bit RNG seed")
+    # the commands that build an equilibrium table; --depth and --tol defaults
+    # differ among them, and parents share their actions, so each declares those
+    equilibrium = _Parser(add_help=False)
+    equilibrium.add_argument("--t", type=_FINITE, default=None,
+                             help="default: level-nmax pressure root")
 
     p = sub.add_parser("dim", parents=[common, levels], help="affinity dimension report")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--tol", type=float, default=1e-9, help="root bracket width")
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9, help="root bracket width")
     p.add_argument("--cache", default=None, help="persistent partition-sum cache file")
 
     p = sub.add_parser("pressure", parents=[common, levels], help="pressure levels or curve")
-    p.add_argument("--t", type=float, default=None)
+    p.add_argument("--t", type=_FINITE, default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None, metavar="A:B:STEP")
-    p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--cache", default=None)
 
-    p = sub.add_parser("measure", parents=[common, levels], help="equilibrium-measure approximant")
-    p.add_argument("--t", type=float, default=None, help="default: level-nmax pressure root")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p = sub.add_parser("measure", parents=[common, levels, equilibrium],
+                       help="equilibrium-measure approximant")
+    p.add_argument("--depth", type=_COUNT, default=2)
+    p.add_argument("--tol", type=_POSITIVE, default=1e-9)
     p.add_argument("--kind", choices=["mu", "nu"], default="mu")
     p.add_argument("--cache", default=None)
 
     p = sub.add_parser("verify", parents=[common, seeded],
                        help="check the cylinder-function axioms")
     p.add_argument("--t-grid", dest="t_grid", default="0.5:3.0:0.5", metavar="A:B:STEP")
-    p.add_argument("--nmax", type=int, default=8)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--nmax", type=_COUNT, default=8)
+    p.add_argument("--samples", type=_COUNT, default=1000)
 
     for name, extra in (("render", "rasterize the attractor"), ("boxdim", "box-counting estimate")):
-        p = sub.add_parser(name, parents=[common, levels, seeded], help=extra)
-        p.add_argument("--count", type=int, default=100000 if name == "render" else 200000)
-        p.add_argument("--burn-in", dest="burn_in", type=int, default=200)
-        p.add_argument("--chains", type=int, default=DEFAULT_CHAINS)
+        p = sub.add_parser(name, parents=[common, levels, seeded, equilibrium], help=extra)
+        p.add_argument("--count", type=_COUNT, default=100000 if name == "render" else 200000)
+        p.add_argument("--burn-in", dest="burn_in", type=_NONNEGATIVE, default=200)
+        p.add_argument("--chains", type=_COUNT, default=DEFAULT_CHAINS)
         p.add_argument("--driver", choices=["uniform", "equilibrium"], default="uniform")
-        p.add_argument("--t", type=float, default=None)
-        p.add_argument("--nmax", type=int, default=8)
-        p.add_argument("--depth", type=int, default=3)
-        p.add_argument("--tol", type=float, default=1e-6)
+        p.add_argument("--depth", type=_COUNT, default=3)
+        p.add_argument("--tol", type=_POSITIVE, default=1e-6)
         p.add_argument("--save-points", dest="save_points", action="store_true")
         if name == "render":
-            p.add_argument("--resolution", type=int, default=512)
+            p.add_argument("--resolution", type=_RESOLUTION, default=512)
         else:
             p.add_argument("--scales", default=DEFAULT_SCALES, metavar="S1,S2,...")
 
@@ -406,9 +406,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command is None:
-            raise CLIUsageError("no subcommand given (try --help)")
-        _check_flags(args)
         out = Path(args.out)  # a file in the way of --out fails now, not after the work
         found = next(p for p in (out, *out.parents) if p.exists())
         if not found.is_dir():

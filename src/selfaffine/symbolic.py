@@ -19,9 +19,13 @@ DEFAULT_WORD_BUDGET = 1 << 24
 
 def check_budget(m: int, n: int, budget: int) -> int:
     """Return m^n, the number of words of length n over m symbols, or raise
-    BudgetExceededError if it exceeds the budget."""
+    BudgetExceededError if it exceeds the budget.  For m >= 2 a length of at
+    least the budget's bit length is refused first (m^n >= 2^n > budget), so
+    a huge n never forms m^n."""
     if n < 0:
         raise ValueError(f"word length must be nonnegative, got {n}")
+    if m >= 2 and n >= budget.bit_length():
+        raise BudgetExceededError(m, n, budget)
     count = m**n
     if count > budget:
         raise BudgetExceededError(m, n, budget)

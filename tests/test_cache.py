@@ -70,3 +70,18 @@ def test_record_with_wrong_field_count_is_skipped(tmp_path, caplog, record):
         cache = PartitionSumCache(path)
     assert caplog.messages == [f"ignoring corrupted cache record at {path}:2"]
     assert len(cache) == 1 and cache.get(("bbbb", 2.0, 7)) == 3.5
+
+
+@pytest.mark.parametrize(
+    "record",
+    ["aaaa 0x1.0p+0 2 nan", "aaaa 0x1.0p+0 2 inf", "aaaa 0x1.0p+0 2 -inf", "aaaa nan 2 0x1.0p+0"],
+)
+def test_non_finite_record_is_skipped(tmp_path, caplog, record):
+    """A partition sum is finite, so a non-finite ``t`` or value is a
+    corrupted record, never a cached result."""
+    path = tmp_path / "cache.txt"
+    path.write_text(f"# selfaffine pressure cache v1\n{record}\nbbbb 0x1.0p+1 7 0x1.cp+1\n")
+    with caplog.at_level(logging.WARNING, logger="selfaffine.cache"):
+        cache = PartitionSumCache(path)
+    assert caplog.messages == [f"ignoring corrupted cache record at {path}:2"]
+    assert len(cache) == 1 and cache.get(("bbbb", 2.0, 7)) == 3.5

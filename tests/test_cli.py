@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 import os
 import re
@@ -480,16 +481,66 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["pressure", "--t", "1", "--nmax", "3", "--seed", "3"],
         ["measure", "--nmax", "3", "--seed", "3"],
         ["verify", "--nmax", "3", "--budget", "80"],
+        # one case per declared numeric flag: its rule is its parse type
+        ["dim", "--workers", "0"],
+        ["dim", "--budget", "0"],
+        ["dim", "--nmax", "0"],
+        ["dim", "--nmax", "2.5"],
+        ["dim", "--tol", "0"],
+        ["pressure", "--nmax", "3", "--t", "inf"],
+        ["measure", "--depth", "0"],
+        ["measure", "--nmax", "3", "--tol", "0"],
+        ["measure", "--nmax", "4", "--depth", "9"],
+        ["measure", "--t", "1", "--nmax", "4", "--depth", "9"],
+        ["verify", "--nmax", "0"],
+        ["verify", "--samples", "0"],
+        ["verify", "--seed", "-1"],
+        ["render", "--chains", "0"],
+        ["render", "--count", "100", "--depth", "0"],
+        ["render", "--count", "100", "--driver", "equilibrium", "--t", "nan"],
+        ["boxdim", "--count", "0"],
+        ["boxdim", "--count", "100", "--tol", "0"],
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
          "boxdim-seed", "measure-tail-mode", "dim-seed", "pressure-seed", "measure-seed",
-         "verify-budget"],
+         "verify-budget", "dim-workers", "dim-budget", "dim-nmax", "dim-nmax-float", "dim-tol",
+         "pressure-t", "measure-depth-zero", "measure-tol", "measure-depth", "measure-depth-with-t",
+         "verify-nmax", "verify-samples", "verify-seed", "render-chains", "render-depth-zero",
+         "render-t-nan", "boxdim-count", "boxdim-tol"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--ifs", str(triple_path), "--out", str(out)]) == 1
     assert "usage error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["measure", "render", "boxdim"])
+def test_depth_rule_is_checked_before_the_root_search(triple_path, tmp_path, capsys, monkeypatch,
+                                                       command):
+    """``--depth <= --nmax`` is checked by the one equilibrium builder before
+    it searches for a root."""
+
+    def no_root_search(*args):
+        raise AssertionError("root search ran before the depth check")
+
+    monkeypatch.setattr(cli, "pressure_root", no_root_search)
+    driver = [] if command == "measure" else ["--driver", "equilibrium", "--count", "100"]
+    out = tmp_path / "out"
+    assert main([command, *driver, "--nmax", "4", "--depth", "9", "--ifs", str(triple_path),
+                 "--out", str(out)]) == 1
+    assert "usage error: --depth must be <= --nmax, got 9 > 4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_huge_nmax_fails_fast_on_the_budget(triple_path, tmp_path, capsys):
+    """A level far past the budget is refused without forming m^n."""
+    out = tmp_path / "out"
+    assert main(["measure", "--nmax", "30000000", "--ifs", str(triple_path),
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: enumeration budget exceeded: 3^30000000 words > budget 16777216" in err
     assert not out.exists()
 
 
@@ -728,6 +779,23 @@ def test_logging_loaded_only_for_a_torn_cache_record(tmp_path, cantor_path):
     assert loaded
     torn = len(cache.read_text().splitlines())
     assert stderr.splitlines()[0] == f"ignoring corrupted cache record at {cache}:{torn}"
+
+
+def test_non_finite_cache_record_never_reaches_the_output(cantor_path, tmp_path, caplog):
+    """A cache record whose value reads ``nan`` is skipped as corrupted, so the
+    warm run recomputes that level and writes the cold run's bytes."""
+    cache = tmp_path / "cache.txt"
+    args = ["pressure", "--ifs", str(cantor_path), "--t", "0.7", "--nmax", "3",
+            "--cache", str(cache)]
+    assert main(args + ["--out", str(tmp_path / "cold")]) == 0
+    lines = cache.read_text().splitlines()
+    lines[1] = " ".join(lines[1].split()[:3] + ["nan"])
+    cache.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="selfaffine.cache"):
+        assert main(args + ["--out", str(tmp_path / "warm")]) == 0
+    assert caplog.messages == [f"ignoring corrupted cache record at {cache}:2"]
+    cold, warm = ((tmp_path / d / "pressure.csv").read_bytes() for d in ("cold", "warm"))
+    assert warm == cold and b"nan" not in warm
 
 
 @pytest.mark.parametrize("spec", ["a:1:0.5", "0:b:0.5", "0:1:step"])

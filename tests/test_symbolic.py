@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -31,6 +36,27 @@ def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         check_budget(2, 5, budget=31)
     assert check_budget(2, 5, budget=32) == 32
+
+
+@given(st.integers(1, 5), st.integers(0, 80), st.integers(1, 1 << 40))
+def test_budget_guard_matches_the_word_count(m, n, budget):
+    if m**n > budget:
+        with pytest.raises(BudgetExceededError):
+            check_budget(m, n, budget)
+    else:
+        assert check_budget(m, n, budget) == m**n
+
+
+def test_budget_guard_never_forms_a_huge_power():
+    """3^(10^8) takes minutes to form; the guard refuses the length first."""
+    script = ("from selfaffine import BudgetExceededError\n"
+              "from selfaffine.symbolic import check_budget\n"
+              "try:\n    check_budget(3, 10**8, 1 << 24)\n"
+              "except BudgetExceededError:\n    raise SystemExit(0)\n"
+              "raise SystemExit(1)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    run = subprocess.run([sys.executable, "-c", script], env=env, timeout=10)
+    assert run.returncode == 0
 
 
 @pytest.mark.parametrize("m", [2, 3])
