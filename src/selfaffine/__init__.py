@@ -8,7 +8,6 @@ from .affine import (
     AffineIFS,
     BoxDimensionResult,
     ChaosGame,
-    ValidationReport,
     box_dimension,
     render_pgm,
     sample_translations,

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,6 +80,12 @@ MIN_RESOLUTION = 16
 #: Largest raster side ``render_pgm`` accepts: 16 Mi pixels, whose int64 hit
 #: counts take 128 MiB.
 MAX_RESOLUTION = 4096
+
+#: Most points (``--count``) of the CLI's chaos game: at d = 4 the cloud
+#: ``points`` scatters then takes 512 MiB.
+MAX_POINTS = 2**24
+#: Most chains (``--chains``): 6.6 KiB of play state each at d = 4, 430 MiB in all.
+MAX_CHAINS = 2**16
 
 
 @dataclass
@@ -135,43 +141,37 @@ class AffineIFS:
         return h.hexdigest()
 
 
-@dataclass
-class ValidationReport:
-    errors: list[str] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_ifs(ifs: AffineIFS) -> ValidationReport:
-    """Hard errors: fewer than two maps, a dimension above ``MAX_DIM`` (the
-    per-map checks are then skipped), singular or expanding linear part.
-    The operator-norm < 1/2 hypothesis is only a warning; the dimension
-    computation is defined without it."""
-    report = ValidationReport()
+def validate_ifs(ifs: AffineIFS) -> None:
+    """Raise ``IFSValidationError`` naming every hard error: fewer than two
+    maps, a dimension above ``MAX_DIM`` (the per-map checks are then
+    skipped), a singular or expanding linear part.  Else log a warning to
+    ``selfaffine.affine`` for each operator norm >= 1/2, a hypothesis the
+    dimension computation is defined without."""
+    errors, warnings = [], []
     if ifs.n_maps < 2:
-        report.errors.append(f"IFS has {ifs.n_maps} map(s); at least 2 required")
+        errors.append(f"IFS has {ifs.n_maps} map(s); at least 2 required")
     if ifs.dimension > MAX_DIM:
-        report.errors.append(f"dimension {ifs.dimension} is not supported (1..{MAX_DIM})")
-        return report
-    for i, A in enumerate(ifs.matrices):
-        try:
-            svals = singular_values(A)
-        except NumericallySingularError as exc:
-            report.errors.append(f"map {i}: {exc}")
-            continue
-        if svals[0] >= 1.0:
-            report.errors.append(
-                f"map {i}: not contractive (largest singular value {svals[0]:.6g})"
-            )
-        elif svals[0] >= 0.5:
-            report.warnings.append(
-                f"map {i}: operator norm {svals[0]:.6g} >= 1/2; the norm-1/2 "
-                "hypothesis behind the generic-translation dimension guarantee fails"
-            )
-    return report
+        errors.append(f"dimension {ifs.dimension} is not supported (1..{MAX_DIM})")
+    else:
+        for i, A in enumerate(ifs.matrices):
+            try:
+                norm = singular_values(A)[0]
+            except NumericallySingularError as exc:
+                errors.append(f"map {i}: {exc}")
+                continue
+            if norm >= 1.0:
+                errors.append(f"map {i}: not contractive (largest singular value {norm:.6g})")
+            elif norm >= 0.5:
+                warnings.append(
+                    f"warning: map {i}: operator norm {norm:.6g} >= 1/2; the norm-1/2 "
+                    "hypothesis behind the generic-translation dimension guarantee fails"
+                )
+    if errors:
+        raise IFSValidationError("; ".join(errors))
+    for warning in warnings:
+        import logging  # only here: an IFS of norms below 1/2 never loads it
+
+        logging.getLogger(__name__).warning(warning)
 
 
 def sample_translations(d: int, n_maps: int, count: int, radius: float, seed: int) -> np.ndarray:

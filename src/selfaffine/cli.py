@@ -10,9 +10,10 @@ a level is enumerated (all but ``verify``), ``--seed`` where random numbers
 are drawn (``verify``, ``render``, ``boxdim``).  ``--workers`` is accepted and
 must be positive, but the library runs serially and the value has no effect.
 Each numeric flag's rule is its argparse ``type``, so a bad value is a usage
-error at parse time; the one rule that joins two flags, ``--depth <= --nmax``,
-is checked by ``_equilibrium``, the one builder of an equilibrium table,
-before its root search.  Timing goes to stderr.
+error at parse time.  The two rules that join two flags are checked before
+the work: ``--depth <= --nmax`` by ``_equilibrium``, the one builder of an
+equilibrium table, and ``--samples x --nmax <= DEFAULT_WORD_BUDGET`` by
+``verify``.  ``parse_ifs_file`` checks the IFS.  Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -30,13 +31,14 @@ from pathlib import Path
 from . import __version__
 from .affine import (
     DEFAULT_CHAINS,
+    MAX_CHAINS,
+    MAX_POINTS,
     MAX_RESOLUTION,
     MIN_RESOLUTION,
     ChaosGame,
     box_dimension,
     check_scales,
     render_pgm,
-    validate_ifs,
 )
 from .cache import PartitionSumCache
 from .cylinder import NaturalCylinderFunction, verify_axioms
@@ -80,6 +82,8 @@ _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
 _FINITE = _checked(float, math.isfinite, "finite")
 _RESOLUTION = _checked(int, lambda v: MIN_RESOLUTION <= v <= MAX_RESOLUTION,
                        f"in {MIN_RESOLUTION}..{MAX_RESOLUTION}")
+_POINTS = _checked(int, lambda v: 0 < v <= MAX_POINTS, f"in 1..{MAX_POINTS}")
+_CHAINS = _checked(int, lambda v: 0 < v <= MAX_CHAINS, f"in 1..{MAX_CHAINS}")
 
 
 def _fmt(v) -> str:
@@ -149,13 +153,6 @@ def parse_scales(spec: str) -> list[float]:
         raise CLIUsageError(f"bad scales {spec!r}: {exc}") from None
 
 
-def _load_ifs(args):
-    ifs = parse_ifs_file(args.ifs)
-    for warning in validate_ifs(ifs).warnings:
-        print(f"warning: {warning}", file=sys.stderr)
-    return ifs
-
-
 def _out_dir(args) -> Path:
     """The output directory, created: handlers call this only once every
     input is checked and the results are computed."""
@@ -171,7 +168,7 @@ def _potential(args, ifs) -> NaturalCylinderFunction:
 
 
 def cmd_dim(args) -> int:
-    ifs = _load_ifs(args)
+    ifs = parse_ifs_file(args.ifs)
     rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
     out = _out_dir(args)
     _write_csv(out / "roots.csv", "n,t_n", rep.roots)
@@ -194,7 +191,7 @@ def cmd_pressure(args) -> int:
     if (args.t is None) == (args.t_grid is None):
         raise CLIUsageError("pass exactly one of --t and --t-grid")
     grid = None if args.t_grid is None else parse_t_grid(args.t_grid)
-    ifs = _load_ifs(args)
+    ifs = parse_ifs_file(args.ifs)
     cf = _potential(args, ifs)
     if grid is None:
         rep = pressure_sequence(cf, args.t, args.nmax)
@@ -224,7 +221,7 @@ def _equilibrium(args, ifs):
     """``t``, from ``--t`` or else the level-``--nmax`` pressure root, and the
     checked ``diagnostics`` at it: the one builder of the tables of ``measure``
     and of the equilibrium chaos-game driver."""
-    if args.depth > args.nmax:  # the one rule that joins two flags
+    if args.depth > args.nmax:
         raise CLIUsageError(f"--depth must be <= --nmax, got {args.depth} > {args.nmax}")
     cf = _potential(args, ifs)
     t = args.t
@@ -234,7 +231,7 @@ def _equilibrium(args, ifs):
 
 
 def cmd_measure(args) -> int:
-    ifs = _load_ifs(args)
+    ifs = parse_ifs_file(args.ifs)
     t, diag = _equilibrium(args, ifs)
     measure = diag.nu if args.kind == "nu" else diag.measure
     out = _out_dir(args)
@@ -254,7 +251,10 @@ def cmd_measure(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ifs = _load_ifs(args)
+    if args.samples * args.nmax > DEFAULT_WORD_BUDGET:  # the words' symbols, before any is drawn
+        raise CLIUsageError(f"--samples x --nmax must be at most {DEFAULT_WORD_BUDGET} symbols, "
+                            f"got {args.samples} x {args.nmax}")
+    ifs = parse_ifs_file(args.ifs)
     cf = NaturalCylinderFunction(ifs)  # single words only: no level, so no budget
     grid = parse_t_grid(args.t_grid)
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
@@ -294,7 +294,7 @@ def _save_points(out: Path, game) -> None:
 
 
 def cmd_render(args) -> int:
-    ifs = _load_ifs(args)
+    ifs = parse_ifs_file(args.ifs)
     game, t_used = _make_cloud(args, ifs)
     pgm = render_pgm(game, args.resolution)
     out = _out_dir(args)
@@ -312,7 +312,7 @@ def cmd_render(args) -> int:
 
 
 def cmd_boxdim(args) -> int:
-    ifs = _load_ifs(args)
+    ifs = parse_ifs_file(args.ifs)
     scales = parse_scales(args.scales)
     game, t_used = _make_cloud(args, ifs)
     result = box_dimension(game, scales)
@@ -377,9 +377,9 @@ def build_parser() -> _Parser:
 
     for name, extra in (("render", "rasterize the attractor"), ("boxdim", "box-counting estimate")):
         p = sub.add_parser(name, parents=[common, levels, seeded, equilibrium], help=extra)
-        p.add_argument("--count", type=_COUNT, default=100000 if name == "render" else 200000)
+        p.add_argument("--count", type=_POINTS, default=100000 if name == "render" else 200000)
         p.add_argument("--burn-in", dest="burn_in", type=_NONNEGATIVE, default=200)
-        p.add_argument("--chains", type=_COUNT, default=DEFAULT_CHAINS)
+        p.add_argument("--chains", type=_CHAINS, default=DEFAULT_CHAINS)
         p.add_argument("--driver", choices=["uniform", "equilibrium"], default="uniform")
         p.add_argument("--depth", type=_COUNT, default=3)
         p.add_argument("--tol", type=_POSITIVE, default=1e-6)

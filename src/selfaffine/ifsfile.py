@@ -78,15 +78,15 @@ def parse_ifs_text(text: str, source: str = "<ifs>") -> AffineIFS:
 
 
 def parse_ifs_file(path) -> AffineIFS:
-    """Parse and hard-validate an IFS document.
-
-    Validation warnings are not raised here; callers wanting them run
-    ``validate_ifs`` themselves."""
+    """Parse an IFS document and run ``validate_ifs`` on it: a hard error
+    raises ``IFSValidationError`` naming the file, and the norm-1/2
+    warnings go to the ``selfaffine.affine`` logger."""
     path = Path(path)
     ifs = parse_ifs_text(path.read_text(encoding="utf-8"), source=str(path))
-    report = validate_ifs(ifs)
-    if not report.ok:
-        raise IFSValidationError(f"{path}: " + "; ".join(report.errors))
+    try:
+        validate_ifs(ifs)
+    except IFSValidationError as exc:
+        raise IFSValidationError(f"{path}: {exc}") from None
     return ifs
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import logging
 import math
 import re
 import tracemalloc
@@ -73,46 +74,66 @@ class TestAffineIFS:
 
 
 class TestValidateIFS:
-    def test_boundary_norm_is_warning(self):
-        ifs = AffineIFS(2, [0.5 * np.eye(2)] * 2, [[0, 0], [1, 0]])
-        report = validate_ifs(ifs)
-        assert report.ok
-        assert len(report.warnings) == 2  # 0.5 is not < 0.5
+    """``validate_ifs`` raises ``IFSValidationError`` naming every hard error,
+    and otherwise logs one warning per map of operator norm >= 1/2."""
 
-    def test_mixed_warnings(self):
+    @staticmethod
+    def warnings(caplog, ifs):
+        with caplog.at_level(logging.WARNING, logger="selfaffine.affine"):
+            validate_ifs(ifs)
+        return caplog.messages
+
+    def test_boundary_norm_is_warning(self, caplog):
+        ifs = AffineIFS(2, [0.5 * np.eye(2)] * 2, [[0, 0], [1, 0]])
+        assert len(self.warnings(caplog, ifs)) == 2  # 0.5 is not < 0.5
+
+    def test_mixed_warnings(self, caplog):
         ifs = AffineIFS(
             2, [np.diag([0.5, 0.25]), np.diag([0.4, 0.2])], [[0, 0], [1, 0]]
         )
-        report = validate_ifs(ifs)
-        assert report.ok
-        assert len(report.warnings) == 1
+        assert self.warnings(caplog, ifs) == [
+            "warning: map 0: operator norm 0.5 >= 1/2; the norm-1/2 hypothesis behind "
+            "the generic-translation dimension guarantee fails"
+        ]
 
-    def test_all_small_pass(self):
+    def test_all_small_pass(self, caplog):
         ifs = AffineIFS(2, [np.diag([0.4, 0.2])] * 2, [[0, 0], [1, 0]])
-        report = validate_ifs(ifs)
-        assert report.ok and not report.warnings
+        assert not self.warnings(caplog, ifs)
 
     def test_singular_map_is_error(self):
         ifs = AffineIFS(2, [np.diag([0.5, 0.0]), np.diag([0.4, 0.2])], [[0, 0], [1, 0]])
-        report = validate_ifs(ifs)
-        assert not report.ok
-        assert "map 0" in report.errors[0]
+        with pytest.raises(IFSValidationError, match="^map 0"):
+            validate_ifs(ifs)
 
     def test_expanding_map_is_error(self):
         ifs = AffineIFS(2, [np.diag([1.2, 0.5])] * 2, [[0, 0], [1, 0]])
-        assert not validate_ifs(ifs).ok
+        with pytest.raises(IFSValidationError):
+            validate_ifs(ifs)
 
-    def test_unsupported_dimension_is_error(self):
-        """Above ``MAX_DIM`` the report names the dimension, and no per-map
+    def test_unsupported_dimension_is_error(self, caplog):
+        """Above ``MAX_DIM`` the error names the dimension, and no per-map
         check runs (``singular_values`` does not take 5 x 5 matrices)."""
         ifs = AffineIFS(5, [0.3 * np.eye(5), 0.4 * np.eye(5)], np.zeros((2, 5)))
-        report = validate_ifs(ifs)
-        assert report.errors == ["dimension 5 is not supported (1..4)"]
-        assert not report.warnings
+        message = re.escape("dimension 5 is not supported (1..4)")
+        with pytest.raises(IFSValidationError, match=f"^{message}$"):
+            self.warnings(caplog, ifs)
+        assert not caplog.messages
 
     def test_single_map_is_error(self):
         ifs = AffineIFS(2, [0.5 * np.eye(2)], [[0, 0]])
-        assert not validate_ifs(ifs).ok
+        with pytest.raises(IFSValidationError):
+            validate_ifs(ifs)
+
+    def test_errors_are_joined_and_suppress_warnings(self, caplog):
+        """Every hard error is named, and a rejected IFS logs no warning."""
+        ifs = AffineIFS(2, [0.6 * np.eye(2), 1.2 * np.eye(2), 0.3 * np.eye(2)], np.zeros((3, 2)))
+        with pytest.raises(IFSValidationError,
+                           match=r"^map 1: not contractive \(largest singular value 1\.2\)$"):
+            self.warnings(caplog, ifs)
+        assert not caplog.messages
+        message = re.escape("IFS has 1 map(s); at least 2 required; map 0: not contractive")
+        with pytest.raises(IFSValidationError, match=f"^{message}"):
+            validate_ifs(AffineIFS(1, [[[1.5]]], [[0.0]]))
 
 
 class TestSampleTranslations:

@@ -21,6 +21,7 @@ from systems import (
 )
 
 from selfaffine import (
+    DEFAULT_WORD_BUDGET,
     AffineIFS,
     AxiomReport,
     CylinderMeasure,
@@ -28,7 +29,7 @@ from selfaffine import (
     cli,
     equilibrium,
 )
-from selfaffine.affine import DEFAULT_CHAINS
+from selfaffine.affine import DEFAULT_CHAINS, MAX_CHAINS, MAX_POINTS
 from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
@@ -434,6 +435,18 @@ def test_dim_on_unsupported_dimension_is_validation_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_dim_validates_the_ifs_once(triple_path, tmp_path, monkeypatch):
+    """Every module's ``validate_ifs`` is counted: a run checks its IFS once."""
+    calls = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("selfaffine")]:
+        if hasattr(module, "validate_ifs"):
+            validate = module.validate_ifs
+            monkeypatch.setattr(module, "validate_ifs",
+                                lambda ifs, validate=validate: calls.append(ifs) or validate(ifs))
+    assert main(["dim", "--ifs", str(triple_path), "--nmax", "2", "--out", str(tmp_path / "o")]) == 0
+    assert len(calls) == 1
+
+
 def test_invalid_flag_values(triple_path, tmp_path):
     assert main(["dim", "--ifs", str(triple_path), "--nmax", "0",
                  "--out", str(tmp_path / "o")]) == 1
@@ -500,6 +513,10 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["render", "--count", "100", "--driver", "equilibrium", "--t", "nan"],
         ["boxdim", "--count", "0"],
         ["boxdim", "--count", "100", "--tol", "0"],
+        # the bounds on the sizes of verify and of the chaos game
+        ["verify", "--nmax", "1000000000", "--samples", "10"],
+        ["render", "--count", "1000000000000000000"],
+        ["boxdim", "--count", "100", "--chains", str(MAX_CHAINS + 1)],
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
@@ -507,13 +524,36 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
          "verify-budget", "dim-workers", "dim-budget", "dim-nmax", "dim-nmax-float", "dim-tol",
          "pressure-t", "measure-depth-zero", "measure-tol", "measure-depth", "measure-depth-with-t",
          "verify-nmax", "verify-samples", "verify-seed", "render-chains", "render-depth-zero",
-         "render-t-nan", "boxdim-count", "boxdim-tol"],
+         "render-t-nan", "boxdim-count", "boxdim-tol", "verify-symbols", "render-count-huge",
+         "boxdim-chains-huge"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
     assert main(argv + ["--ifs", str(triple_path), "--out", str(out)]) == 1
-    assert "usage error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
+    """The bounds admit their limits: the benchmark's 2,000,000 points in
+    512 chains, and a verify run of exactly ``DEFAULT_WORD_BUDGET`` symbols."""
+    for command in ("render", "boxdim"):
+        for count, chains in ((MAX_POINTS, MAX_CHAINS), (2000000, 512)):
+            args = build_parser().parse_args(
+                [command, "--ifs", "x", "--count", str(count), "--chains", str(chains)])
+            assert (args.count, args.chains) == (count, chains)
+    drawn = []
+
+    def verify_axioms(cf, grid, n_max, samples, seed):
+        drawn.append((samples, n_max))
+        return AxiomReport(worst_subchain_violation=0.0, worst_param_violation=0.0)
+
+    monkeypatch.setattr(cli, "verify_axioms", verify_axioms)
+    samples = DEFAULT_WORD_BUDGET // 2048
+    assert main(["verify", "--ifs", str(triple_path), "--samples", str(samples), "--nmax", "2048",
+                 "--out", str(tmp_path / "o")]) == 0
+    assert drawn == [(samples, 2048)]
 
 
 @pytest.mark.parametrize("command", ["measure", "render", "boxdim"])
@@ -600,15 +640,16 @@ def test_dim_root_search_ends_at_float_spacing(triple_path, tmp_path, level_call
     assert root == pytest.approx(1 + math.log(1.5) / math.log(4), rel=1e-15)
 
 
-def test_dim_root_far_above_one(tmp_path, capsys, level_call_limit):
+def test_dim_root_far_above_one(tmp_path, caplog, level_call_limit):
     """Norms 0.9999999 are accepted with a warning; the level-1 root is
     ln 2 / -ln 0.9999999, about 6.93e6."""
     a = 0.9999999
     path = tmp_path / "slow.json"
     write_ifs_file(AffineIFS(1, [[[a]], [[a]]], [[0.0], [0.5]], name="slow"), path)
     out = tmp_path / "out"
-    assert main(["dim", "--ifs", str(path), "--nmax", "1", "--out", str(out)]) == 0
-    assert "warning:" in capsys.readouterr().err
+    with caplog.at_level(logging.WARNING, logger="selfaffine.affine"):
+        assert main(["dim", "--ifs", str(path), "--nmax", "1", "--out", str(out)]) == 0
+    assert any(message.startswith("warning:") for message in caplog.messages)
     root = float((out / "roots.csv").read_text().splitlines()[1].split(",")[1])
     assert root == pytest.approx(math.log(2) / -math.log(a), rel=1e-9)
 
@@ -779,6 +820,23 @@ def test_logging_loaded_only_for_a_torn_cache_record(tmp_path, cantor_path):
     assert loaded
     torn = len(cache.read_text().splitlines())
     assert stderr.splitlines()[0] == f"ignoring corrupted cache record at {cache}:{torn}"
+
+
+def test_logging_loaded_only_for_a_norm_half_warning(tmp_path):
+    """A measure run on generic-pair (norms below 1/2) never imports
+    ``logging``; a norm of 0.6 reaches stderr as the CLI's ``warning:`` line,
+    through logging's last-resort handler."""
+    path = tmp_path / "gp.json"
+    write_ifs_file(generic_pair_ifs(), path)
+    loaded, stderr = _fresh_cli("measure", "--ifs", path, "--nmax", "4", "--out", tmp_path / "gp")
+    assert not loaded and "warning" not in stderr
+    write_ifs_file(AffineIFS(1, [[[0.6]], [[0.3]]], [[0.0], [0.5]], name="wide"), path)
+    loaded, stderr = _fresh_cli("dim", "--ifs", path, "--nmax", "2", "--out", tmp_path / "wide")
+    assert loaded
+    assert stderr.splitlines()[0] == (
+        "warning: map 0: operator norm 0.6 >= 1/2; the norm-1/2 hypothesis behind "
+        "the generic-translation dimension guarantee fails"
+    )
 
 
 def test_non_finite_cache_record_never_reaches_the_output(cantor_path, tmp_path, caplog):

@@ -352,7 +352,7 @@ def test_root_search_has_no_parameter_cap(level_call_limit):
     ln 2 / -ln 0.9999999, about 6.93e6."""
     a = 0.9999999
     ifs = AffineIFS(1, [[[a]], [[a]]], [[0.0], [0.5]], name="slow")
-    assert not validate_ifs(ifs).errors
+    validate_ifs(ifs)  # raises on a hard error
     root = pressure_root(NaturalCylinderFunction(ifs), 1, 1e-3)
     assert root == pytest.approx(math.log(2) / -math.log(a), rel=1e-9)
 
@@ -397,7 +397,7 @@ def test_underflowing_word_products_raise_named_error():
     """At d = 2 the k = 1 feature reads level-3 products, which underflow; the
     partition sum must fail with a named error instead of returning nan."""
     ifs = tiny_pair_ifs(2)
-    assert not validate_ifs(ifs).errors
+    validate_ifs(ifs)  # raises on a hard error
     cf = NaturalCylinderFunction(ifs)
     assert math.isfinite(log_partition_sum(cf, 1.0, 2))
     with pytest.raises(NumericallySingularError, match="level 3"):
