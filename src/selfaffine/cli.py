@@ -10,10 +10,18 @@ a level is enumerated (all but ``verify``), ``--seed`` where random numbers
 are drawn (``verify``, ``render``, ``boxdim``).  ``--workers`` is accepted and
 must be positive, but the library runs serially and the value has no effect.
 Each numeric flag's rule is its argparse ``type``, so a bad value is a usage
-error at parse time.  The two rules that join two flags are checked before
-the work: ``--depth <= --nmax`` by ``_equilibrium``, the one builder of an
-equilibrium table, and ``--samples x --nmax <= DEFAULT_WORD_BUDGET`` by
-``verify``.  ``parse_ifs_file`` checks the IFS.  Timing goes to stderr.
+error at parse time; among them ``--count``, ``--chains`` and ``--samples``
+have upper bounds.  ``main`` then reads the IFS, which ``parse_ifs_file``
+checks, and calls the command's handler, which only computes: it returns
+its report's file name and body, its side files (name -> CSV header and
+rows, or bytes) and its exit code.  The handler checks the rules that join
+flags before the work: ``--depth <= --nmax`` in ``_equilibrium``, the one
+builder of an equilibrium table, ``--samples x --nmax <=
+DEFAULT_WORD_BUDGET`` in ``verify``, and the chaos game's lane-steps
+(``MAX_GAME_LANE_STEPS``) in ``_make_cloud``.  Only once
+the handler returns does ``main`` create ``--out`` and write the side files
+and the report, so a failed run creates no ``--out``; every command's last
+stdout line is ``wrote <out>/<report>``.  Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -56,6 +64,17 @@ DEFAULT_SCALES = "0.25,0.125,0.0625,0.03125,0.015625,0.0078125"
 #: Most points a ``--t-grid`` may have; each is one level evaluation.
 MAX_T_GRID_POINTS = 10**6
 
+#: Most ``verify --samples``: each costs 24-43 us of Python, whatever its length.
+MAX_SAMPLES = 2**18
+
+#: Most lane-steps of a chaos game, ``(burn_in + ceil(count / chains)) *
+#: (chains + GAME_STEP_LANES)``: each step moves every chain, at a fixed cost
+#: of about ``GAME_STEP_LANES`` chains' moves.  At this limit a d = 4 render
+#: of two to eight maps took 15-34 s on one core, the most with 2^24 points
+#: in 2^16 chains.
+MAX_GAME_LANE_STEPS = 2**27
+GAME_STEP_LANES = 64
+
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -84,6 +103,7 @@ _RESOLUTION = _checked(int, lambda v: MIN_RESOLUTION <= v <= MAX_RESOLUTION,
                        f"in {MIN_RESOLUTION}..{MAX_RESOLUTION}")
 _POINTS = _checked(int, lambda v: 0 < v <= MAX_POINTS, f"in 1..{MAX_POINTS}")
 _CHAINS = _checked(int, lambda v: 0 < v <= MAX_CHAINS, f"in 1..{MAX_CHAINS}")
+_SAMPLES = _checked(int, lambda v: 0 < v <= MAX_SAMPLES, f"in 1..{MAX_SAMPLES}")
 
 
 def _fmt(v) -> str:
@@ -153,25 +173,14 @@ def parse_scales(spec: str) -> list[float]:
         raise CLIUsageError(f"bad scales {spec!r}: {exc}") from None
 
 
-def _out_dir(args) -> Path:
-    """The output directory, created: handlers call this only once every
-    input is checked and the results are computed."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _potential(args, ifs) -> NaturalCylinderFunction:
     """The potential of ``ifs`` with the run's ``--budget`` and ``--cache``."""
     cache = PartitionSumCache(args.cache) if getattr(args, "cache", None) else None
     return NaturalCylinderFunction(ifs, args.budget, cache)
 
 
-def cmd_dim(args) -> int:
-    ifs = parse_ifs_file(args.ifs)
+def cmd_dim(args, ifs):
     rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
-    out = _out_dir(args)
-    _write_csv(out / "roots.csv", "n,t_n", rep.roots)
     body = [("levels_computed", len(rep.roots)), ("truncated", rep.truncated)]
     body += [(f"root.{n}", t_n) for n, t_n in rep.roots]
     body += [
@@ -180,18 +189,15 @@ def cmd_dim(args) -> int:
         ("prediction", rep.prediction),
         ("norm_half_hypothesis", "satisfied" if rep.norm_half_satisfied else "violated"),
     ]
-    _write_report(out / "dimension_report.txt", args, ifs, body)
     print(f"affinity dimension upper bound = {_fmt(rep.upper_bound)}")
     print(f"hausdorff dimension prediction = {_fmt(rep.prediction)}")
-    print(f"wrote {out / 'dimension_report.txt'}")
-    return 0
+    return "dimension_report.txt", body, {"roots.csv": ("n,t_n", rep.roots)}, 0
 
 
-def cmd_pressure(args) -> int:
+def cmd_pressure(args, ifs):
     if (args.t is None) == (args.t_grid is None):
         raise CLIUsageError("pass exactly one of --t and --t-grid")
     grid = None if args.t_grid is None else parse_t_grid(args.t_grid)
-    ifs = parse_ifs_file(args.ifs)
     cf = _potential(args, ifs)
     if grid is None:
         rep = pressure_sequence(cf, args.t, args.nmax)
@@ -210,11 +216,7 @@ def cmd_pressure(args) -> int:
             ("P_first", curve[0][1]),
             ("P_last", curve[-1][1]),
         ]
-    out = _out_dir(args)
-    _write_csv(out / "pressure.csv", "t,n,P_n", rows)
-    _write_report(out / "pressure_report.txt", args, ifs, body)
-    print(f"wrote {out / 'pressure.csv'}")
-    return 0
+    return "pressure_report.txt", body, {"pressure.csv": ("t,n,P_n", rows)}, 0
 
 
 def _equilibrium(args, ifs):
@@ -230,12 +232,9 @@ def _equilibrium(args, ifs):
     return t, diagnostics(cf, t, args.nmax, args.depth)
 
 
-def cmd_measure(args) -> int:
-    ifs = parse_ifs_file(args.ifs)
+def cmd_measure(args, ifs):
     t, diag = _equilibrium(args, ifs)
     measure = diag.nu if args.kind == "nu" else diag.measure
-    out = _out_dir(args)
-    _write_csv(out / "measure.csv", "word,mass", measure.rows())
     body = [
         ("t_used", t),
         ("provenance", measure.provenance),
@@ -245,16 +244,13 @@ def cmd_measure(args) -> int:
         ("jensen_residual_k", diag.jensen_residual_k),
         ("invariance_defect_max", diag.invariance_defect_max),
     ]
-    _write_report(out / "measure_report.txt", args, ifs, body)
-    print(f"wrote {out / 'measure.csv'}")
-    return 0
+    return "measure_report.txt", body, {"measure.csv": ("word,mass", measure.rows())}, 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, ifs):
     if args.samples * args.nmax > DEFAULT_WORD_BUDGET:  # the words' symbols, before any is drawn
         raise CLIUsageError(f"--samples x --nmax must be at most {DEFAULT_WORD_BUDGET} symbols, "
                             f"got {args.samples} x {args.nmax}")
-    ifs = parse_ifs_file(args.ifs)
     cf = NaturalCylinderFunction(ifs)  # single words only: no level, so no budget
     grid = parse_t_grid(args.t_grid)
     rep = verify_axioms(cf, grid, n_max=args.nmax, samples=args.samples, seed=args.seed)
@@ -266,16 +262,21 @@ def cmd_verify(args) -> int:
         ("slack_threshold", VERIFY_SLACK_THRESHOLD),
         ("verdict", "pass" if ok else "fail"),
     ]
-    out = _out_dir(args)
-    _write_report(out / "verify_report.txt", args, ifs, body)
     print(f"axiom verification: {'pass' if ok else 'FAIL'} (max slack {_fmt(rep.max_slack())})")
-    return 0 if ok else 2
+    return "verify_report.txt", body, {}, 0 if ok else 2
 
 
 def _make_cloud(args, ifs):
     """The ``ChaosGame`` of ``render`` and ``boxdim`` and the ``t`` of its
     equilibrium driver.  The uniform driver reads no equilibrium flag, so it
-    clears them (its report then echoes none) and its ``t`` is None."""
+    clears them (its report then echoes none) and its ``t`` is None.  The
+    game's size is checked before any of it, or the root search, runs."""
+    chains = min(args.chains, args.count)  # the game plays no more chains than points
+    lane_steps = (args.burn_in + -(-args.count // chains)) * (chains + GAME_STEP_LANES)
+    if lane_steps > MAX_GAME_LANE_STEPS:
+        raise CLIUsageError(
+            f"(--burn-in + ceil(--count / --chains)) x (--chains + {GAME_STEP_LANES}) must be at "
+            f"most {MAX_GAME_LANE_STEPS} lane-steps, got {lane_steps}")
     driver = t_used = None
     if args.driver == "equilibrium":
         t_used, diag = _equilibrium(args, ifs)
@@ -288,47 +289,38 @@ def _make_cloud(args, ifs):
     return game, t_used
 
 
-def _save_points(out: Path, game) -> None:
-    header = ",".join(f"x{i}" for i in range(game.dimension))
-    _write_csv(out / "points.csv", header, game.points())
-
-
-def cmd_render(args) -> int:
-    ifs = parse_ifs_file(args.ifs)
-    game, t_used = _make_cloud(args, ifs)
-    pgm = render_pgm(game, args.resolution)
-    out = _out_dir(args)
-    (out / "attractor.pgm").write_bytes(pgm)
+def _with_points(args, game, files):
+    """``files``, and with ``--save-points`` the cloud, from one more replay."""
     if args.save_points:
-        _save_points(out, game)
+        files["points.csv"] = (",".join(f"x{i}" for i in range(game.dimension)), game.points())
+    return files
+
+
+def cmd_render(args, ifs):
+    game, t_used = _make_cloud(args, ifs)
+    files = _with_points(args, game, {"attractor.pgm": render_pgm(game, args.resolution)})
     body = [
         ("points", args.count),
         ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
-    _write_report(out / "render_report.txt", args, ifs, body)
-    print(f"wrote {out / 'attractor.pgm'}")
-    return 0
+    return "render_report.txt", body, files, 0
 
 
-def cmd_boxdim(args) -> int:
-    ifs = parse_ifs_file(args.ifs)
+def cmd_boxdim(args, ifs):
     scales = parse_scales(args.scales)
     game, t_used = _make_cloud(args, ifs)
     result = box_dimension(game, scales)
-    out = _out_dir(args)
-    if args.save_points:
-        _save_points(out, game)
-    _write_csv(out / "boxdim_counts.csv", "scale,count", zip(result.scales, result.counts))
+    counts = ("scale,count", zip(result.scales, result.counts))
+    files = _with_points(args, game, {"boxdim_counts.csv": counts})
     body = [
         ("estimate", result.estimate),
         ("fit_residual", result.residual),
         ("cloud_driver", game.driver),
         ("t_used", t_used),
     ]
-    _write_report(out / "boxdim_report.txt", args, ifs, body)
     print(f"box-counting dimension estimate = {_fmt(result.estimate)}")
-    return 0
+    return "boxdim_report.txt", body, files, 0
 
 
 def build_parser() -> _Parser:
@@ -373,7 +365,7 @@ def build_parser() -> _Parser:
                        help="check the cylinder-function axioms")
     p.add_argument("--t-grid", dest="t_grid", default="0.5:3.0:0.5", metavar="A:B:STEP")
     p.add_argument("--nmax", type=_COUNT, default=8)
-    p.add_argument("--samples", type=_COUNT, default=1000)
+    p.add_argument("--samples", type=_SAMPLES, default=1000)
 
     for name, extra in (("render", "rasterize the attractor"), ("boxdim", "box-counting estimate")):
         p = sub.add_parser(name, parents=[common, levels, seeded, equilibrium], help=extra)
@@ -412,7 +404,17 @@ def main(argv=None) -> int:
             code = errno.EEXIST if found == out else errno.ENOTDIR
             raise OSError(code, os.strerror(code), str(found))
         start = time.perf_counter()
-        code = HANDLERS[args.command](args)
+        ifs = parse_ifs_file(args.ifs)
+        report, body, files, code = HANDLERS[args.command](args, ifs)
+        # every result is computed: only now is --out created and written
+        out.mkdir(parents=True, exist_ok=True)
+        for name, content in files.items():
+            if isinstance(content, bytes):
+                (out / name).write_bytes(content)
+            else:
+                _write_csv(out / name, *content)
+        _write_report(out / report, args, ifs, body)
+        print(f"wrote {out / report}")
         print(f"[{args.command}] wall time {time.perf_counter() - start:.3f}s", file=sys.stderr)
         return code
     except CLIUsageError as exc:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from selfaffine import (
     cli,
     equilibrium,
 )
-from selfaffine.affine import DEFAULT_CHAINS, MAX_CHAINS, MAX_POINTS
+from selfaffine.affine import DEFAULT_CHAINS, MAX_CHAINS, MAX_POINTS, ChaosGame
 from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
@@ -101,7 +102,7 @@ def test_verify_natural_exits_zero(triple_path, tmp_path):
     assert "verdict = pass" in report
 
 
-def test_verify_exit_two_on_violation(triple_path, tmp_path, monkeypatch):
+def test_verify_exit_two_on_violation(triple_path, tmp_path, monkeypatch, capsys):
     import selfaffine.cli as cli_mod
 
     bad = AxiomReport(worst_subchain_violation=1e-3, worst_param_violation=0.0)
@@ -109,6 +110,7 @@ def test_verify_exit_two_on_violation(triple_path, tmp_path, monkeypatch):
     code = main(["verify", "--ifs", str(triple_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "verdict = fail" in (tmp_path / "o" / "verify_report.txt").read_text()
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {tmp_path / 'o' / 'verify_report.txt'}"
 
 
 @pytest.mark.parametrize("make", [cantor_ifs, generic_pair_ifs])
@@ -517,6 +519,7 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["verify", "--nmax", "1000000000", "--samples", "10"],
         ["render", "--count", "1000000000000000000"],
         ["boxdim", "--count", "100", "--chains", str(MAX_CHAINS + 1)],
+        ["verify", "--samples", str(cli.MAX_SAMPLES + 1), "--nmax", "2"],
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
@@ -525,7 +528,7 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
          "pressure-t", "measure-depth-zero", "measure-tol", "measure-depth", "measure-depth-with-t",
          "verify-nmax", "verify-samples", "verify-seed", "render-chains", "render-depth-zero",
          "render-t-nan", "boxdim-count", "boxdim-tol", "verify-symbols", "render-count-huge",
-         "boxdim-chains-huge"],
+         "boxdim-chains-huge", "verify-samples-huge"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -537,12 +540,15 @@ def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
 
 def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
     """The bounds admit their limits: the benchmark's 2,000,000 points in
-    512 chains, and a verify run of exactly ``DEFAULT_WORD_BUDGET`` symbols."""
+    512 chains, 2^18 verify samples, and a verify run of exactly
+    ``DEFAULT_WORD_BUDGET`` symbols."""
     for command in ("render", "boxdim"):
         for count, chains in ((MAX_POINTS, MAX_CHAINS), (2000000, 512)):
             args = build_parser().parse_args(
                 [command, "--ifs", "x", "--count", str(count), "--chains", str(chains)])
             assert (args.count, args.chains) == (count, chains)
+    args = build_parser().parse_args(["verify", "--ifs", "x", "--samples", str(2**18)])
+    assert args.samples == cli.MAX_SAMPLES == 2**18
     drawn = []
 
     def verify_axioms(cf, grid, n_max, samples, seed):
@@ -554,6 +560,115 @@ def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
     assert main(["verify", "--ifs", str(triple_path), "--samples", str(samples), "--nmax", "2048",
                  "--out", str(tmp_path / "o")]) == 0
     assert drawn == [(samples, 2048)]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the chaos game's lane-steps: burn-in, and points played in too few chains
+        ["render", "--count", "100", "--burn-in", str(10**12)],
+        ["render", "--count", str(MAX_POINTS), "--chains", "1"],
+        ["verify", "--samples", str(2**23), "--nmax", "2"],
+        ["render", "--count", str(10**18)],
+        ["boxdim", "--count", "100", "--chains", str(10**9)],
+        ["pressure", "--t-grid", "0:1e9:1"],
+        ["render", "--count", "100", "--resolution", "1000000"],
+        ["measure", "--nmax", "30000000"],
+        ["verify", "--nmax", "1000000000", "--samples", "10"],
+    ],
+    ids=["burn-in", "one-chain", "verify-samples", "count", "chains", "t-grid", "resolution",
+         "level-budget", "verify-symbols"],
+)
+def test_work_sizing_inputs_are_refused_fast(cantor_path, tmp_path, argv):
+    """Each input that sizes the work is refused before the work runs, in
+    a fresh interpreter that is stopped if it runs past 10 s."""
+    out = tmp_path / "out"
+    run = subprocess.run(
+        [sys.executable, "-m", "selfaffine.cli", *argv, "--ifs", str(cantor_path), "--out", str(out)],
+        capture_output=True, text=True, timeout=10,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert run.returncode == 1
+    assert re.search(r"^(usage )?error: ", run.stderr, re.MULTILINE), run.stderr
+    assert "Traceback" not in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,refused",
+    [
+        (["--count", "2000000", "--chains", "512", "--burn-in", "300"], False),  # the benchmark's
+        (["--count", str(MAX_POINTS), "--chains", str(MAX_CHAINS)], False),
+        (["--count", "100", "--chains", str(MAX_CHAINS), "--burn-in", "100000"], False),
+        # exactly the most lane-steps, and one more step of each chain
+        (["--count", "64", "--chains", "64", "--burn-in", str(cli.MAX_GAME_LANE_STEPS // 128 - 1)],
+         False),
+        (["--count", "64", "--chains", "64", "--burn-in", str(cli.MAX_GAME_LANE_STEPS // 128)], True),
+    ],
+    ids=["benchmark", "most-points-and-chains", "fewer-points-than-chains", "at-limit",
+         "past-limit"],
+)
+def test_game_bound_is_checked_before_the_game(monkeypatch, argv, refused):
+    """``(burn-in + ceil(count / chains)) x (chains + GAME_STEP_LANES)`` is
+    at most ``MAX_GAME_LANE_STEPS``, checked before the equilibrium table."""
+    assert cli.GAME_STEP_LANES == 64
+    built = []
+    monkeypatch.setattr(cli, "_equilibrium", lambda args, ifs: built.append("table")
+                        or (1.0, SimpleNamespace(measure=None)))
+    monkeypatch.setattr(cli, "ChaosGame", lambda *a, **k: built.append("game"))
+    args = build_parser().parse_args(["boxdim", "--ifs", "x", "--driver", "equilibrium", *argv])
+    if refused:
+        with pytest.raises(CLIUsageError, match=f"got {cli.MAX_GAME_LANE_STEPS + 128}$"):
+            cli._make_cloud(args, generic_pair_ifs())
+    else:
+        cli._make_cloud(args, generic_pair_ifs())
+    assert built == ([] if refused else ["table", "game"])
+
+
+@pytest.mark.parametrize("command", ["render", "boxdim"])
+def test_save_points_failure_leaves_no_out(cantor_path, tmp_path, capsys, monkeypatch, command):
+    """The cloud for ``--save-points`` is made before ``--out`` exists, so a
+    failure there leaves no directory and no raster or counts behind."""
+
+    def failing(self):
+        raise ValueError("no cloud")
+
+    monkeypatch.setattr(ChaosGame, "points", failing)
+    out = tmp_path / "out"
+    assert main([command, "--ifs", str(cantor_path), "--count", "1000", "--save-points",
+                 "--out", str(out)]) == 1
+    assert "error: no cloud" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,report",
+    [
+        (["dim", "--nmax", "3"], "dimension_report.txt"),
+        (["pressure", "--t", "1", "--nmax", "3"], "pressure_report.txt"),
+        (["measure", "--nmax", "3"], "measure_report.txt"),
+        (["verify", "--samples", "50"], "verify_report.txt"),
+        (["render", "--count", "1000", "--resolution", "16", "--save-points"], "render_report.txt"),
+        (["boxdim", "--count", "1000"], "boxdim_report.txt"),
+    ],
+    ids=["dim", "pressure", "measure", "verify", "render", "boxdim"],
+)
+def test_last_stdout_line_names_the_report(triple_path, tmp_path, capsys, argv, report):
+    out = tmp_path / "out"
+    assert main([*argv, "--ifs", str(triple_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"wrote {out / report}"
+    assert (out / report).is_file()
+
+
+@pytest.mark.parametrize("argv", [["pressure", "--t-grid", "0:1e9:1"],
+                                  ["verify", "--samples", "8192", "--nmax", "4096"]],
+                         ids=["t-grid", "verify-symbols"])
+def test_bad_ifs_is_reported_before_the_sizes(tmp_path, capsys, argv):
+    """``main`` reads the IFS before the handler checks its sizes."""
+    path = tmp_path / "nope.json"
+    assert main([*argv, "--ifs", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: [Errno 2] No such file or directory: '{path}'")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["measure", "render", "boxdim"])
