@@ -10,18 +10,21 @@ a level is enumerated (all but ``verify``), ``--seed`` where random numbers
 are drawn (``verify``, ``render``, ``boxdim``).  ``--workers`` is accepted and
 must be positive, but the library runs serially and the value has no effect.
 Each numeric flag's rule is its argparse ``type``, so a bad value is a usage
-error at parse time; among them ``--count``, ``--chains`` and ``--samples``
-have upper bounds.  ``main`` then reads the IFS, which ``parse_ifs_file``
-checks, and calls the command's handler, which only computes: it returns
-its report's file name and body, its side files (name -> CSV header and
-rows, or bytes) and its exit code.  The handler checks the rules that join
-flags before the work: ``--depth <= --nmax`` in ``_equilibrium``, the one
-builder of an equilibrium table, ``--samples x --nmax <=
-DEFAULT_WORD_BUDGET`` in ``verify``, and the chaos game's lane-steps
-(``MAX_GAME_LANE_STEPS``) in ``_make_cloud``.  Only once
-the handler returns does ``main`` create ``--out`` and write the side files
-and the report, so a failed run creates no ``--out``; every command's last
-stdout line is ``wrote <out>/<report>``.  Timing goes to stderr.
+error at parse time; among them ``--budget`` (``MAX_WORD_BUDGET``),
+``--count``, ``--chains`` and ``--samples`` have upper bounds, and ``--t``
+must be finite and ``>= 0``.  ``main`` then reads the IFS, which
+``parse_ifs_file`` checks, and calls the command's handler, which only
+computes: it returns its report's file name and body, its side files (name ->
+CSV header and rows, or bytes) and its exit code.  The handler checks the
+rules that join flags before the work: ``--depth <= --nmax`` in
+``_equilibrium``, the one builder of an equilibrium table, ``--samples x
+--nmax <= DEFAULT_WORD_BUDGET`` in ``verify``, and the chaos game's
+lane-steps (``MAX_GAME_LANE_STEPS``, shrunk in proportion to the maps past
+``GAME_STEP_MAPS``) in ``_make_cloud``.  A level past ``--budget`` is refused
+by the library before any level is computed.  Only once the handler returns
+does ``main`` create ``--out`` and write the side files and the report, so a
+failed run creates no ``--out``; every command's last stdout line is ``wrote
+<out>/<report>``.  Timing goes to stderr.
 
 Exit codes: 0 success, 1 usage/input errors, 2 axiom violation in ``verify``.
 """
@@ -54,7 +57,7 @@ from .equilibrium import diagnostics
 from .errors import BudgetExceededError, CLIUsageError
 from .ifsfile import parse_ifs_file
 from .pressure import affinity_dimension, pressure_curve, pressure_root, pressure_sequence
-from .symbolic import DEFAULT_WORD_BUDGET
+from .symbolic import DEFAULT_WORD_BUDGET, MAX_WORD_BUDGET
 
 #: Axiom slack above which `verify` exits nonzero.
 VERIFY_SLACK_THRESHOLD = 1e-9
@@ -67,13 +70,16 @@ MAX_T_GRID_POINTS = 10**6
 #: Most ``verify --samples``: each costs 24-43 us of Python, whatever its length.
 MAX_SAMPLES = 2**18
 
-#: Most lane-steps of a chaos game, ``(burn_in + ceil(count / chains)) *
-#: (chains + GAME_STEP_LANES)``: each step moves every chain, at a fixed cost
-#: of about ``GAME_STEP_LANES`` chains' moves.  At this limit a d = 4 render
-#: of two to eight maps took 15-34 s on one core, the most with 2^24 points
-#: in 2^16 chains.
+#: Most lane-steps of a chaos game of up to ``GAME_STEP_MAPS`` maps,
+#: ``(burn_in + ceil(count / chains)) * (chains + GAME_STEP_LANES)``: each
+#: step moves every chain, at a fixed cost of about ``GAME_STEP_LANES``
+#: chains' moves.  A step's cost grows with the number of maps m, so above
+#: ``GAME_STEP_MAPS`` maps the limit shrinks by ``GAME_STEP_MAPS / m``.  At
+#: the limit a d = 4 render of 2^24 points in 2^16 chains took 27 s with 8
+#: maps, 24 s with 16 and 24 s with 32, on one core of a shared 2-core host.
 MAX_GAME_LANE_STEPS = 2**27
 GAME_STEP_LANES = 64
+GAME_STEP_MAPS = 8
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,12 +104,14 @@ def _checked(convert, ok, rule: str):
 _COUNT = _checked(int, lambda v: v > 0, "positive")
 _NONNEGATIVE = _checked(int, lambda v: v >= 0, ">= 0")
 _POSITIVE = _checked(float, lambda v: 0 < v < math.inf, "positive and finite")
-_FINITE = _checked(float, math.isfinite, "finite")
+_T = _checked(float, lambda v: 0 <= v < math.inf, "finite and >= 0")
 _RESOLUTION = _checked(int, lambda v: MIN_RESOLUTION <= v <= MAX_RESOLUTION,
                        f"in {MIN_RESOLUTION}..{MAX_RESOLUTION}")
 _POINTS = _checked(int, lambda v: 0 < v <= MAX_POINTS, f"in 1..{MAX_POINTS}")
 _CHAINS = _checked(int, lambda v: 0 < v <= MAX_CHAINS, f"in 1..{MAX_CHAINS}")
 _SAMPLES = _checked(int, lambda v: 0 < v <= MAX_SAMPLES, f"in 1..{MAX_SAMPLES}")
+_BUDGET = _checked(int, lambda v: 0 < v <= MAX_WORD_BUDGET, f"in 1..{MAX_WORD_BUDGET}")
+_VERIFY_LEVEL = _checked(int, lambda v: v >= 2, ">= 2")  # a subchain has two parts
 
 
 def _fmt(v) -> str:
@@ -151,6 +159,8 @@ def parse_t_grid(spec: str) -> list[float]:
         raise CLIUsageError(f"bad t-grid {spec!r}; entries must be numbers") from None
     if not all(map(math.isfinite, (a, b, step))):
         raise CLIUsageError(f"bad t-grid {spec!r}; entries must be finite")
+    if a < 0:
+        raise CLIUsageError(f"bad t-grid {spec!r}; entries must be >= 0")
     if step <= 0:
         raise CLIUsageError("t-grid step must be positive")
     if b < a:
@@ -181,8 +191,7 @@ def _potential(args, ifs) -> NaturalCylinderFunction:
 
 def cmd_dim(args, ifs):
     rep = affinity_dimension(_potential(args, ifs), args.nmax, args.tol)
-    body = [("levels_computed", len(rep.roots)), ("truncated", rep.truncated)]
-    body += [(f"root.{n}", t_n) for n, t_n in rep.roots]
+    body = [(f"root.{n}", t_n) for n, t_n in rep.roots]
     body += [
         ("upper_bound", rep.upper_bound),
         ("upper_bound_label", "rigorous upper bound"),
@@ -203,8 +212,6 @@ def cmd_pressure(args, ifs):
         rep = pressure_sequence(cf, args.t, args.nmax)
         rows = [(rep.t, n, p) for n, p in rep.per_level]
         body = [
-            ("levels_computed", len(rep.per_level)),
-            ("truncated", rep.truncated),
             ("fekete_upper", rep.fekete_upper),
             ("fekete_label", "rigorous upper bound"),
         ]
@@ -273,10 +280,11 @@ def _make_cloud(args, ifs):
     game's size is checked before any of it, or the root search, runs."""
     chains = min(args.chains, args.count)  # the game plays no more chains than points
     lane_steps = (args.burn_in + -(-args.count // chains)) * (chains + GAME_STEP_LANES)
-    if lane_steps > MAX_GAME_LANE_STEPS:
+    limit = MAX_GAME_LANE_STEPS * GAME_STEP_MAPS // max(GAME_STEP_MAPS, ifs.n_maps)
+    if lane_steps > limit:
         raise CLIUsageError(
             f"(--burn-in + ceil(--count / --chains)) x (--chains + {GAME_STEP_LANES}) must be at "
-            f"most {MAX_GAME_LANE_STEPS} lane-steps, got {lane_steps}")
+            f"most {limit} lane-steps for {ifs.n_maps} maps, got {lane_steps}")
     driver = t_used = None
     if args.driver == "equilibrium":
         t_used, diag = _equilibrium(args, ifs)
@@ -334,7 +342,7 @@ def build_parser() -> _Parser:
     common.add_argument("--workers", type=_COUNT, default=1,
                         help="accepted for compatibility; must be positive, has no effect")
     levels = _Parser(add_help=False)  # the commands that enumerate a level
-    levels.add_argument("--budget", type=_COUNT, default=DEFAULT_WORD_BUDGET,
+    levels.add_argument("--budget", type=_BUDGET, default=DEFAULT_WORD_BUDGET,
                         help="max words enumerated per level")
     levels.add_argument("--nmax", type=_COUNT, default=8)
     seeded = _Parser(add_help=False)  # the commands that draw random numbers
@@ -342,7 +350,7 @@ def build_parser() -> _Parser:
     # the commands that build an equilibrium table; --depth and --tol defaults
     # differ among them, and parents share their actions, so each declares those
     equilibrium = _Parser(add_help=False)
-    equilibrium.add_argument("--t", type=_FINITE, default=None,
+    equilibrium.add_argument("--t", type=_T, default=None,
                              help="default: level-nmax pressure root")
 
     p = sub.add_parser("dim", parents=[common, levels], help="affinity dimension report")
@@ -350,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument("--cache", default=None, help="persistent partition-sum cache file")
 
     p = sub.add_parser("pressure", parents=[common, levels], help="pressure levels or curve")
-    p.add_argument("--t", type=_FINITE, default=None)
+    p.add_argument("--t", type=_T, default=None)
     p.add_argument("--t-grid", dest="t_grid", default=None, metavar="A:B:STEP")
     p.add_argument("--cache", default=None)
 
@@ -364,7 +372,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", parents=[common, seeded],
                        help="check the cylinder-function axioms")
     p.add_argument("--t-grid", dest="t_grid", default="0.5:3.0:0.5", metavar="A:B:STEP")
-    p.add_argument("--nmax", type=_COUNT, default=8)
+    p.add_argument("--nmax", type=_VERIFY_LEVEL, default=8)
     p.add_argument("--samples", type=_SAMPLES, default=1000)
 
     for name, extra in (("render", "rasterize the attractor"), ("boxdim", "box-counting estimate")):

@@ -19,7 +19,10 @@ A level is the flat array ``cf.log_value_block(t, (), n)`` of word log-values
 bit-for-bit reproducible.  ``level_log_values`` returns the array with
 ``log S_n``, for consumers that need every word's value as well.  A level of
 more than ``cf.budget`` words raises ``BudgetExceededError``, and one whose
-log-values overflow double precision raises ``LevelOverflowError``.  Every
+log-values overflow double precision raises ``LevelOverflowError``.  The
+sweeps over levels ``1..n_max`` (``pressure_sequence``, ``affinity_dimension``)
+check level ``n_max`` before their first level: m^n grows with n, so they
+compute every level or none.  Every
 function takes the potential and its mathematical arguments only; the one
 reader of the potential's partition-sum cache is ``log_partition_sum``.
 """
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cylinder import NaturalCylinderFunction
-from .errors import BudgetExceededError, LevelOverflowError, SelfCheckError
+from .errors import LevelOverflowError, SelfCheckError
 from .linalg import rounding_allowance
 from .symbolic import check_budget
 
@@ -81,18 +84,6 @@ def pressure_level(cf, t, n) -> float:
     return log_partition_sum(cf, t, n) / n
 
 
-def _budget_levels(cf, n_max) -> tuple[range, bool]:
-    """The levels 1..n_max within ``cf.budget`` (a prefix), and whether any is cut."""
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    top = 0
-    while top < n_max and cf.n_symbols ** (top + 1) <= cf.budget:
-        top += 1
-    if top == 0:
-        raise BudgetExceededError(cf.n_symbols, 1, cf.budget)
-    return range(1, top + 1), top < n_max
-
-
 def check_subadditive(cf, t, log_s) -> None:
     """``log S_{i+j} <= log S_i + log S_j`` for all ``i + j <= N``, given
     ``log_s = [log S_1, .., log S_N]`` at ``t``, up to the three levels'
@@ -117,15 +108,17 @@ class PressureReport:
     t: float
     per_level: list[tuple[int, float]]
     fekete_upper: float
-    truncated: bool = False
 
 
 def pressure_sequence(cf, t, n_max) -> PressureReport:
-    levels, truncated = _budget_levels(cf, n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_budget(cf.n_symbols, n_max, cf.budget)  # m^n grows: every lower level fits too
+    levels = range(1, n_max + 1)
     log_s = [log_partition_sum(cf, t, n) for n in levels]
     check_subadditive(cf, t, log_s)
     per_level = [(n, v / n) for n, v in zip(levels, log_s)]
-    return PressureReport(float(t), per_level, min(p for _, p in per_level), truncated)
+    return PressureReport(float(t), per_level, min(p for _, p in per_level))
 
 
 def pressure_root(cf, n, t_tol) -> float:
@@ -179,14 +172,16 @@ class DimensionReport:
     upper_bound: float
     prediction: float
     norm_half_satisfied: bool
-    truncated: bool = False
 
 
 def affinity_dimension(cf: NaturalCylinderFunction, n_max, t_tol) -> DimensionReport:
     """Roots of the level pressures of the potential ``cf``.  Subadditivity
     gives ``t_{jn} <= t_n``; P_n falls with slope at most ``log s_hi``, so
     rounding moves t_n by at most its allowance over ``-n log s_hi``."""
-    levels, truncated = _budget_levels(cf, n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    check_budget(cf.n_symbols, n_max, cf.budget)  # m^n grows: every lower level fits too
+    levels = range(1, n_max + 1)
     roots = [(n, pressure_root(cf, n, t_tol)) for n in levels]
     s_hi = cf.constants()[1]
     room = {n: rounding_allowance(n, 0.0, n * math.log(cf.n_symbols)) / (n * -math.log(s_hi))
@@ -198,7 +193,7 @@ def affinity_dimension(cf: NaturalCylinderFunction, n_max, t_tol) -> DimensionRe
                                      "beyond tolerance and rounding: P_n is not subadditive")
     upper = min(r for _, r in roots)
     return DimensionReport(roots=roots, upper_bound=upper, norm_half_satisfied=s_hi < 0.5,
-                           prediction=min(float(cf.dimension), upper), truncated=truncated)
+                           prediction=min(float(cf.dimension), upper))
 
 
 def pressure_curve(cf, t_grid, n) -> list[tuple[float, float]]:

@@ -34,6 +34,7 @@ from selfaffine.affine import DEFAULT_CHAINS, MAX_CHAINS, MAX_POINTS, ChaosGame
 from selfaffine.cli import _write_csv, build_parser, main, parse_t_grid
 from selfaffine.errors import CLIUsageError
 from selfaffine.ifsfile import write_ifs_file
+from selfaffine.symbolic import MAX_WORD_BUDGET
 
 
 @pytest.fixture
@@ -75,6 +76,9 @@ def test_parse_t_grid():
     assert len(parse_t_grid("0:999999:1")) == 10**6
     with pytest.raises(CLIUsageError, match=r"too many points \(1000001,"):
         parse_t_grid("0:1e6:1")
+    assert parse_t_grid("0:0:1") == [0.0]
+    with pytest.raises(CLIUsageError, match=">= 0"):
+        parse_t_grid("-1:1:0.5")
 
 
 def test_dim_conformal_reports_dimension_one(conformal_path, tmp_path, capsys):
@@ -520,6 +524,14 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
         ["render", "--count", "1000000000000000000"],
         ["boxdim", "--count", "100", "--chains", str(MAX_CHAINS + 1)],
         ["verify", "--samples", str(cli.MAX_SAMPLES + 1), "--nmax", "2"],
+        ["dim", "--budget", str(MAX_WORD_BUDGET + 1)],
+        # a parameter is >= 0, a subchain has two parts
+        ["pressure", "--nmax", "3", "--t", "-0.5"],
+        ["measure", "--nmax", "3", "--t", "-1"],
+        ["render", "--count", "100", "--driver", "equilibrium", "--t", "-1"],
+        ["boxdim", "--count", "100", "--driver", "equilibrium", "--t", "-1"],
+        ["pressure", "--nmax", "3", "--t-grid=-1:1:0.5"],
+        ["verify", "--nmax", "1"],
     ],
     ids=["grid-descending", "grid-overflow", "grid-too-many", "two-scales", "scales-unsorted", "render-depth",
          "boxdim-depth", "boxdim-burn-in", "render-burn-in", "render-resolution", "render-resolution-huge",
@@ -528,7 +540,9 @@ def test_non_finite_flags_are_usage_errors(triple_path, tmp_path, capsys, argv):
          "pressure-t", "measure-depth-zero", "measure-tol", "measure-depth", "measure-depth-with-t",
          "verify-nmax", "verify-samples", "verify-seed", "render-chains", "render-depth-zero",
          "render-t-nan", "boxdim-count", "boxdim-tol", "verify-symbols", "render-count-huge",
-         "boxdim-chains-huge", "verify-samples-huge"],
+         "boxdim-chains-huge", "verify-samples-huge", "dim-budget-huge", "pressure-t-negative",
+         "measure-t-negative", "render-t-negative", "boxdim-t-negative", "grid-negative",
+         "verify-nmax-one"],
 )
 def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
     out = tmp_path / "out"
@@ -540,8 +554,9 @@ def test_bad_input_rejected_before_output(triple_path, tmp_path, capsys, argv):
 
 def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
     """The bounds admit their limits: the benchmark's 2,000,000 points in
-    512 chains, 2^18 verify samples, and a verify run of exactly
-    ``DEFAULT_WORD_BUDGET`` symbols."""
+    512 chains, 2^18 verify samples, a budget of 2^26 words, ``--t 0``, a
+    verify level of 2, and a verify run of exactly ``DEFAULT_WORD_BUDGET``
+    symbols."""
     for command in ("render", "boxdim"):
         for count, chains in ((MAX_POINTS, MAX_CHAINS), (2000000, 512)):
             args = build_parser().parse_args(
@@ -549,6 +564,12 @@ def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
             assert (args.count, args.chains) == (count, chains)
     args = build_parser().parse_args(["verify", "--ifs", "x", "--samples", str(2**18)])
     assert args.samples == cli.MAX_SAMPLES == 2**18
+    for command in ("dim", "pressure", "measure", "render", "boxdim"):
+        args = build_parser().parse_args([command, "--ifs", "x", "--budget", str(2**26)])
+        assert args.budget == MAX_WORD_BUDGET == 2**26
+    for command in ("pressure", "measure", "render", "boxdim"):
+        assert build_parser().parse_args([command, "--ifs", "x", "--t", "0"]).t == 0.0
+    assert build_parser().parse_args(["verify", "--ifs", "x", "--nmax", "2"]).nmax == 2
     drawn = []
 
     def verify_axioms(cf, grid, n_max, samples, seed):
@@ -575,9 +596,15 @@ def test_size_bounds_accept_their_limits(triple_path, tmp_path, monkeypatch):
         ["render", "--count", "100", "--resolution", "1000000"],
         ["measure", "--nmax", "30000000"],
         ["verify", "--nmax", "1000000000", "--samples", "10"],
+        # every level sweep is refused at its top level, before level 1 runs
+        ["dim", "--nmax", "30000000"],
+        ["pressure", "--t", "0.5", "--nmax", "30000000"],
+        # a budget whose levels would not fit in memory
+        ["pressure", "--t-grid", "1:1:1", "--nmax", "30", "--budget", str(MAX_WORD_BUDGET + 1)],
     ],
     ids=["burn-in", "one-chain", "verify-samples", "count", "chains", "t-grid", "resolution",
-         "level-budget", "verify-symbols"],
+         "level-budget", "verify-symbols", "dim-level-budget", "pressure-t-level-budget",
+         "budget"],
 )
 def test_work_sizing_inputs_are_refused_fast(cantor_path, tmp_path, argv):
     """Each input that sizes the work is refused before the work runs, in
@@ -594,34 +621,47 @@ def test_work_sizing_inputs_are_refused_fast(cantor_path, tmp_path, argv):
     assert not out.exists()
 
 
+def _game_limit(maps):
+    return cli.MAX_GAME_LANE_STEPS * 8 // max(8, maps)
+
+
 @pytest.mark.parametrize(
-    "argv,refused",
+    "maps,argv,refused",
     [
-        (["--count", "2000000", "--chains", "512", "--burn-in", "300"], False),  # the benchmark's
-        (["--count", str(MAX_POINTS), "--chains", str(MAX_CHAINS)], False),
-        (["--count", "100", "--chains", str(MAX_CHAINS), "--burn-in", "100000"], False),
+        (2, ["--count", "2000000", "--chains", "512", "--burn-in", "300"], False),  # the benchmark's
+        (2, ["--count", str(MAX_POINTS), "--chains", str(MAX_CHAINS)], False),
+        (2, ["--count", "100", "--chains", str(MAX_CHAINS), "--burn-in", "100000"], False),
         # exactly the most lane-steps, and one more step of each chain
-        (["--count", "64", "--chains", "64", "--burn-in", str(cli.MAX_GAME_LANE_STEPS // 128 - 1)],
+        (2, ["--count", "64", "--chains", "64", "--burn-in", str(_game_limit(2) // 128 - 1)], False),
+        (2, ["--count", "64", "--chains", "64", "--burn-in", str(_game_limit(2) // 128)], True),
+        # up to 8 maps the limit is the same; 32 maps take a quarter of it
+        (8, ["--count", "64", "--chains", "64", "--burn-in", str(_game_limit(8) // 128 - 1)], False),
+        (32, ["--count", "64", "--chains", "64", "--burn-in", str(_game_limit(32) // 128 - 1)],
          False),
-        (["--count", "64", "--chains", "64", "--burn-in", str(cli.MAX_GAME_LANE_STEPS // 128)], True),
+        (32, ["--count", "64", "--chains", "64", "--burn-in", str(_game_limit(32) // 128)], True),
     ],
     ids=["benchmark", "most-points-and-chains", "fewer-points-than-chains", "at-limit",
-         "past-limit"],
+         "past-limit", "8-maps-at-limit", "32-maps-at-limit", "32-maps-past-limit"],
 )
-def test_game_bound_is_checked_before_the_game(monkeypatch, argv, refused):
+def test_game_bound_is_checked_before_the_game(monkeypatch, maps, argv, refused):
     """``(burn-in + ceil(count / chains)) x (chains + GAME_STEP_LANES)`` is
-    at most ``MAX_GAME_LANE_STEPS``, checked before the equilibrium table."""
-    assert cli.GAME_STEP_LANES == 64
+    at most ``MAX_GAME_LANE_STEPS``, times ``8 / m`` for m > 8 maps, checked
+    before the equilibrium table."""
+    assert (cli.GAME_STEP_LANES, cli.GAME_STEP_MAPS) == (64, 8)
+    assert _game_limit(32) == cli.MAX_GAME_LANE_STEPS // 4
+    ifs = generic_pair_ifs() if maps == 2 else random_affine_ifs(np.random.default_rng(0), 2, maps)
     built = []
     monkeypatch.setattr(cli, "_equilibrium", lambda args, ifs: built.append("table")
                         or (1.0, SimpleNamespace(measure=None)))
     monkeypatch.setattr(cli, "ChaosGame", lambda *a, **k: built.append("game"))
     args = build_parser().parse_args(["boxdim", "--ifs", "x", "--driver", "equilibrium", *argv])
     if refused:
-        with pytest.raises(CLIUsageError, match=f"got {cli.MAX_GAME_LANE_STEPS + 128}$"):
-            cli._make_cloud(args, generic_pair_ifs())
+        limit = _game_limit(maps)
+        with pytest.raises(CLIUsageError,
+                           match=f"most {limit} lane-steps for {maps} maps, got {limit + 128}$"):
+            cli._make_cloud(args, ifs)
     else:
-        cli._make_cloud(args, generic_pair_ifs())
+        cli._make_cloud(args, ifs)
     assert built == ([] if refused else ["table", "game"])
 
 
@@ -801,13 +841,13 @@ def test_weights_past_double_precision_are_named_error(tmp_path, capsys, argv):
     assert f"error: level {level} at t = {t!r}" in err and "Traceback" not in err
 
 
-def test_budget_truncates_dim(triple_path, tmp_path):
+def test_budget_truncates_dim(triple_path, tmp_path, capsys):
+    """``dim`` to a level past ``--budget`` is refused, though levels 1..3 fit."""
     out = tmp_path / "out"
     assert main(["dim", "--ifs", str(triple_path), "--nmax", "6", "--budget", "80",
-                 "--out", str(out)]) == 0
-    report = (out / "dimension_report.txt").read_text()
-    assert "truncated = true" in report
-    assert "levels_computed = 3" in report
+                 "--out", str(out)]) == 1
+    assert "error: enumeration budget exceeded: 3^6 words > budget 80" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cache_file_round_trip(triple_path, tmp_path):

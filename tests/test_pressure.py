@@ -30,6 +30,7 @@ from selfaffine import (
     affinity_dimension,
     diagnostics,
     log_partition_sum,
+    pressure,
     pressure_curve,
     pressure_level,
     pressure_root,
@@ -76,7 +77,7 @@ def test_pressure_sequence_product():
     rep = pressure_sequence(half_product_cf(), 1.0, 6)
     assert all(abs(p) <= 1e-12 for _, p in rep.per_level)
     assert abs(rep.fekete_upper) <= 1e-12
-    assert not rep.truncated
+    assert [n for n, _ in rep.per_level] == [1, 2, 3, 4, 5, 6]
 
 
 def test_pressure_sequence_triple_diag_constant():
@@ -273,15 +274,23 @@ def test_pressure_curve_rejects_unsorted_grid():
         pressure_curve(half_product_cf(), [1.0, 0.5], 3)
 
 
-def test_budget_exceeded_flags_partial_report():
+def test_budget_exceeded_flags_partial_report(monkeypatch):
+    """A sweep to a level past the budget is refused before its first level,
+    though levels 1..3 fit: there is no partial report."""
     cf = NaturalCylinderFunction(triple_diag_ifs(), budget=80)
     with pytest.raises(BudgetExceededError):
         log_partition_sum(cf, 1.0, 4)
-    rep = pressure_sequence(cf, 1.0, 6)  # 3^4 = 81 > 80
-    assert rep.truncated
-    assert [n for n, _ in rep.per_level] == [1, 2, 3]
-    dim = affinity_dimension(cf, 6, 1e-6)
-    assert dim.truncated and [n for n, _ in dim.roots] == [1, 2, 3]
+    assert [n for n, _ in pressure_sequence(cf, 1.0, 3).per_level] == [1, 2, 3]
+    assert [n for n, _ in affinity_dimension(cf, 3, 1e-6).roots] == [1, 2, 3]
+
+    def no_level(*args):
+        raise AssertionError("a level was computed before the budget check")
+
+    monkeypatch.setattr(pressure, "log_partition_sum", no_level)
+    for sweep in (lambda: pressure_sequence(cf, 1.0, 6), lambda: affinity_dimension(cf, 6, 1e-6)):
+        with pytest.raises(BudgetExceededError) as info:  # 3^6 = 729 > 80
+            sweep()
+        assert (info.value.length, info.value.budget) == (6, 80)
 
 
 #: Every library function that reads a level of a given potential, asked
@@ -293,6 +302,8 @@ LEVEL_CONSUMERS = {
     "pressure_root": lambda cf: pressure_root(cf, 4, 1e-6),
     "pressure_curve": lambda cf: pressure_curve(cf, [0.5, 1.0], 4),
     "diagnostics": lambda cf: diagnostics(cf, 1.0, 4, 2),
+    "pressure_sequence": lambda cf: pressure_sequence(cf, 1.0, 4),
+    "affinity_dimension": lambda cf: affinity_dimension(cf, 4, 1e-6),
 }
 
 
@@ -321,12 +332,18 @@ def test_budget_holds_on_a_cache_hit():
     "budget,top", [(3, 1), (8, 1), (9, 2), (26, 2), (27, 3), (80, 3), (81, 4), (729, 6), (None, 6)]
 )
 def test_sequence_and_dimension_share_one_truncation(budget, top):
-    """Both sweep the levels whose 3^n words fit the budget."""
+    """Both sweep levels 1..6 when 3^6 words fit the budget, and both refuse
+    level 6 otherwise; ``top`` is the highest level that fits."""
     cf = NaturalCylinderFunction(triple_diag_ifs(), budget=budget)
-    rep = pressure_sequence(cf, 1.0, 6)
-    dim = affinity_dimension(cf, 6, 1e-6)
-    assert [n for n, _ in rep.per_level] == [n for n, _ in dim.roots] == list(range(1, top + 1))
-    assert rep.truncated == dim.truncated == (top < 6)
+    sweeps = (lambda: [n for n, _ in pressure_sequence(cf, 1.0, 6).per_level],
+              lambda: [n for n, _ in affinity_dimension(cf, 6, 1e-6).roots])
+    for sweep in sweeps:
+        if top < 6:
+            with pytest.raises(BudgetExceededError) as info:
+                sweep()
+            assert (info.value.length, info.value.budget) == (6, budget)
+        else:
+            assert sweep() == list(range(1, 7))
 
 
 def test_no_level_within_budget_raises():
