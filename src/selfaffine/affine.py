@@ -8,28 +8,27 @@ approximant.  Box counting over corner-anchored grids gives the numerical
 dimension estimate used to cross-check the affinity dimension on sampled
 generic translations.
 
-Randomness: numpy's PCG64 behind ``default_rng``; 64-bit seeds.  Chains of the
-chaos game draw from per-chain streams created with ``SeedSequence.spawn``, so
-a fixed (seed, chains) pair reproduces the cloud bit for bit regardless of how
-the chains are scheduled.  The uniforms are drawn into a block of
-``BLOCK_CHUNKS`` chunks per chain, refilled when it runs out; a stream split
-across ``random`` calls gives the same doubles as one call.
+Randomness: numpy's PCG64 behind ``default_rng``; 64-bit seeds.  The chains
+of a chaos game draw from one ``default_rng(seed)``, one ``random`` call per
+chunk of steps into a (step, chain) array; a stream split across ``random``
+calls gives the same doubles as one call, so a fixed (seed, chains) pair
+reproduces the cloud bit for bit.
 
 ``ChaosGame`` plays the game in one stepping loop and keeps no points: what
 grows with the number of points is a tape of the chains' symbols (b bits per
 point, for the least power of two b with 2^b >= m: one bit for two maps, a
 byte for 17 to 256) and each chain's state at the start of each chunk of
 steps (d / 8 bytes per point), from which it replays the points, many
-chunks at once.  Beside these the loop holds the block of uniforms, one
-chunk's symbols and states and one step's maps.  ``ChaosGame.points``
+chunks at once.  Beside these the loop holds one chunk's uniforms, symbols
+and states and one step's maps.  ``ChaosGame.points``
 scatters one replay into the chain-major cloud, 8 d bytes per point, for a
 caller that needs the array.  Box counting and rendering read a point array
 ``CHUNK_POINTS`` rows at a time, or a replay ``CHUNK_POINTS // 8`` lanes at
 a time, holding one chunk's temporaries and the occupied cells (box
 counting) or the hit counts (rendering).  On the 2,000,000-point equilibrium
 ``boxdim`` of the benchmark, with 512 chains, the tape takes 0.25 MB and the
-checkpoints 0.51 MB; the play pass peaks at 3.8 MiB traced, these included,
-and box counting at 3.0 MiB (5.4 and 4.7 MiB with a byte per symbol).
+checkpoints 0.51 MB; the play pass peaks at 2.6 MiB traced, these included,
+and box counting at 3.0 MiB.
 
 The chains step in lockstep, in chunks of ``CHUNK_STEPS`` steps.  A chain in
 context c walks the state c * m through tables linear in the number of
@@ -64,12 +63,6 @@ DEFAULT_CHAINS = 512
 #: Lockstep chaos-game steps per chunk: one tape record serves this many steps.
 CHUNK_STEPS = 64
 
-#: Chunks of uniforms drawn per refill of the chains' block: each refill is
-#: one ``random`` call per chain.  At 512 chains a block of 4 chunks is 1 MiB,
-#: and blocks of 2, 4 and 8 chunks play the benchmark's 2,000,000-point game
-#: equally fast, within timing noise on a 2-core host.
-BLOCK_CHUNKS = 4
-
 #: Rows per chunk of a pass over a point or cell array (box counting,
 #: rendering): the pass's temporaries have this many rows, whatever the count.
 CHUNK_POINTS = 2**16
@@ -84,7 +77,7 @@ MAX_RESOLUTION = 4096
 #: Most points (``--count``) of the CLI's chaos game: at d = 4 the cloud
 #: ``points`` scatters then takes 512 MiB.
 MAX_POINTS = 2**24
-#: Most chains (``--chains``): 6.6 KiB of play state each at d = 4, 430 MiB in all.
+#: Most chains (``--chains``): 4.8 KiB of play state each at d = 4, 305 MiB in all.
 MAX_CHAINS = 2**16
 
 
@@ -224,10 +217,12 @@ def _context_walk(cum: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 class ChaosGame:
     """The chaos game, played once and kept as a tape to replay.
 
-    ``chains`` independent chains start from the origin, each on its own
-    stream, and discard ``burn_in`` iterates; their tails are the ``count``
-    kept points, and the first ``count % chains`` chains keep one more than
-    the rest.  All points stay inside the invariant ball.
+    ``chains`` independent chains start from the origin, all drawing from
+    one stream, and discard ``burn_in`` iterates; their tails are the
+    ``count`` kept points, and the first ``count % chains`` chains keep one
+    more than the rest.  All points stay inside the invariant ball.
+    ``count`` is at most ``MAX_POINTS`` and ``chains`` at most
+    ``MAX_CHAINS``, checked before anything is allocated.
 
     The play pass moves the chains in lockstep, ``CHUNK_STEPS`` steps at a
     time.  For each chunk that keeps an iterate it records every chain's
@@ -248,12 +243,12 @@ class ChaosGame:
 
     def __init__(self, ifs: AffineIFS, count: int, burn_in: int = 200, seed: int = 0,
                  driver=None, chains: int = DEFAULT_CHAINS):
-        if count < 1:
-            raise ValueError("count must be >= 1")
+        if not 1 <= count <= MAX_POINTS:
+            raise ValueError(f"count must be in 1..{MAX_POINTS} (MAX_POINTS), got {count}")
         if burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {burn_in}")
-        if chains < 1:
-            raise ValueError(f"chains must be >= 1, got {chains}")
+        if not 1 <= chains <= MAX_CHAINS:
+            raise ValueError(f"chains must be in 1..{MAX_CHAINS} (MAX_CHAINS), got {chains}")
         ifs.bounding_radius()  # raises if not contractive
         d = ifs.dimension
         self.count = count
@@ -316,9 +311,8 @@ class ChaosGame:
         overwritten by the next chunk."""
         n_chains, columns = self._n_chains, self._columns
         _, d, m = columns.shape
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_chains)]
-        # chain-major: row c holds the next uniforms of chain c's stream
-        uniforms = np.empty((n_chains, min(BLOCK_CHUNKS * chunk, total_steps)))
+        rng = np.random.default_rng(seed)
+        uniforms = np.empty((chunk, n_chains))  # (step, chain)
         states = np.ones((chunk + 1, d + 1, n_chains))
         states[0, :d] = 0.0
         maps = np.empty((d + 1, d, n_chains))  # one step's [A | a] columns
@@ -329,12 +323,7 @@ class ChaosGame:
         n_reached = np.empty(n_chains, dtype=np.intp)
         for start in range(0, total_steps, chunk):
             steps = min(chunk, total_steps - start)
-            offset = start % uniforms.shape[1]
-            if offset == 0:  # refill; a stream split across calls gives the same doubles
-                width = min(uniforms.shape[1], total_steps - start)
-                for row, rng in zip(uniforms, rngs):
-                    rng.random(out=row[:width])
-            u = uniforms[:, offset : offset + steps].T  # (step, chain)
+            u = rng.random(out=uniforms[:steps])
             moved = np.empty((steps, n_chains), dtype=np.intp)
             for r, z_s in zip(u, moved):
                 # z + s, with s the number of the context row's masses at or below r

@@ -75,8 +75,9 @@ MAX_SAMPLES = 2**18
 #: step moves every chain, at a fixed cost of about ``GAME_STEP_LANES``
 #: chains' moves.  A step's cost grows with the number of maps m, so above
 #: ``GAME_STEP_MAPS`` maps the limit shrinks by ``GAME_STEP_MAPS / m``.  At
-#: the limit a d = 4 render of 2^24 points in 2^16 chains took 27 s with 8
-#: maps, 24 s with 16 and 24 s with 32, on one core of a shared 2-core host.
+#: the limit a d = 4 render of 2^24 points in 2^16 chains took 3.4 s with 8
+#: maps, 4.1 s with 16 and 5.6 s with 32, and in one chain 16 s, 8.1 s and
+#: 4.0 s, on one core of a shared 2-core host.
 MAX_GAME_LANE_STEPS = 2**27
 GAME_STEP_LANES = 64
 GAME_STEP_MAPS = 8

@@ -16,8 +16,9 @@ the subchain rule).  ``verify_axioms`` spot-checks the parameter bounds and
 the subchain rule on random words; constancy in the tail holds by
 construction.  On a 1-D system the value is the product
 ``prod_i |a_{w_i}|^t``, which is multiplicative.  The word budget ``budget``,
-the most words a level may have, and the partition-sum ``cache`` ride on the
-potential; they change work, not values, so ``content_hash`` ignores both.
+the most words a level may have (at most ``MAX_WORD_BUDGET``), and the
+partition-sum ``cache`` ride on the potential; they change work, not values,
+so ``content_hash`` ignores both.
 The potential reads the maps once, at construction, and keeps no reference to
 the caller's array, so a later in-place edit of the IFS moves neither its
 values nor its ``content_hash``, the key its cached sums are filed under.
@@ -63,7 +64,7 @@ from .linalg import (
     top_singular_values,
     word_matrix,
 )
-from .symbolic import DEFAULT_WORD_BUDGET, Word, pack_word
+from .symbolic import DEFAULT_WORD_BUDGET, MAX_WORD_BUDGET, Word, pack_word
 
 #: Cap on the bytes of level features a ``NaturalCylinderFunction`` keeps.
 FEATURE_MEMO_BYTES = 64 << 20
@@ -82,8 +83,10 @@ class NaturalCylinderFunction:
 
     def __init__(self, maps, budget: int | None = None, cache=None):
         self.budget = DEFAULT_WORD_BUDGET if budget is None else budget
-        if self.budget < 1:
-            raise ValueError(f"word budget must be >= 1, got {budget}")
+        if not 1 <= self.budget <= MAX_WORD_BUDGET:
+            raise ValueError(
+                f"word budget must be in 1..{MAX_WORD_BUDGET} (MAX_WORD_BUDGET), got {budget}"
+            )
         self.cache = cache
         mats = np.asarray(getattr(maps, "matrices", maps), dtype=float)
         if mats.ndim != 3 or len(mats) < 1 or mats.shape[1] != mats.shape[2]:

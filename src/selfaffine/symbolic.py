@@ -16,8 +16,9 @@ Word = tuple[int, ...]
 #: Default cap on the number of words enumerated per level.
 DEFAULT_WORD_BUDGET = 1 << 24
 
-#: Most words per level a ``--budget`` may allow: a level takes about 25
-#: bytes a word at its peak, and at this limit a level peaked at 1.6 GB RSS.
+#: Most words per level a potential's budget (``--budget``) may allow: a
+#: level takes about 25 bytes a word at its peak, and at this limit a level
+#: peaked at 1.6 GB RSS.
 MAX_WORD_BUDGET = 1 << 26
 
 

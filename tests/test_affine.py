@@ -209,6 +209,36 @@ class TestAttractorPoints:
                 ChaosGame(cantor_ifs(), 100, chains=chains)
         assert len(ChaosGame(cantor_ifs(), 100, chains=1).points()) == 100
 
+    def test_size_limits_refused_before_the_game(self):
+        """``count`` above ``MAX_POINTS`` and ``chains`` above ``MAX_CHAINS``
+        are refused by name; both limits are accepted."""
+        for kwargs, limit in ((dict(count=affine.MAX_POINTS + 1), "MAX_POINTS"),
+                              (dict(count=100, chains=affine.MAX_CHAINS + 1), "MAX_CHAINS")):
+            with pytest.raises(ValueError, match=limit):
+                ChaosGame(cantor_ifs(), **kwargs)
+        game = ChaosGame(cantor_ifs(), affine.MAX_POINTS, burn_in=0, chains=affine.MAX_CHAINS)
+        assert (game.count, game._n_chains) == (affine.MAX_POINTS, affine.MAX_CHAINS)
+
+    def test_one_stream_per_game(self, monkeypatch):
+        """Every chain draws from one ``default_rng(seed)``, and no seed is
+        spawned into per-chain streams."""
+        made, spawned = [], []
+        default_rng = np.random.default_rng
+
+        class Sequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        def counted(seed=None):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(affine.np.random, "SeedSequence", Sequence)
+        monkeypatch.setattr(affine.np.random, "default_rng", counted)
+        assert ChaosGame(generic_pair_ifs(), 5000, seed=3, chains=64).count == 5000
+        assert (made, spawned) == ([3], [])
+
     def test_weight_list_driver_rejected(self):
         """A driver is None or a ``CylinderMeasure``; weights become a depth-1 one."""
         with pytest.raises(TypeError, match="CylinderMeasure"):
@@ -221,7 +251,7 @@ class TestAttractorPoints:
 def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
                                 chains=DEFAULT_CHAINS):
     """The chain-major cloud and driver tag of the chaos game played one
-    lockstep step at a time, with the per-chain uniforms in a step-major
+    lockstep step at a time, with the uniforms of one stream in a step-major
     array: the loop the chaos game ran before it stepped in chunks.  The
     cumulative rows come from the measure itself; one context draws i.i.d.
     symbols by ``searchsorted``, and a deeper driver counts the row's masses
@@ -239,9 +269,7 @@ def _reference_attractor_points(ifs, count, burn_in=200, seed=0, driver=None,
     sums = rows.sum(axis=1, keepdims=True)
     cum = np.cumsum(np.where(sums > 0, rows / np.where(sums > 0, sums, 1.0), 1.0 / m), axis=1)
     last = (cum < cum[:, -1:]).sum(axis=1)  # per row, the first index at its end
-    uniforms = np.empty((total_steps, n_chains))
-    for c, stream in enumerate(np.random.SeedSequence(seed).spawn(n_chains)):
-        uniforms[:, c] = np.random.default_rng(stream).random(total_steps)
+    uniforms = np.random.default_rng(seed).random((total_steps, n_chains))
     d = ifs.dimension
     points = np.empty((count, d))
     longer = points[: extra * keep].reshape(extra, keep, d)
@@ -277,15 +305,15 @@ def _assert_reference_rows(points, reference):
 
 
 def _patch_uniforms(monkeypatch, first, then):
-    """Make every stream's ``random`` call draw ``first``, then ``then``
-    for the rest of the call."""
+    """Make every stream's ``random`` call draw a first row of ``first``,
+    then ``then`` for the rest of the call."""
 
     class Stream:
-        def __init__(self, seed_sequence):
+        def __init__(self, seed):
             pass
 
         def random(self, size=None, out=None):
-            values = np.full(size if out is None else len(out), then)
+            values = np.full(size if out is None else out.shape, then)
             values[:1] = first
             if out is None:
                 return values
@@ -336,9 +364,6 @@ class TestChunkedChaosGame:
         kwargs = dict(burn_in=burn_in, seed=seed, driver=driver, chains=chains)
         game = ChaosGame(ifs, count, **kwargs)
         points = game.points()
-        with pytest.MonkeyPatch.context() as patch:  # a refill of uniforms at every chunk
-            patch.setattr(affine, "BLOCK_CHUNKS", 1)
-            assert ChaosGame(ifs, count, **kwargs).points().tobytes() == points.tobytes()
         reference, tag = _reference_attractor_points(ifs, count, **kwargs)
         assert game.driver == tag
         assert points.shape == reference.shape == (count, d)
@@ -533,41 +558,36 @@ def _pin_case(name):
     raise KeyError(name)
 
 
-# sha256 of points.tobytes() and the driver tag.  The d <= 2 digests were
-# recorded with the per-step fancy-index chaos game and np.concatenate of the
-# chains' tails; the d = 3 digests were re-recorded when each step became one
-# einsum over [A | a], whose sum over the row runs left to right.  The two
-# Cesaro drivers of depth > 1 were re-recorded when the Cesaro table became the
-# cyclic one (the chaos game run on the previous tables still gives the
-# previous digests); a depth-1 table has no window that wraps, so its digest
-# stayed
+# sha256 of points.tobytes() and the driver tag, recorded when the chains
+# came to draw from one stream: for d <= 2 the digests of the step-at-a-time
+# reference fed by that stream's step-major uniforms
 PINNED_CLOUDS = {
     "uniform-d2": (
-        "a6015f42533a7836f93e2218c03c48a5435d9ff63124fb1504401b8388702d09",
+        "f9097e5558bb8919370dcc43854cd821dbb1458379a89627517115c72866ec24",
         "uniform",
     ),
     "weights-d1": (
-        "b74f3528185478b8e9206f0313ba31ee38fd80cef3c3ea8476ea9b104ed271a2",
+        "1ab1a9da091700f215589392715123a8288a3897bbd103f1ed5ef909c351cb77",
         "weights([0.3, 0.7])",
     ),
     "cesaro-depth1-d2": (
-        "1ff6e95b89da8c6dcc3d8d7d1a204698ab5b557f38d9b1e19c80e27837d40483",
+        "9f2c6923ce6fc062a4b8f5482f3c098787153e736624f86b7914dd8848bdcef0",
         "mu_cesaro(n=6,t=0.86,k=1)",
     ),
     "cesaro-depth3-d2": (
-        "1ac68eacca5f1504abf1ee782fbe98c39462e3d22ae194b6a90ff4f7cb11f8ca",
+        "d436a3c8d3897732c0b57937fe96b6476ea5c2414f172c56439138de69471b61",
         "mu_cesaro(n=8,t=0.86,k=3)",
     ),
     "conditional-11-d3": (
-        "9a2b06f090f4d5f47878c6ba7e52d38c4eebf25c3daa16df9ff599355cfd8b48",
+        "b9c2bd41f757422e993d0709b45701cbf5c44ee7161055827e5eef8e1b3bcbc9",
         "mu_cesaro(n=3,t=1.5,k=2)",
     ),
     "chains-over-count": (
-        "e71a2630372d84a3db2b49bd6e0324df0a320ebf022f5e1b012d3be90ff04217",
+        "5f93ab8450f8112dc7e0a886a3ff9b99e35ea01b3fbb2e8fd89cf3f595164047",
         "uniform",
     ),
     "no-burn-in-d3": (
-        "604d2ae5440157ec4bdf02507dd6305d964bd866f87af1ff95e585913197d561",
+        "490169dc1eac498c64adba4790673b9365129e438253058a881a16d456150535",
         "weights([0.5, 0.2, 0.3])",
     ),
 }
@@ -698,13 +718,13 @@ class TestBoxCountNesting:
 
     def test_equilibrium_cloud_counts_pinned(self):
         # counts recorded with one pass over the points per scale, on the
-        # cloud driven by the cyclic Cesaro table
+        # cloud driven by the cyclic Cesaro table and one stream of uniforms
         bundle = sample_translations(2, 2, 1, radius=0.6, seed=7)[0]
         ifs = with_translations(generic_pair_ifs(), bundle)
         driver = _cesaro_driver(ifs, 1.3, 8, 3)
         game = ChaosGame(ifs, 200000, burn_in=300, seed=7, driver=driver)
         result = box_dimension(game, [2.0**-k for k in range(3, 11)])
-        assert result.counts == (12, 20, 35, 61, 113, 189, 343, 604)
+        assert result.counts == (12, 20, 35, 61, 113, 189, 343, 605)
 
 
 def _traced_peak(function, *args, **kwargs):

@@ -264,12 +264,12 @@ def test_render_writes_pgm(cantor_path, tmp_path):
     [
         (cantor_ifs, ["render", "--count", "20000", "--resolution", "64"],
          ["attractor.pgm", "render_report.txt"],
-         "92f17afd0e042598dbe93cb1a5338e0772850a2b5d9dd7267108c8d7216c1780"),
+         "a6ec7ec51aa03c4ab78d0a84f4f5a0a0ee72752615fd4fd870f8bb915737322c"),
         # 30001 points over the default 512 chains: the first 305 keep one more
         (generic_pair_ifs, ["boxdim", "--driver", "equilibrium", "--count", "30001",
                             "--nmax", "6", "--depth", "3"],
          ["boxdim_counts.csv", "boxdim_report.txt"],
-         "e34d768668b360bdbf6a9eb49c058ae3c3aa28b113a73fdca52035faf0601abd"),
+         "b97910782aded06449e67242b92ff804caad5a10cbcbcd4c906c418896a8d8c6"),
     ],
     ids=["render-cantor-d1", "boxdim-equilibrium-d2"],
 )

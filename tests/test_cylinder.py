@@ -16,6 +16,7 @@ from systems import (
 
 from selfaffine import cylinder
 from selfaffine.cli import parse_t_grid
+from selfaffine.symbolic import MAX_WORD_BUDGET
 
 from selfaffine import (
     DEFAULT_WORD_BUDGET,
@@ -427,6 +428,9 @@ def test_potential_holds_its_word_budget(make):
     for bad in (0, -5):
         with pytest.raises(ValueError, match="budget"):
             make(bad)
+    assert make(MAX_WORD_BUDGET).budget == MAX_WORD_BUDGET
+    with pytest.raises(ValueError, match="MAX_WORD_BUDGET"):
+        make(MAX_WORD_BUDGET + 1)
 
 
 @pytest.mark.parametrize(
